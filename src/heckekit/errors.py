@@ -45,8 +45,8 @@ class NotBiEquivariant(HeckeError):
     """A candidate intertwiner fails the required two-sided equivariance."""
 
 
-class TauMismatch(HeckeError):
-    """Two ingredients disagree on the index parameter tau."""
+class CellConflict(HeckeError):
+    """The residue oracle placed one coset pair in two cells at once."""
 
 
 class NotCuspidal(HeckeError):

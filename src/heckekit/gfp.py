@@ -227,10 +227,6 @@ def fq_inv_matrix(F, A):
     return R[:, n:]
 
 
-def fq_eye(n):
-    return np.eye(n, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # numpy linear algebra mod a prime l
 
@@ -328,10 +324,6 @@ def padd(a, b, l):
     for i, x in enumerate(b):
         out[i] = (out[i] + x) % l
     return pnormalize(out)
-
-
-def psub(a, b, l):
-    return padd(a, [(-x) % l for x in b], l)
 
 
 def pscale(a, s, l):

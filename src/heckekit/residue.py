@@ -15,16 +15,20 @@ transversal.  The product of two basis functions is then literally summed:
 
 with only the pairs where p2 lands in P contributing.  The support of the
 result is pinned exactly: the determinant fixes x+y, and valuations bound
-x from both sides.
+x from both sides.  Weyl matrices are monomial, so eta^-1, delta^-1 and eps
+are applied as a permutation plus an exponent shift.  Every coset pair is
+still tested against every eps of that support; a valuation prefilter
+rejects most eps before p2 is built and its residue blocks are ranked.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import inf
 
 import numpy as np
 
-from .errors import GapTooLarge, WindowExhausted
+from .errors import CellConflict, GapTooLarge, WindowExhausted
 from .gfp import GF, fq_rank
 from .weyl import W
 
@@ -96,6 +100,32 @@ def lmat_weyl(k, e):
     return M
 
 
+def _weyl_monomial(k, e):
+    """(column, exponent) of the one entry in each row of lmat_weyl(k, e);
+    the row-to-column map is an involution."""
+    n = 2 * k
+    return [((r + k) % n if e.flip else r, e.x if r < k else e.y) for r in range(n)]
+
+
+def lp_shift(a, s):
+    """a * pi^s, with lp_mul's window check on every exponent."""
+    out = {e + s: c for e, c in a.items()}
+    if out and (min(out) < -_CAP or max(out) > _CAP):
+        raise WindowExhausted("exponents of %r shifted by %d" % (a, s))
+    return out
+
+
+def weyl_mul_left(k, e, A):
+    """lmat_weyl(k, e) @ A, as a row permutation plus an exponent shift."""
+    return [[lp_shift(a, s) for a in A[c]] for c, s in _weyl_monomial(k, e)]
+
+
+def weyl_mul_right(k, A, e):
+    """A @ lmat_weyl(k, e), as a column permutation plus an exponent shift."""
+    mono = _weyl_monomial(k, e)
+    return [[lp_shift(row[r], mono[r][1]) for r, _ in mono] for row in A]
+
+
 def lmat_unipotent(F, k, side, coeffs):
     """(I X; 0 I) for side "ur" or (I 0; pi Y I) for side "ll", with inverse.
 
@@ -155,6 +185,33 @@ def in_parabolic(F, M, k):
     )
 
 
+def half_valuations(A, k):
+    """Per half (left, right k columns) of A: least exponent in the top k
+    rows, in the bottom k rows and overall, and greatest exponent; +-inf
+    where there is none."""
+    out = []
+    for cols in (range(k), range(k, 2 * k)):
+        top = [e for row in A[:k] for j in cols for e in row[j]]
+        bot = [e for row in A[k:] for j in cols for e in row[j]]
+        top_lo, bot_lo = min(top, default=inf), min(bot, default=inf)
+        out.append((top_lo, bot_lo, min(top_lo, bot_lo), max(top + bot, default=-inf)))
+    return out
+
+
+def valuations_admit(vals, e):
+    """The valuation half of in_parabolic on A @ lmat_weyl(k, e), where vals
+    is half_valuations(A, k); raises WindowExhausted where that product would.
+    The left half of A is shifted by e.x and the right by e.y; a flip swaps
+    the halves, so the lower-left floor of 1 then falls on the right half."""
+    (tl, bl, ll, hl), (tr, br, lr, hr) = vals
+    x, y = e.x, e.y
+    if ll + x < -_CAP or lr + y < -_CAP or hl + x > _CAP or hr + y > _CAP:
+        raise WindowExhausted("exponents beyond the window for %r" % (e,))
+    if e.flip:
+        return tl + x >= 0 and bl + x >= 0 and tr + y >= 0 and br + y >= 1
+    return tl + x >= 0 and bl + x >= 1 and tr + y >= 0 and br + y >= 0
+
+
 # ---------------------------------------------------------------------------
 # the deepened parahoric and its coset transversal
 
@@ -199,20 +256,12 @@ def coset_reps(k, q, eta):
 
 
 def _levi_sigma(sys, M):
-    k = sys.k
-    A = residue_block(sys_field(sys), M, k, 0, 0)
-    D = residue_block(sys_field(sys), M, k, 1, 1)
-    if k == 1:
-        ia = sys.M.index[int(A[0, 0])]
-        idd = sys.M.index[int(D[0, 0])]
-    else:
-        ia = sys.M.index[tuple(tuple(int(v) for v in row) for row in A)]
-        idd = sys.M.index[tuple(tuple(int(v) for v in row) for row in D)]
-    return sys.sigma(ia, idd)
-
-
-def sys_field(sys):
-    return GF(sys.q)
+    k, F = sys.k, GF(sys.q)
+    idx = []
+    for b in (0, 1):
+        B = residue_block(F, M, k, b, b)
+        idx.append(sys.M.index[int(B[0, 0]) if k == 1 else tuple(map(tuple, B.tolist()))])
+    return sys.sigma(*idx)
 
 
 def support_window(eta, delta):
@@ -227,32 +276,30 @@ def support_window(eta, delta):
 
 
 def oracle_product(sys, eta, f, delta, g):
-    """{eps: h_eps} with [eta]_f * [delta]_g = sum [eps]_{h_eps}; brute force."""
+    """{eps: h_eps} with [eta]_f * [delta]_g = sum [eps]_{h_eps}; brute force.
+
+    Every coset pair is tested against every eps of the support window, and
+    must land in at most one cell."""
     k, l = sys.k, sys.l
-    F = sys_field(sys)
+    F = GF(sys.q)
     f = np.asarray(f, dtype=np.int64) % l
     g = np.asarray(g, dtype=np.int64) % l
-    U = coset_reps(k, sys.q, eta)
-    Vr = coset_reps(k, sys.q, delta)
-    me_inv = lmat_weyl(k, eta.inv())
-    md_inv = lmat_weyl(k, delta.inv())
-    cands = [(eps, lmat_weyl(k, eps)) for eps in support_window(eta, delta)]
+    eta_inv, delta_inv = eta.inv(), delta.inv()
+    V = [(vinv, _levi_sigma(sys, v)) for v, vinv in coset_reps(k, sys.q, delta)]
+    cands = support_window(eta, delta)
     out = {}
-    for u, uinv in U:
+    for u, uinv in coset_reps(k, sys.q, eta):
         su = _levi_sigma(sys, u)
-        for v, vinv in Vr:
-            sv = _levi_sigma(sys, v)
-            prefix = lmat_mul(F, md_inv, lmat_mul(F, vinv, lmat_mul(F, me_inv, uinv)))
-            hits = 0
-            for eps, meps in cands:
-                p2 = lmat_mul(F, prefix, meps)
-                if not in_parabolic(F, p2, k):
-                    continue
-                hits += 1
+        eu = weyl_mul_left(k, eta_inv, uinv)
+        for vinv, sv in V:
+            prefix = weyl_mul_left(k, delta_inv, lmat_mul(F, vinv, eu))
+            vals = half_valuations(prefix, k)
+            hits = [eps for eps in cands if valuations_admit(vals, eps)
+                    and in_parabolic(F, weyl_mul_right(k, prefix, eps), k)]
+            if len(hits) > 1:
+                raise CellConflict("one coset pair fell into cells %r" % (hits,))
+            for eps in hits:
+                p2 = weyl_mul_right(k, prefix, eps)
                 term = (su @ f @ sv @ g @ _levi_sigma(sys, p2)) % l
-                if eps in out:
-                    out[eps] = (out[eps] + term) % l
-                else:
-                    out[eps] = term
-            assert hits <= 1, "one pair fell into two cells"
+                out[eps] = (out.get(eps, 0) + term) % l
     return {eps: h for eps, h in out.items() if h.any()}
