@@ -49,5 +49,13 @@ class CellConflict(HeckeError):
     """The residue oracle placed one coset pair in two cells at once."""
 
 
+class CellLeak(HeckeError):
+    """The finite convolution put support on a partial-swap cell without intertwiners."""
+
+
+class BruhatMismatch(HeckeError):
+    """A group element failed to decompose as p . w_d . p2 against the Bruhat data."""
+
+
 class NotCuspidal(HeckeError):
     """The supplied representation has nonzero coinvariants for a unipotent radical."""

@@ -7,9 +7,13 @@ product are implemented:
 
   * fin_mul: the closed two-term formulas in f1, fw, tau, T*;
   * fin_convolve: genuine convolution of V-valued bi-equivariant functions
-    over G/P, decomposing group elements against the Bruhat cells as it
-    goes.  The partial-swap cells in between must come out zero, and the
-    oracle checks that rather than assuming it.
+    over G/P.  The group geometry depends only on (k, q), so AmbientGL
+    builds it once as a convolution plan: for each target cell and coset,
+    the Bruhat cells and Levi indices of both factors.  The plan holds no
+    sigma products and nothing of fin_mul, so the oracle stays independent;
+    each pair costs one batched matrix product per cell.  The partial-swap
+    cells in between must come out zero, and the oracle checks that rather
+    than assuming it.
 
 Also here: the minimal monic relation of the parameter image (compute_fpoly)
 and the group-algebra computations around T* itself.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SystemMismatch
+from .errors import BruhatMismatch, CellLeak, SystemMismatch
 from .gfp import (
     GF,
     first_monic_dependence,
@@ -90,13 +94,9 @@ def fin_mul(a, b):
 
 
 def random_fin_element(sys, rng):
-    d = sys.dim
-    f1 = np.zeros((d, d), dtype=np.int64)
-    for c, m in zip(rng.integers(0, sys.l, size=len(sys.I1)), sys.I1):
-        f1 = (f1 + int(c) * m) % sys.l
-    fw = np.zeros((d, d), dtype=np.int64)
-    for c, m in zip(rng.integers(0, sys.l, size=len(sys.Iw)), sys.Iw):
-        fw = (fw + int(c) * m) % sys.l
+    # FinElement reduces the two sums mod l
+    f1 = np.tensordot(rng.integers(0, sys.l, size=len(sys.I1)), sys.I1, 1)
+    fw = np.tensordot(rng.integers(0, sys.l, size=len(sys.Iw)), sys.Iw, 1)
     return FinElement(sys, f1, fw)
 
 
@@ -111,6 +111,11 @@ class AmbientGL:
     by the column span of the first k columns, in reduced row echelon
     form, and each label stores one decomposition  rep = p . w_d . p2
     against the partial-swap permutations w_d.
+
+    `plan[d]` drives the convolution at w_d: for each coset y with neither
+    y nor y^-1 w_d in a partial-swap cell, one row holding, for each of
+    the two, 1 if it lies in the swap cell (else 0) and the Levi indices
+    of p and p2 in its decomposition.  Group geometry only.
     """
 
     _cache = {}
@@ -131,6 +136,16 @@ class AmbientGL:
         self.n = 2 * k
         self._enumerate_parabolic()
         self._enumerate_cosets()
+        self.plan = []
+        for d in range(k + 1):
+            x = self.swap_mat(d)
+            rows = []
+            for y in self.labels.values():
+                sy = self.split(y)
+                sz = self.split(fq_matmul(self.F, fq_inv_matrix(self.F, y), x))
+                if sy and sz:
+                    rows.append((sy[0] > 0, *sy[1], *sy[2], sz[0] > 0, *sz[1], *sz[2]))
+            self.plan.append(np.array(rows, dtype=np.int64).reshape(-1, 10))
 
     # -- bookkeeping helpers
 
@@ -228,8 +243,20 @@ class AmbientGL:
                 if self.in_parabolic(p2):
                     found = (fq_inv_matrix(F, p), p, d)
                     break
-            assert found is not None, "no Bruhat decomposition found"
+            if found is None:
+                raise BruhatMismatch("no Bruhat decomposition found for %s" % (lab,))
             self.bruhat[lab] = found
+
+    def split(self, g):
+        """(d, Levi indices of p, of p2) for g = p . w_d . p2; None when
+        g lies in a partial-swap cell."""
+        pinv, p, d = self.bruhat[self.col_label(g)]
+        if 0 < d < self.k:
+            return None
+        p2 = fq_matmul(self.F, fq_matmul(self.F, self.swap_mat(d), pinv), g)
+        if not self.in_parabolic(p2):
+            raise BruhatMismatch("w_d^-1 p^-1 g left the parabolic")
+        return d, self.levi_indices(p), self.levi_indices(p2)
 
     def cell_of(self, g):
         return int(fq_rank(self.F, np.asarray(g)[self.k :, : self.k]))
@@ -244,17 +271,14 @@ class AmbientGL:
 
 
 def phi_value(amb, sys, elem, g):
-    """Value at g of the bi-equivariant function with data (f1, fw)."""
-    lab = amb.col_label(g)
-    pinv, p, d = amb.bruhat[lab]
-    if 0 < d < amb.k:
-        return None  # partial-swap cell: the element carries no value there
-    p2 = fq_matmul(amb.F, fq_matmul(amb.F, amb.swap_mat(d), pinv), g)
-    assert amb.in_parabolic(p2)
+    """Value at g of the bi-equivariant function with data (f1, fw); None
+    in a partial-swap cell, where the element carries no value."""
+    split = amb.split(g)
+    if split is None:
+        return None
+    d, a, b = split
     f = elem.f1 if d == 0 else elem.fw
-    a1, a2 = amb.levi_indices(p)
-    b1, b2 = amb.levi_indices(p2)
-    return (sys.sigma(a1, a2) @ f @ sys.sigma(b1, b2)) % sys.l
+    return (sys.sigma(*a) @ f @ sys.sigma(*b)) % sys.l
 
 
 _MIDDLE_DIMS = {}
@@ -298,23 +322,19 @@ def fin_convolve_cells(a, b):
     """(phi_a * phi_b)(w_d) for every cell d, as a dict keyed by d."""
     _same(a, b)
     sys = a.sys
-    amb = AmbientGL(sys.k, sys.q)
-    d0 = sys.dim
-    zero = np.zeros((d0, d0), dtype=np.int64)
+    A, l = sys.V.A, sys.l
+
+    def values(f, cell, m1, m2, n1, n2):
+        # phi at every row's point, one batched triple product
+        left = A[pair_index(sys.MM, m1, m2)]
+        return (left @ f[cell] @ A[pair_index(sys.MM, n1, n2)]) % l
+
+    fa, fb = np.stack((a.f1, a.fw)), np.stack((b.f1, b.fw))
     out = {}
-    for dcell in range(amb.k + 1):
-        x = amb.swap_mat(dcell)
-        acc = zero.copy()
-        for lab, y in amb.labels.items():
-            va = phi_value(amb, sys, a, y)
-            if va is None or not va.any():
-                continue
-            yinvx = fq_matmul(amb.F, fq_inv_matrix(amb.F, y), x)
-            vb = phi_value(amb, sys, b, yinvx)
-            if vb is None:
-                continue
-            acc = (acc + va @ vb) % sys.l
-        out[dcell] = acc
+    for d, rows in enumerate(AmbientGL(sys.k, sys.q).plan):
+        va = values(fa, *rows[:, :5].T)
+        vb = values(fb, *rows[:, 5:].T)
+        out[d] = np.einsum("rij,rjk->ik", va, vb) % l
     return out
 
 
@@ -325,8 +345,8 @@ def fin_convolve(a, b):
     may be nonzero only when the corresponding intertwiner space is
     nonzero (which happens for some non-semisimple configurations, where
     the two-coset span is not closed under convolution); when that space
-    is zero, a nonzero value there would be a genuine bug and is asserted
-    against.
+    is zero, a nonzero value there would be a genuine bug and raises
+    CellLeak.
     """
     sys = a.sys
     out = fin_convolve_cells(a, b)
@@ -335,7 +355,8 @@ def fin_convolve(a, b):
     if leaked:
         dims = middle_hom_dims(sys)
         for d in leaked:
-            assert dims[d - 1] > 0, "support leaked into a partial-swap cell"
+            if dims[d - 1] == 0:
+                raise CellLeak("support leaked into partial-swap cell %d" % d)
     return FinElement(sys, out[0], out[k])
 
 

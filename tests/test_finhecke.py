@@ -1,6 +1,17 @@
+import hashlib
+import os
+import subprocess
+import sys as _sys_mod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import FIN_CONFIGS
 
+import heckekit
+from heckekit import finhecke
+from heckekit.errors import BruhatMismatch, CellLeak
 from heckekit.finhecke import (
     AmbientGL,
     CharPoly,
@@ -8,6 +19,7 @@ from heckekit.finhecke import (
     compute_fpoly,
     coset_count,
     fin_convolve,
+    fin_convolve_cells,
     fin_mul,
     fin_unit,
     fin_w,
@@ -16,6 +28,7 @@ from heckekit.finhecke import (
     random_fin_element,
     tstar_group_algebra_power,
 )
+from heckekit.gfp import fq_inv_matrix, fq_matmul
 from heckekit.modrep import build_coefficient_system
 
 
@@ -110,6 +123,157 @@ def test_formula_matches_convolution_k2():
         a = random_fin_element(sys, rng)
         b = random_fin_element(sys, rng)
         assert fin_mul(a, b) == fin_convolve(a, b)
+
+
+def test_fin_convolve_golden_digest():
+    # Frozen oracle output, every cell including the partial-swap ones, over
+    # seeded pairs on each acceptance configuration in both modes.
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2026)
+    for k, q, l, rho in FIN_CONFIGS:
+        for mode in ("plain", "pp"):
+            sys = _sys(k, q, l, rho, mode)
+            pairs = [(fin_w(sys), fin_w(sys))]
+            pairs += [(random_fin_element(sys, rng), random_fin_element(sys, rng))
+                      for _ in range(4)]
+            for a, b in pairs:
+                cells = fin_convolve_cells(a, b)
+                digest.update(sys.name.encode())
+                for d in sorted(cells):
+                    h = np.asarray(cells[d], dtype=np.int64)
+                    digest.update(repr(d).encode() + h.tobytes())
+    assert digest.hexdigest() == (
+        "f4b22bd4c22f632ad7f3f0ea3bf4af27af042fafd12c9f82e3b3e8c057185b65"
+    )
+
+
+def _convolve_by_cosets(a, b):
+    """Reference: phi_a(y) phi_b(y^-1 w_d) summed coset by coset."""
+    sys = a.sys
+    amb = AmbientGL(sys.k, sys.q)
+    out = {}
+    for d in range(amb.k + 1):
+        x = amb.swap_mat(d)
+        acc = np.zeros((sys.dim, sys.dim), dtype=np.int64)
+        for y in amb.labels.values():
+            va = phi_value(amb, sys, a, y)
+            if va is None or not va.any():
+                continue
+            vb = phi_value(amb, sys, b, fq_matmul(amb.F, fq_inv_matrix(amb.F, y), x))
+            if vb is None:
+                continue
+            acc = (acc + va @ vb) % sys.l
+        out[d] = acc
+    return out
+
+
+PLAN_SYSTEMS = [
+    (1, 3, 2, "trivial", "plain"),
+    (1, 4, 3, "trivial", "pp"),
+    (1, 5, 2, "trivial", "pp"),
+    (2, 2, 3, "sign", "pp"),
+    (2, 2, 7, "sign", "plain"),
+]
+
+
+@st.composite
+def fin_pairs(draw):
+    sys = _sys(*draw(st.sampled_from(PLAN_SYSTEMS)))
+
+    def element():
+        def coeffs(basis):
+            return draw(st.lists(st.integers(0, sys.l - 1), min_size=len(basis),
+                                 max_size=len(basis)))
+
+        f1 = np.tensordot(coeffs(sys.I1), sys.I1, 1)
+        fw = np.tensordot(coeffs(sys.Iw), sys.Iw, 1)
+        return FinElement(sys, f1, fw)
+
+    return element(), element()
+
+
+@settings(max_examples=40, deadline=None)
+@given(fin_pairs())
+def test_planned_convolution_matches_coset_sum(pair):
+    a, b = pair
+    got = fin_convolve_cells(a, b)
+    want = _convolve_by_cosets(a, b)
+    assert sorted(got) == sorted(want)
+    for d in want:
+        assert np.array_equal(got[d], want[d]), d
+
+
+def _random_fin_element_loop(sys, rng):
+    d = sys.dim
+    f1 = np.zeros((d, d), dtype=np.int64)
+    for c, m in zip(rng.integers(0, sys.l, size=len(sys.I1)), sys.I1):
+        f1 = (f1 + int(c) * m) % sys.l
+    fw = np.zeros((d, d), dtype=np.int64)
+    for c, m in zip(rng.integers(0, sys.l, size=len(sys.Iw)), sys.Iw):
+        fw = (fw + int(c) * m) % sys.l
+    return FinElement(sys, f1, fw)
+
+
+def test_random_fin_element_matches_loop():
+    for args in PLAN_SYSTEMS[1:]:
+        sys = _sys(*args)
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(50):
+            assert random_fin_element(sys, fast) == _random_fin_element_loop(sys, slow)
+        assert fast.integers(1 << 30) == slow.integers(1 << 30)
+
+
+def _leaking_pair():
+    sys = _sys(2, 2, 3, "sign", "pp")
+    rng = np.random.default_rng(0)
+    a, b = random_fin_element(sys, rng), random_fin_element(sys, rng)
+    assert fin_convolve_cells(a, b)[1].any()
+    return a, b
+
+
+def test_partial_cell_leak_raises(monkeypatch):
+    a, b = _leaking_pair()
+    fin_convolve(a, b)  # the partial cell carries intertwiners here
+    monkeypatch.setattr(finhecke, "middle_hom_dims", lambda sys: (0,))
+    with pytest.raises(CellLeak):
+        fin_convolve(a, b)
+
+
+def test_partial_cell_leak_raises_under_optimize():
+    script = """
+from unittest import mock
+import numpy as np
+from heckekit import finhecke
+from heckekit.errors import CellLeak
+from heckekit.modrep import build_coefficient_system
+sys_ = build_coefficient_system(2, 2, 3, rho="sign", mode="pp")
+rng = np.random.default_rng(0)
+a = finhecke.random_fin_element(sys_, rng)
+b = finhecke.random_fin_element(sys_, rng)
+with mock.patch.object(finhecke, "middle_hom_dims", lambda sys: (0,)):
+    try:
+        finhecke.fin_convolve(a, b)
+    except CellLeak:
+        print("CellLeak", __debug__)
+"""
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [_sys_mod.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["CellLeak", "False"]
+
+
+def test_bruhat_failures_raise_typed_error(monkeypatch):
+    sys = _sys(1, 4, 5)
+    amb = AmbientGL(1, 4)
+    monkeypatch.setattr(AmbientGL, "in_parabolic", lambda self, g: False)
+    with pytest.raises(BruhatMismatch):
+        phi_value(amb, sys, fin_w(sys), amb.swap_mat())
+    monkeypatch.setattr(AmbientGL, "_cache", {})
+    with pytest.raises(BruhatMismatch):
+        AmbientGL(1, 3)
 
 
 def test_associativity_formula():
