@@ -33,8 +33,24 @@ class GapTooLarge(HeckeError):
     """Coset enumeration is only implemented for congruence gaps <= 2."""
 
 
-class TooShort(HeckeError):
-    """The element is too short to factor (length below 2)."""
+class BadCharacteristic(HeckeError):
+    """l is not a prime away from the residue characteristic, so tau is not a unit mod l."""
+
+
+class UnknownModule(HeckeError):
+    """No irreducible module of that name exists for the requested group."""
+
+
+class NotACharacter(HeckeError):
+    """Plain mode needs a one-dimensional module."""
+
+
+class NotMonic(HeckeError):
+    """A reduction polynomial must have leading coefficient 1 mod l."""
+
+
+class DegenerateIdeal(HeckeError):
+    """The ideal of a reduction polynomial misses a degree, so normal forms are not unique."""
 
 
 class WrongModularCase(HeckeError):

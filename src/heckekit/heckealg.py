@@ -1,4 +1,4 @@
-"""Recursive multiplication engine for the affine double-coset algebra.
+"""Multiplication engine for the affine double-coset algebra.
 
 Elements are dicts {Weyl element: coefficient}.  Coefficients live in a
 pluggable backend: matrices acting on a concrete coefficient system, or
@@ -6,37 +6,27 @@ formal words in named generators for structure-constant work.  A basis
 symbol [eta]^j_c stands for the function supported on the coset of eta
 with value (central element)^j * c there.
 
-The engine computes structure constants once per (eta, delta) pair:
+The engine computes structure constants once per (eta, delta) pair.
+Write delta = t^alpha . s_1 ... s_a as its reduced word; t^alpha has
+length zero, so the product starts as [eta.t^alpha] and takes the
+letters one at a time by the quadratic relation
 
-  * lengths add            ->  [eta.delta] with coefficient 1;
-  * two letters cancel     ->  tau * [eta.delta]  +  [eta'.delta]^1,
-                               where eta' drops the last letter of eta;
-  * longer eta             ->  split eta = eta1.eta2 and reassociate;
-  * longer delta           ->  split delta = delta2.delta1 likewise.
+  * x.s longer than x      ->  [x] * [s] = [x.s];
+  * x.s shorter than x     ->  [x] * [s] = tau * [x.s]  +  [x]^1.
 
-Only the cancellation row is an actual relation; everything else is
-bookkeeping, so the scalars (s, j) are independent of the coefficients
-and get memoised per engine.
+Shifts only add up along the way, so the scalars (s, j) are independent
+of the coefficients and get memoised per engine.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
-from .errors import ParityViolation
+from .errors import BadCharacteristic, NotMonic, ParityViolation
 from .gfp import pdivmod
-from .weyl import (
-    LETTER,
-    W,
-    W_ID,
-    W_W,
-    is_length_additive,
-    left_factor,
-    length,
-    right_factor,
-    shape_class,
-    word_of,
-)
+from .weyl import W, W_ID, W_W, shape_class, t_power, word_of
 
 
 class MatrixCoefficients:
@@ -81,10 +71,12 @@ class FreeCoefficients:
         self.generators = dict(generators)  # name -> parity (0 or 1)
         self.l = l
         self.tau = tau % l
+        if gcd(self.tau, l) != 1:
+            raise BadCharacteristic("tau=%d is not a unit mod l=%d" % (tau, l))
         self.tau_inv = pow(self.tau, -1, l)
         self.fpoly = tuple(fpoly) if fpoly else None
-        if self.fpoly:
-            assert self.fpoly[-1] % l == 1, "reduction polynomial must be monic"
+        if self.fpoly and self.fpoly[-1] % l != 1:
+            raise NotMonic("reduction polynomial %r is not monic mod %d" % (self.fpoly, l))
         self._jred = {}
 
     def one(self):
@@ -154,60 +146,47 @@ class HeckeEngine:
     def __init__(self, backend):
         self.be = backend
         self._memo = {}
-        self._busy = set()
 
     # -- structure constants -------------------------------------------
 
     def symbol_product(self, eta, delta):
-        """[eta]_f * [delta]_g = sum of s * [eps]^j_{fg}; returns ((eps, s, j), ...)."""
+        """[eta]_f * [delta]_g = sum of s * [eps]^j_{fg}; returns ((eps, s, j), ...).
+
+        One pass over the letters of delta; terms are (x, y, flip, j)
+        tuples keyed to their scalar, and W objects are built only for the
+        result.  Lengths are |y - x - flip| (see weyl.length).
+        """
         key = (eta, delta)
         if key in self._memo:
             return self._memo[key]
-        if key in self._busy:
-            raise RuntimeError("recursion loop at %r * %r" % (eta, delta))
-        self._busy.add(key)
-        try:
-            raw = self._compute(eta, delta)
-        finally:
-            self._busy.discard(key)
-        acc = {}
-        for eps, s, j in raw:
-            k2 = (eps, j)
-            acc[k2] = (acc.get(k2, 0) + s) % self.be.l
+        l, tau = self.be.l, self.be.tau
+        alpha, letters = word_of(delta)
+        start = eta * t_power(alpha)
+        acc = {(start.x, start.y, start.flip, 0): 1}
+        for letter in letters:
+            nxt = {}
+            for (x, y, flip, j), s in acc.items():
+                if letter == "w":
+                    xs = (x, y, not flip)
+                elif flip:
+                    xs = (x + 1, y - 1, False)
+                else:
+                    xs = (x - 1, y + 1, True)
+                k = xs + (j,)
+                if abs(xs[1] - xs[0] - xs[2]) > abs(y - x - flip):
+                    nxt[k] = (nxt.get(k, 0) + s) % l
+                else:
+                    nxt[k] = (nxt.get(k, 0) + s * tau) % l
+                    k = (x, y, flip, j + 1)
+                    nxt[k] = (nxt.get(k, 0) + s) % l
+            acc = nxt
         out = tuple(
-            (eps, s, j)
-            for (eps, j), s in sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            (W(x, y, flip), s, j)
+            for (x, y, flip, j), s in sorted(acc.items(), key=lambda kv: (kv[0][3], kv[0][:3]))
             if s
         )
         self._memo[key] = out
         return out
-
-    def _compute(self, eta, delta):
-        l = self.be.l
-        if is_length_additive(eta, delta):
-            return ((eta * delta, 1, 0),)
-        le, ld = length(eta), length(delta)
-        if le == 1 and ld == 1:
-            prod = eta * delta
-            assert length(prod) == 0, "parity forbids a single cancellation"
-            _, letters = word_of(eta)
-            etap = eta * LETTER[letters[-1]]
-            return ((prod, self.be.tau % l, 0), (etap * delta, 1, 1))
-        if le >= 2:
-            e1, e2 = left_factor(eta)
-            inner = self.symbol_product(e2, delta)
-            out = []
-            for eps, s, j in inner:
-                for eps2, s2, j2 in self.symbol_product(e1, eps):
-                    out.append((eps2, (s * s2) % l, j + j2))
-            return tuple(out)
-        d2, d1 = right_factor(delta)
-        inner = self.symbol_product(eta, d2)
-        out = []
-        for eps, s, j in inner:
-            for eps2, s2, j2 in self.symbol_product(eps, d1):
-                out.append((eps2, (s * s2) % l, j + j2))
-        return tuple(out)
 
     # -- elements ------------------------------------------------------
 

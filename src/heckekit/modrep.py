@@ -19,10 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadCharacteristic,
+    NotACharacter,
     NotBiEquivariant,
     NotCuspidal,
     NotIrreducible,
     TooLarge,
+    UnknownModule,
 )
 from .gfp import (
     GF,
@@ -112,13 +115,6 @@ class FiniteGroupTable:
                     break
                 reach[new] = True
         return gens
-
-    def element_order(self, i):
-        j, n = i, 1
-        while j != 0:
-            j = int(self.MUL[j, i])
-            n += 1
-        return n
 
 
 def unit_group(F):
@@ -637,20 +633,23 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
     key = (k, q, l, rho, mode)
     if key in _SYSTEM_CACHE:
         return _SYSTEM_CACHE[key]
-    assert is_prime(l), "l must be prime"
+    if not is_prime(l):
+        raise BadCharacteristic("l=%d is not prime" % l)
     F = GF(q)
-    assert l != F.p, "l must differ from the residue characteristic"
+    if l == F.p:
+        raise BadCharacteristic("l=%d equals the residue characteristic" % l)
     M = general_linear(k, F)
     irr = dict(irreducible_modules(M, l))
     if rho not in irr:
-        raise KeyError("unknown module %r; have %s" % (rho, sorted(irr)))
+        raise UnknownModule("unknown module %r; have %s" % (rho, sorted(irr)))
     rho0 = irr[rho]
     if not is_cuspidal(rho0):
         raise NotCuspidal(rho)
     MM = product_group(M, M)
     swap = swap_permutation(MM)
     if mode == "plain":
-        assert rho0.dim == 1, "plain mode needs a character"
+        if rho0.dim != 1:
+            raise NotACharacter("module %r has dimension %d" % (rho, rho0.dim))
         V = boxtimes(rho0, rho0, MM)
     elif mode == "pp":
         cov = projective_cover(rho0)

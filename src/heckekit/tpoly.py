@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DegenerateIdeal
 from .gfp import padd, pdivmod, pmul, pnormalize, pscale, rref_mod
 
 
@@ -58,9 +59,9 @@ def tp_reduce(p, fpoly, tau, l):
     """Normal form of p against the ideal generated by fpoly for *.
 
     Row-reduces the span of T^i * fpoly and eliminates p from the top
-    degree down.  Asserts that the ideal pivots cover every degree from
-    deg(fpoly) upward in the working range, so the normal form is the
-    unique representative of degree < deg(fpoly).
+    degree down.  Raises DegenerateIdeal unless the ideal pivots cover
+    every degree from deg(fpoly) upward in the working range, so the
+    normal form is the unique representative of degree < deg(fpoly).
     """
     p = pnormalize(tuple(c % l for c in p))
     fpoly = pnormalize(tuple(c % l for c in fpoly))
@@ -77,7 +78,8 @@ def tp_reduce(p, fpoly, tau, l):
     pivot_deg = {width - 1 - c: R[r] for r, c in enumerate(piv)}
     need = range(degf, len(p))
     missing = [d for d in need if d not in pivot_deg]
-    assert not missing, "ideal does not cover degrees %s (tau=%d?)" % (missing, tau)
+    if missing:
+        raise DegenerateIdeal("ideal does not cover degrees %s (tau=%d?)" % (missing, tau))
     r = np.zeros(width, dtype=np.int64)
     for d, c in enumerate(p):
         r[d] = c

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import WrongModularCase
+from .errors import NotMonic, WrongModularCase
 from .finhecke import FinElement, fin_mul
 from .gfp import pdivmod, pnormalize
 from .tpoly import tp_mul
@@ -36,8 +36,8 @@ class PolynomialPart:
         self.l = l
         self.tau = tau % l
         self.fpoly = pnormalize(fpoly) if fpoly else None
-        if self.fpoly:
-            assert self.fpoly[-1] % l == 1
+        if self.fpoly and self.fpoly[-1] % l != 1:
+            raise NotMonic("reduction polynomial %r is not monic mod %d" % (self.fpoly, l))
 
     def reduce(self, p):
         p = pnormalize(tuple(c % self.l for c in p))

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import TooShort
-
 
 @dataclass(frozen=True, order=True)
 class W:
@@ -68,11 +66,6 @@ def t_power(m):
     return W((m - 1) // 2, (m + 1) // 2, True)
 
 
-def prime_swap(letter):
-    """Conjugation by t swaps the two letters: t w t^-1 = w'."""
-    return "w'" if letter == "w" else "w"
-
-
 def _diag_word(x, y):
     """Canonical word of delta(x, y) as (alpha, letters)."""
     d = y - x
@@ -99,9 +92,6 @@ def word_of(e):
             letters = letters[:-1]
         else:
             letters = letters + ("w",)
-    assert from_word(alpha, letters) == e, (e, alpha, letters)
-    for a, b in zip(letters, letters[1:]):
-        assert a != b, ("word not alternating", e, letters)
     return alpha, letters
 
 
@@ -113,11 +103,8 @@ def from_word(alpha, letters):
 
 
 def length(e):
-    return len(word_of(e)[1])
-
-
-def is_length_additive(a, b):
-    return length(a) + length(b) == length(a * b)
+    """Number of letters in the reduced word: |y - x - flip|."""
+    return abs(e.y - e.x - e.flip)
 
 
 def ends_on_w(e):
@@ -147,48 +134,6 @@ def shape_class(e):
     if e.x > e.y:
         return "B"
     return "A"
-
-
-def left_factor(e):
-    """Split e = e1 * e2 with e1 a diagonal of length 1 and lengths adding.
-
-    Requires length(e) >= 2.  The first letter is absorbed into e1 along
-    with most of the t-power; the five rows cover the parity and sign of
-    alpha.  Postconditions are asserted.
-    """
-    alpha, letters = word_of(e)
-    a = len(letters)
-    if a < 2:
-        raise TooShort("need length >= 2, got %d" % a)
-    w1, rest = letters[0], letters[1:]
-    if alpha % 2 != 0:
-        e1 = from_word(alpha, (w1,))
-        e2 = from_word(0, rest)
-    elif alpha > 0:
-        e1 = from_word(alpha - 1, (prime_swap(w1),))
-        e2 = from_word(1, rest)
-    elif alpha < 0:
-        e1 = from_word(alpha + 1, (prime_swap(w1),))
-        e2 = from_word(-1, rest)
-    elif w1 == "w":
-        e1 = from_word(-1, ("w'",))
-        e2 = from_word(1, rest)
-    else:
-        e1 = from_word(1, ("w",))
-        e2 = from_word(-1, rest)
-    assert e1 * e2 == e
-    assert not e1.flip and length(e1) == 1
-    assert length(e2) == a - 1
-    return e1, e2
-
-
-def right_factor(e):
-    """Split e = e2 * e1 with e1 a diagonal of length 1, lengths adding."""
-    a1, a2 = left_factor(e.inv())
-    e1, e2 = a1.inv(), a2.inv()
-    assert e2 * e1 == e
-    assert not e1.flip and length(e1) == 1
-    return e2, e1
 
 
 def elements_in_window(bound, with_flip=True):

@@ -1,13 +1,18 @@
 """End-to-end tests for the command line front end (exit codes, output text, JSON)."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 import heckekit.cli as cli
 from heckekit.cli import ParseError, main, parse_symbol
+from heckekit.twisted import iwahori_mul
 from heckekit.verify import CheckResult
-from heckekit.weyl import W, W_ID, W_T, W_W
+from heckekit.weyl import W, W_ID, W_T, W_W, word_of
 
 
 def test_parse_symbol_plain_letters():
@@ -190,3 +195,75 @@ def test_usage_error_exits_2(capsys):
         main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- whole-process behaviour ----------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_process(*argv, optimize=False):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    cmd = [sys.executable] + (["-O"] if optimize else []) + ["-m", "heckekit.cli"]
+    return subprocess.run(cmd + list(argv), env=env, capture_output=True, text=True,
+                          check=False)
+
+
+def alternating(first, n):
+    other = "w'" if first == "w" else "w"
+    return [first if i % 2 == 0 else other for i in range(n)]
+
+
+TERM = re.compile(r"^(?:(\d+)·)?\[([^\]]*)\](?:\^(\d+))?$")
+
+
+@pytest.mark.parametrize("n", [320, 1024])
+def test_mul_long_cancelling_pair_matches_iwahori_model(n):
+    x = alternating("w", n)
+    lhs, rhs = "[t^3 %s]^1" % " ".join(x), "[%s]" % " ".join(reversed(x))
+    proc = run_process("mul", lhs, rhs, "-q", "4", "-l", "5")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    # s.[t^a letters]^j read as s.(qbar-1)^j.T_e with qbar = tau = 4, keyed
+    # by the printed word (a, letters)
+    l, qbar = 5, 4
+    got = {}
+    for term in proc.stdout.strip().split(" + "):
+        scalar, body, j = TERM.match(term).groups()
+        alpha, letters = 0, tuple(body.split())
+        if letters and letters[0][0] in "t1":  # "t^a", "t" or the identity "1"
+            head, letters = letters[0], letters[1:]
+            alpha = 0 if head == "1" else int(head[2:] or 1)
+        key = (alpha, letters)
+        got[key] = (got.get(key, 0) + int(scalar or 1) * pow(qbar - 1, int(j or 0), l)) % l
+    got = {k: c for k, c in got.items() if c}
+    a, b = parse_symbol(lhs)[0], parse_symbol(rhs)[0]
+    want = {word_of(e): (c * (qbar - 1)) % l for e, c in iwahori_mul(a, b, qbar, l).items()}
+    assert got == {k: c for k, c in want.items() if c}
+    assert len(got) > n
+
+
+BAD_INPUTS = [
+    ("fpoly", "-l", "4"),  # l not prime
+    ("fpoly", "-l", "1"),
+    ("fpoly", "-q", "4", "-l", "2"),  # l is the residue characteristic
+    ("fpoly", "--rep", "sign", "--mode", "plain", "-k", "1", "-q", "4", "-l", "3"),
+    ("mul", "[w]", "[w]", "-q", "5", "-l", "5"),  # tau = 0 mod l
+    ("verify", "--suite", "cases", "-l", "9"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=[" ".join(a) for a in BAD_INPUTS])
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=[" ".join(a) for a in BAD_INPUTS])
+def test_bad_input_exits_2_under_optimize(argv):
+    # asserts are gone under -O, so only explicit checks can reject these
+    proc = run_process(*argv, optimize=True)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr

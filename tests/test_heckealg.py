@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from heckekit.errors import ParityViolation
+from heckekit.errors import BadCharacteristic, NotMonic, ParityViolation
 from heckekit.finhecke import FinElement, fin_mul, random_fin_element
 from heckekit.heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
 from heckekit.modrep import build_coefficient_system
 from heckekit.residue import oracle_product, p_eta_pattern
 from heckekit.tpoly import tp_mul
+from heckekit.twisted import iwahori_mul
 from heckekit.weyl import (
     W,
     W_ID,
@@ -17,6 +22,7 @@ from heckekit.weyl import (
     diag,
     elements_in_window,
     ends_on_w,
+    from_word,
     length,
     shape_class,
 )
@@ -232,6 +238,13 @@ def test_free_backend_reduction_by_polynomial():
         assert all(j < 2 for (_, j) in c)
 
 
+def test_free_backend_rejects_bad_parameters():
+    with pytest.raises(NotMonic):
+        free_engine(l=5, tau=2, fpoly=(0, 0, 2))
+    with pytest.raises(BadCharacteristic):
+        free_engine(l=5, tau=10)
+
+
 def test_free_associativity_sample():
     eng = free_engine(l=7, tau=4)
     rng = np.random.default_rng(3)
@@ -246,3 +259,64 @@ def test_free_associativity_sample():
         left = eng.mul(eng.mul(x, y), z)
         right = eng.mul(x, eng.mul(y, z))
         assert eng.eq(left, right)
+
+
+# Recorded on the recursive engine this letter loop replaced; both agree.
+SYMBOL_PRODUCT_DIGESTS = {
+    (5, 4): "64a66bc7c5fed385e084a69ef2bd03b5a06f50220c729e3e2ee5a8751a354059",
+    (7, 3): "398a8aedb01ce4d5f0bbb8fedd0b596ec6e7519b2c7dd5ed6167fb236b803237",
+}
+
+
+@pytest.mark.parametrize("l,tau", sorted(SYMBOL_PRODUCT_DIGESTS))
+def test_symbol_product_golden_digest(l, tau):
+    eng = HeckeEngine(FreeCoefficients({"f": 1}, l, tau))
+    h = hashlib.sha256()
+    window = elements_in_window(3)
+    for eta in window:
+        for delta in window:
+            h.update(repr((eta.x, eta.y, int(eta.flip),
+                           delta.x, delta.y, int(delta.flip))).encode())
+            for eps, s, j in eng.symbol_product(eta, delta):
+                h.update(repr((eps.x, eps.y, int(eps.flip), s, j)).encode())
+    assert h.hexdigest() == SYMBOL_PRODUCT_DIGESTS[l, tau]
+
+
+def alternating(first, n):
+    other = "w'" if first == "w" else "w"
+    return tuple(first if i % 2 == 0 else other for i in range(n))
+
+
+def specialised(eng, eta, delta, qbar):
+    """s.[eps]^j  ->  s.(qbar-1)^j.T_eps, summed per eps."""
+    l = eng.be.l
+    out = {}
+    for eps, s, j in eng.symbol_product(eta, delta):
+        out[eps] = (out.get(eps, 0) + s * pow(qbar - 1, j, l)) % l
+    return {e: c for e, c in out.items() if c}
+
+
+@given(
+    st.sampled_from([(5, 4), (7, 3)]),
+    st.sampled_from(["w", "w'"]),
+    st.integers(0, 400),
+    st.integers(0, 400),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+@example((5, 4), "w", 400, 400, True, 0, 0)
+@example((7, 3), "w'", 399, 400, True, 3, -2)
+@example((5, 4), "w", 400, 400, False, -1, 2)
+@settings(max_examples=40, deadline=None)
+def test_symbol_product_matches_iwahori_model(lq, first, n, m, cancel, a, b):
+    l, qbar = lq
+    x = alternating(first, n)
+    last = x[-1] if x else first
+    if cancel:
+        y = alternating(last, m)
+    else:
+        y = alternating("w'" if last == "w" else "w", m)
+    eta, delta = from_word(a, x), from_word(b, y)
+    eng = HeckeEngine(FreeCoefficients({"f": 1}, l, qbar))
+    assert specialised(eng, eta, delta, qbar) == iwahori_mul(eta, delta, qbar, l)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from heckekit.errors import NotCuspidal, TooLarge
+from heckekit import modrep
+from heckekit.errors import (
+    BadCharacteristic,
+    NotACharacter,
+    NotCuspidal,
+    TooLarge,
+    UnknownModule,
+)
 from heckekit.gfp import GF, rank_mod
 from heckekit.modrep import (
     FiniteGroupTable,
@@ -233,6 +240,26 @@ def test_system_pp_banal():
 def test_system_rejects_noncuspidal():
     with pytest.raises(NotCuspidal):
         build_coefficient_system(2, 2, 5, rho="trivial", mode="pp")
+
+
+@pytest.mark.parametrize(
+    "args,exc",
+    [
+        ((1, 4, 4), BadCharacteristic),  # l not prime
+        ((1, 4, 2), BadCharacteristic),  # l is the residue characteristic
+        ((1, 4, 3, "sign", "plain"), UnknownModule),
+    ],
+)
+def test_system_rejects_bad_input(args, exc):
+    with pytest.raises(exc):
+        build_coefficient_system(*args)
+
+
+def test_system_plain_mode_needs_a_character(monkeypatch):
+    # no cuspidal module in range has dimension > 1, so let "std" pass as one
+    monkeypatch.setattr(modrep, "is_cuspidal", lambda rep: True)
+    with pytest.raises(NotACharacter):
+        build_coefficient_system(2, 2, 5, rho="std", mode="plain")
 
 
 def test_system_k2_sign():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckekit.errors import DegenerateIdeal
 from heckekit.gfp import pnormalize
 from heckekit.tpoly import Frac, tp_localize, tp_mono, tp_mul, tp_reduce
 
@@ -95,6 +96,6 @@ def test_reduce_is_linear_and_idempotent(a, b, f, tau):
 
 
 def test_reduce_degenerate_tau_asserts():
-    # tau = 0 leaves degree-2 uncovered for F = T; the coverage assert fires
-    with pytest.raises(AssertionError):
+    # tau = 0 leaves degree-2 uncovered for F = T; the coverage check raises
+    with pytest.raises(DegenerateIdeal):
         tp_reduce((0, 0, 1), (0, 1), 0, 5)

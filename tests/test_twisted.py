@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heckekit.errors import WrongModularCase
+from heckekit.errors import NotMonic, WrongModularCase
 from heckekit.finhecke import FinElement, fin_mul, fin_unit, fin_w, random_fin_element
 from heckekit.gfp import pnormalize
 from heckekit.heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
@@ -76,6 +76,11 @@ def test_polypart_degenerate_reduction():
     assert S.mul((0, 1), (0, 1)) == ()
     assert S.mul((2,), (2,)) == (1,)
     assert S.monomial(1) == ()
+
+
+def test_polypart_rejects_non_monic():
+    with pytest.raises(NotMonic):
+        PolynomialPart(5, 4, fpoly=(1, 0, 3))
 
 
 def test_polypart_commutative_associative():
