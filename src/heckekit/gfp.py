@@ -231,6 +231,50 @@ def fq_inv_matrix(F, A):
 # numpy linear algebra mod a prime l
 
 
+def is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# integers of absolute value up to 2^53 are exact in IEEE double
+_EXACT = 2 ** 53
+
+
+def _residues(A, l):
+    """A reduced into [0, l), as float64; the % is skipped when it is a no-op."""
+    A = np.asarray(A)
+    if A.size and (A.min() < 0 or A.max() >= l):
+        A = A % l
+    return A.astype(np.float64)
+
+
+def matmul_mod(A, B, l):
+    """(A @ B) mod l as int64, through float64 BLAS; 2-D or stacked.
+
+    Both operands are reduced into [0, l) first, so every partial sum is
+    an integer of at most n*(l-1)^2 for inner dimension n.  Below 2^53
+    those are exact in double whatever the summation order, FMA or thread
+    split of the BLAS; at or above it this raises TooLarge, never rounds.
+    For such an integer y, fl(y/l) misses y/l by less than 1/l, which is
+    the least distance from y/l to the next integer when l does not
+    divide y, so floor(fl(y/l)) is the true quotient and y - l*quotient is
+    exact.
+    """
+    A = np.asarray(A)
+    n = A.shape[-1]
+    if n * (l - 1) ** 2 >= _EXACT:
+        raise TooLarge("inner dimension %d mod l=%d is not exact in float64" % (n, l))
+    C = _residues(A, l) @ _residues(B, l)
+    C -= l * np.floor(C / l)
+    return C.astype(np.int64)
+
+
 def rref_mod(A, l):
     """Reduced row echelon form of an integer matrix mod l; (R, pivots)."""
     R = np.array(A, dtype=np.int64) % l

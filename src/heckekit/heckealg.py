@@ -16,6 +16,15 @@ letters one at a time by the quadratic relation
 
 Shifts only add up along the way, so the scalars (s, j) are independent
 of the coefficients and get memoised per engine.
+
+`mul` gathers, for every pair of terms, the structure constants
+(eps, s, j), then hands the whole product to one backend call,
+`combine`.  The matrix backend does it with a few float64 gemms: all
+pairwise coefficient products as one, one T*^j per distinct shift j, and
+one scalar-by-matrix product summing into the outputs eps.  Each goes
+through gfp.matmul_mod, which reduces its operands into [0, l) so every
+partial sum is an integer of at most n*(l-1)^2 for inner dimension n,
+exact in double below 2^53; at or above that it raises TooLarge.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BadCharacteristic, NotMonic, ParityViolation
-from .gfp import pdivmod
+from .gfp import is_prime, matmul_mod, pdivmod
 from .weyl import W, W_ID, W_W, shape_class, t_power, word_of
 
 
@@ -42,12 +51,50 @@ class MatrixCoefficients:
         return np.eye(self.system.dim, dtype=np.int64)
 
     def compose(self, a, b):
-        return (a @ b) % self.l
+        return matmul_mod(a, b, self.l)
 
     def tstar(self, c, j):
         if j == 0:
             return c % self.l
-        return (self.system.tstar_power(j) @ c) % self.l
+        return matmul_mod(self.system.tstar_power(j), c, self.l)
+
+    def combine(self, ca, cb, pairs):
+        """Sum of s * T*^j * ca[i] * cb[k] over pairs (i, k, ((eps, s, j), ...)).
+
+        Every product ca[i].cb[k] is one gemm (na.d x d) @ (d x nb.d); the
+        columns (i, k, j) that some term uses are gathered per shift j and
+        multiplied by T*^j as one gemm each; a (eps x column) scalar matrix
+        then sums them into the outputs with one more.
+        """
+        d = self.system.dim
+        cols, shifts, outs, entries = {}, {}, {}, []
+        for i, k, terms in pairs:
+            for eps, s, j in terms:
+                col = cols.get((i, k, j))
+                if col is None:
+                    col = cols[i, k, j] = len(cols)
+                    shifts.setdefault(j, []).append((i, k, col))
+                entries.append((outs.setdefault(eps, len(outs)), col, s))
+        if not entries:
+            return {}
+        na, nb = len(ca), len(cb)
+        P = self.compose(np.reshape(ca, (na * d, d)), np.concatenate(cb, axis=1))
+        P = P.reshape(na, d, nb, d)
+        X = np.empty((len(cols), d, d), dtype=np.int64)
+        for j, rows in shifts.items():
+            i, k, col = np.array(rows).T
+            S = P[i, :, k, :]
+            if j:
+                m = len(col)
+                S = self.tstar(S.transpose(1, 0, 2).reshape(d, m * d), j)
+                S = S.reshape(d, m, d).transpose(1, 0, 2)
+            X[col] = S
+        e, col, s = np.array(entries).T
+        C = np.zeros((len(outs), len(cols)), dtype=np.int64)
+        C[e, col] = s  # symbol_product lists each (eps, j) once per pair
+        Y = matmul_mod(C, X.reshape(len(cols), d * d), self.l)
+        keep = Y.any(axis=1)
+        return {eps: Y[r].reshape(d, d) for eps, r in outs.items() if keep[r]}
 
     def add(self, a, b):
         return (a + b) % self.l
@@ -69,6 +116,8 @@ class FreeCoefficients:
 
     def __init__(self, generators, l, tau, fpoly=None):
         self.generators = dict(generators)  # name -> parity (0 or 1)
+        if not is_prime(l):
+            raise BadCharacteristic("l=%d is not prime" % l)
         self.l = l
         self.tau = tau % l
         if gcd(self.tau, l) != 1:
@@ -117,6 +166,16 @@ class FreeCoefficients:
         if j == 0:
             return self._canon(c)
         return self._canon({(wrd, jj + j): s for (wrd, jj), s in c.items()})
+
+    def combine(self, ca, cb, pairs):
+        """Sum of s * T*^j * ca[i] * cb[k], one term at a time."""
+        out = {}
+        for i, k, terms in pairs:
+            c = self.compose(ca[i], cb[k])
+            for eps, s, j in terms:
+                term = self.scale(self.tstar(c, j), s)
+                out[eps] = self.add(out[eps], term) if eps in out else term
+        return {k: v for k, v in out.items() if not self.is_zero(v)}
 
     def add(self, a, b):
         out = dict(a)
@@ -216,14 +275,12 @@ class HeckeEngine:
         return not self.sub(a, b)
 
     def mul(self, a, b):
-        out = {}
-        for eta, ca in a.items():
-            for delta, cb in b.items():
-                c = self.be.compose(ca, cb)
-                for eps, s, j in self.symbol_product(eta, delta):
-                    term = self.be.scale(self.be.tstar(c, j), s)
-                    out[eps] = self.be.add(out[eps], term) if eps in out else term
-        return {k: v for k, v in out.items() if not self.be.is_zero(v)}
+        pairs = [
+            (i, k, self.symbol_product(eta, delta))
+            for i, eta in enumerate(a)
+            for k, delta in enumerate(b)
+        ]
+        return self.be.combine(list(a.values()), list(b.values()), pairs)
 
     def validate(self, a):
         for eta, c in a.items():

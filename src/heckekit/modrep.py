@@ -31,6 +31,7 @@ from .gfp import (
     GF,
     first_monic_dependence,
     fq_matmul,
+    is_prime,
     kron_mod,
     matinv_mod,
     nullspace_mod,
@@ -40,17 +41,6 @@ from .gfp import (
     rank_mod,
     solve_mod,
 )
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

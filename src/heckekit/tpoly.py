@@ -58,10 +58,16 @@ def tp_ideal_rows(fpoly, tau, l, top):
 def tp_reduce(p, fpoly, tau, l):
     """Normal form of p against the ideal generated by fpoly for *.
 
-    Row-reduces the span of T^i * fpoly and eliminates p from the top
-    degree down.  Raises DegenerateIdeal unless the ideal pivots cover
-    every degree from deg(fpoly) upward in the working range, so the
-    normal form is the unique representative of degree < deg(fpoly).
+    T^2 * x is the plain shift of x, so the ideal is F[T^2].f + F[T^2].(T*f).
+    Let h be T*f, less T^2.f when deg f is odd so that deg h <= deg f + 1.
+    If deg h = deg f + 1, the leading degrees of f and h differ in parity,
+    so the ideal's leading degrees are exactly deg f, deg f + 1, ... and
+    every class has a unique representative of degree < deg f: the quotient
+    is a ring.  Otherwise the ideal holds a nonzero element of lower degree,
+    or has rank one over F[T^2], and this raises DegenerateIdeal.
+
+    The normal form row-reduces the span of T^i * fpoly and eliminates p
+    from the top degree down.
     """
     p = pnormalize(tuple(c % l for c in p))
     fpoly = pnormalize(tuple(c % l for c in fpoly))
@@ -70,16 +76,19 @@ def tp_reduce(p, fpoly, tau, l):
     degf = len(fpoly) - 1
     if degf == 0:
         return ()  # a unit generates everything
+    h = tp_mul((0, 1), fpoly, tau, l)
+    if len(h) == degf + 3:
+        h = padd(h, pscale((0, 0) + fpoly, -1, l), l)
+    if len(h) != degf + 2:
+        raise DegenerateIdeal(
+            "ideal of %r has no element of degree %d (tau=%d)" % (fpoly, degf + 1, tau)
+        )
     top = max(len(p) - 1, degf) - degf + 2
     rows = tp_ideal_rows(fpoly, tau, l, top)
     width = rows.shape[1]
     # orient by descending degree so RREF pivots sit on leading terms
     R, piv = rref_mod(rows[:, ::-1], l)
     pivot_deg = {width - 1 - c: R[r] for r, c in enumerate(piv)}
-    need = range(degf, len(p))
-    missing = [d for d in need if d not in pivot_deg]
-    if missing:
-        raise DegenerateIdeal("ideal does not cover degrees %s (tau=%d?)" % (missing, tau))
     r = np.zeros(width, dtype=np.int64)
     for d, c in enumerate(p):
         r[d] = c

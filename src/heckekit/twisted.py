@@ -24,13 +24,19 @@ import numpy as np
 
 from .errors import NotMonic, WrongModularCase
 from .finhecke import FinElement, fin_mul
-from .gfp import pdivmod, pnormalize
-from .tpoly import tp_mul
+from .gfp import pnormalize
+from .tpoly import tp_mul, tp_reduce
 from .weyl import W, W_ID, W_W, diag, length, t_power, word_of
 
 
 class PolynomialPart:
-    """R[T] with the shifted product, reduced modulo a monic fpoly."""
+    """R[T] with the shifted product, reduced modulo a monic fpoly.
+
+    The reduction is tpoly.tp_reduce, the normal form for the ideal that
+    fpoly generates under the shifted product, so the quotient is a ring;
+    an fpoly whose ideal has no unique normal forms raises DegenerateIdeal
+    when the part is built.
+    """
 
     def __init__(self, l, tau, fpoly=None):
         self.l = l
@@ -38,12 +44,13 @@ class PolynomialPart:
         self.fpoly = pnormalize(fpoly) if fpoly else None
         if self.fpoly and self.fpoly[-1] % l != 1:
             raise NotMonic("reduction polynomial %r is not monic mod %d" % (self.fpoly, l))
+        if self.fpoly:
+            tp_reduce((), self.fpoly, self.tau, l)  # raises DegenerateIdeal up front
 
     def reduce(self, p):
-        p = pnormalize(tuple(c % self.l for c in p))
-        if self.fpoly and len(p) >= len(self.fpoly):
-            _, p = pdivmod(p, self.fpoly, self.l)
-        return p
+        if not self.fpoly:
+            return pnormalize(tuple(c % self.l for c in p))
+        return tp_reduce(p, self.fpoly, self.tau, self.l)
 
     def monomial(self, j):
         return self.reduce((0,) * j + (1,))

@@ -250,6 +250,8 @@ BAD_INPUTS = [
     ("fpoly", "-q", "4", "-l", "2"),  # l is the residue characteristic
     ("fpoly", "--rep", "sign", "--mode", "plain", "-k", "1", "-q", "4", "-l", "3"),
     ("mul", "[w]", "[w]", "-q", "5", "-l", "5"),  # tau = 0 mod l
+    ("mul", "[w]", "[w]", "-q", "3", "-l", "4"),  # l not prime
+    ("mul", "[w]", "[w]", "-q", "3", "-l", "1"),
     ("verify", "--suite", "cases", "-l", "9"),
 ]
 

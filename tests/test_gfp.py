@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from heckekit.gfp import (
     fq_rref,
     kron_mod,
     matinv_mod,
+    matmul_mod,
     nullspace_mod,
     pdivmod,
     peval,
@@ -203,3 +208,66 @@ def test_first_monic_dependence_planar():
 def test_first_monic_dependence_bound():
     with pytest.raises(NoRelationWithinBound):
         first_monic_dependence((np.eye(9, dtype=np.int64)[i] for i in range(9)), 3, max_len=4)
+
+
+# ---------------------------------------------------------------------------
+# exact products mod l on float64 BLAS
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 101, 65521]),
+    st.sampled_from([(), (1,), (3,)]),
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_matmul_mod_matches_integer_product(l, batch, n, m, r, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-10**6, 10**6, size=batch + (n, m))
+    B = rng.integers(-10**6, 10**6, size=batch + (m, r))
+    got = matmul_mod(A, B, l)
+    assert got.dtype == np.int64 and got.shape == batch + (n, r)
+    assert np.array_equal(got, (A @ B) % l)
+
+
+def test_matmul_mod_exact_up_to_the_bound():
+    # n * (l-1)^2 = (2^13 - 1) * 2^40, just under 2^53: every partial sum is
+    # exact, and the true value n * (-1)^2 = n mod l comes out
+    l, n = 2**20 + 1, 2**13 - 1
+    A = np.full((1, n), l - 1, dtype=np.int64)
+    assert matmul_mod(A, A.T, l).tolist() == [[n % l]]
+    big = 94906265  # (big - 1)^2 < 2^53 <= 2 * (big - 1)^2
+    assert matmul_mod([[big - 1]], [[big - 1]], big).tolist() == [[1]]
+    assert matmul_mod([[-1, 2]], [[3], [4]], 7).tolist() == [[5]]
+    # int64 operands far past 2^53 are reduced before they become doubles
+    a, b = [[2**62 + 3, -(2**61) - 1]], [[2**62 + 1], [2**59 + 7]]
+    want = (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % 101
+    assert matmul_mod(np.array(a), np.array(b), 101).tolist() == [[want]]
+
+
+def test_matmul_mod_raises_at_the_bound():
+    with pytest.raises(TooLarge):
+        matmul_mod(np.ones((1, 2**13)), np.ones((2**13, 1)), 2**20 + 1)
+    with pytest.raises(TooLarge):
+        matmul_mod([[1, 1]], [[1], [1]], 2**26 + 1)  # 2 * 2^52 = 2^53
+    with pytest.raises(TooLarge):
+        matmul_mod(np.ones((3, 1, 2)), np.ones((3, 2, 1)), 94906265)
+
+
+def test_matmul_mod_raises_under_optimize():
+    script = """
+from heckekit.errors import TooLarge
+from heckekit.gfp import matmul_mod
+try:
+    matmul_mod([[1, 1]], [[1], [1]], 2**26 + 1)
+except TooLarge:
+    print("TooLarge", __debug__)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["TooLarge", "False"]

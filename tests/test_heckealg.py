@@ -243,6 +243,9 @@ def test_free_backend_rejects_bad_parameters():
         free_engine(l=5, tau=2, fpoly=(0, 0, 2))
     with pytest.raises(BadCharacteristic):
         free_engine(l=5, tau=10)
+    for l in (0, 1, 4, 9):
+        with pytest.raises(BadCharacteristic):
+            free_engine(l=l, tau=1)
 
 
 def test_free_associativity_sample():
@@ -320,3 +323,113 @@ def test_symbol_product_matches_iwahori_model(lq, first, n, m, cancel, a, b):
     eta, delta = from_word(a, x), from_word(b, y)
     eng = HeckeEngine(FreeCoefficients({"f": 1}, l, qbar))
     assert specialised(eng, eta, delta, qbar) == iwahori_mul(eta, delta, qbar, l)
+
+
+# ---------------------------------------------------------------------------
+# matrix-backend products
+
+
+MUL_CONFIGS = [
+    (1, 5, 2, "trivial", "pp"),
+    (1, 4, 3, "trivial", "pp"),
+    (2, 2, 3, "sign", "pp"),
+]
+
+
+def random_matrix_element(rng, sys, window, terms, keep=lambda f: True):
+    """Up to `terms` symbols, each two scaled parity-matching intertwiners."""
+    out = {}
+    for _ in range(terms):
+        eta = window[int(rng.integers(len(window)))]
+        basis = [f for f in sys.basis(int(eta.flip)) if keep(f % sys.l)]
+        picks = rng.integers(len(basis), size=2)
+        scal = rng.integers(1, sys.l, size=2)
+        out[eta] = (int(scal[0]) * basis[picks[0]] + int(scal[1]) * basis[picks[1]]) % sys.l
+    return out
+
+
+def per_term_mul(eng, a, b):
+    """The reference: one int64 product, T*^j, scale and add per term."""
+    sys, l = eng.be.system, eng.be.l
+    out = {}
+    for eta, ca in a.items():
+        for delta, cb in b.items():
+            c = ((ca % l) @ (cb % l)) % l
+            for eps, s, j in eng.symbol_product(eta, delta):
+                term = ((sys.tstar_power(j) @ c) % l * s) % l
+                out[eps] = (out[eps] + term) % l if eps in out else term
+    return {k: v for k, v in out.items() if v.any()}
+
+
+def mul_cases(sys, eng, rng):
+    """Seeded products: multi-term, empty operands, and products that cancel."""
+    window = elements_in_window(2)
+    half = sys.dim // 2
+    cases = []
+    for _ in range(12):
+        na, nb = (int(v) for v in rng.integers(1, 5, size=2))
+        cases.append((random_matrix_element(rng, sys, window, na),
+                      random_matrix_element(rng, sys, window, nb)))
+    a = random_matrix_element(rng, sys, window, 3)
+    cases += [({}, a), (a, {}), ({}, {})]
+    # V = P (+) P^*: coefficients that only read the first summand times
+    # coefficients that only write the second vanish pair by pair
+    lo = random_matrix_element(rng, sys, window, 3, lambda f: not f[:, half:].any())
+    hi = random_matrix_element(rng, sys, window, 3, lambda f: not f[:half].any())
+    cases.append((lo, hi))
+    # ([w]^1 - [1]^2) * [w]_f = tau.[1]^1_f: the [w] terms of the two pairs cancel
+    cases.append((eng.annihilator_element(), eng.symbol(W_W, sys.basis(1)[0])))
+    return cases
+
+
+def element_digest(h, elem, l):
+    for eps in sorted(elem, key=lambda e: (e.x, e.y, int(e.flip))):
+        h.update(repr((eps.x, eps.y, int(eps.flip))).encode())
+        h.update(np.ascontiguousarray(elem[eps] % l, dtype=np.int64).tobytes())
+    h.update(b"|")
+
+
+# Recorded on the per-term int64 loop that the batched products replaced.
+MATRIX_MUL_DIGEST = "af24999021b0c03a80a9afe06be300dbd0872b067fe4120ba656b9e9a97a783b"
+
+
+def test_matrix_mul_golden_digest():
+    h = hashlib.sha256()
+    for n, cfg in enumerate(MUL_CONFIGS):
+        sys, eng = matrix_engine(*cfg[:3], rho=cfg[3], mode=cfg[4])
+        cases = mul_cases(sys, eng, np.random.default_rng(100 + n))
+        for a, b in cases:
+            element_digest(h, eng.mul(a, b), sys.l)
+        lo, hi = cases[-2]
+        assert eng.mul(lo, hi) == {}
+        ann, wf = cases[-1]
+        assert set(eng.mul(ann, wf)) == {W_ID}
+    assert h.hexdigest() == MATRIX_MUL_DIGEST
+
+
+def raw_matrix_element(rng, sys, window, terms):
+    """Arbitrary integer matrices, unreduced and signed: mul never validates."""
+    l, d = sys.l, sys.dim
+    return {window[int(rng.integers(len(window)))]: rng.integers(-3 * l, 3 * l, size=(d, d))
+            for _ in range(terms)}
+
+
+@given(
+    st.sampled_from(MUL_CONFIGS + [(1, 4, 5, "trivial", "plain")]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_mul_matches_per_term_loop(cfg, seed, na, nb, raw):
+    sys, eng = matrix_engine(*cfg[:3], rho=cfg[3], mode=cfg[4])
+    rng = np.random.default_rng(seed)
+    make = raw_matrix_element if raw else random_matrix_element
+    window = elements_in_window(2)
+    a, b = make(rng, sys, window, na), make(rng, sys, window, nb)
+    got, want = eng.mul(a, b), per_term_mul(eng, a, b)
+    assert list(got) == list(want)
+    for eps, c in want.items():
+        assert got[eps].dtype == np.int64 and got[eps].shape == (sys.dim, sys.dim)
+        assert np.array_equal(got[eps], c)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heckekit.errors import NotMonic, WrongModularCase
+from heckekit.errors import DegenerateIdeal, NotMonic, WrongModularCase
 from heckekit.finhecke import FinElement, fin_mul, fin_unit, fin_w, random_fin_element
 from heckekit.gfp import pnormalize
 from heckekit.heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
@@ -81,6 +83,15 @@ def test_polypart_degenerate_reduction():
 def test_polypart_rejects_non_monic():
     with pytest.raises(NotMonic):
         PolynomialPart(5, 4, fpoly=(1, 0, 3))
+
+
+def test_polypart_rejects_degenerate_ideal():
+    # f = T^3 + T^2 + 2T + 1 generates everything for tau = 1 over F_5, and
+    # f = T for tau = 0 has no degree-2 element: neither has unique normal forms
+    with pytest.raises(DegenerateIdeal):
+        PolynomialPart(5, 1, fpoly=(1, 2, 1, 1))
+    with pytest.raises(DegenerateIdeal):
+        PolynomialPart(5, 0, fpoly=(0, 1))
 
 
 def test_polypart_commutative_associative():
@@ -469,3 +480,26 @@ def test_group_law_degenerate_case():
     sys, eng = matrix_engine(1, 4, 5)
     with pytest.raises(WrongModularCase):
         group_algebra_comparison(sys, eng, bound=1)
+
+
+_poly = st.lists(st.integers(0, 6), min_size=0, max_size=5).map(tuple)
+
+
+@given(
+    st.sampled_from([5, 7]),
+    st.integers(0, 6),
+    st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    st.lists(st.tuples(_poly, _poly, _poly), min_size=1, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_polypart_is_a_ring_for_any_monic_f(l, tau, tail, triples):
+    # f = tail + T^deg, any monic f of degree 1-3: the quotient by the ideal
+    # f generates under the shifted product is a ring, or it is refused
+    try:
+        S = PolynomialPart(l, tau, fpoly=tuple(tail) + (1,))
+        products = [(S.mul(S.mul(a, b), c), S.mul(a, S.mul(b, c))) for a, b, c in triples]
+    except DegenerateIdeal:
+        return
+    for left, right in products:
+        assert left == right
+        assert len(left) < len(S.fpoly)
