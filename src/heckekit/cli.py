@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import verify as vf
-from .errors import HeckeError
+from .errors import BadCount, HeckeError
 from .finhecke import compute_fpoly, parameter_image
 from .heckealg import FreeCoefficients, HeckeEngine
 from .modrep import build_coefficient_system
@@ -209,6 +209,8 @@ def cmd_mul(args):
         if gens.setdefault(name, par) != par:
             print("coefficient %r used with both parities" % name, file=sys.stderr)
             return 2
+    if args.k < 1:
+        raise BadCount("k=%d; need at least 1" % args.k)
     tau = pow(args.q, args.k * args.k, args.l)
     eng = HeckeEngine(FreeCoefficients(gens, args.l, tau))
 

@@ -45,6 +45,10 @@ class NotACharacter(HeckeError):
     """Plain mode needs a one-dimensional module."""
 
 
+class BadCount(HeckeError):
+    """A count, seed, rank or window width is below the least value that means anything."""
+
+
 class NotMonic(HeckeError):
     """A reduction polynomial must have leading coefficient 1 mod l."""
 

@@ -36,7 +36,7 @@ from .gfp import (
     nullspace_mod,
     poly_str,
 )
-from .modrep import general_linear, pair_index
+from .modrep import general_linear, min_poly, pair_index
 
 # ---------------------------------------------------------------------------
 # elements and the closed product
@@ -451,9 +451,7 @@ def compute_fpoly(sys, max_deg=12):
             i += 1
 
     rel = first_monic_dependence(vecs(), sys.l, max_len=max_deg)
-    tsmin = first_monic_dependence(
-        _matrix_powers(sys.tstar, sys.l), sys.l, max_len=max_deg
-    )
+    tsmin = min_poly(sys.tstar, sys.l, bound=max_deg)
     return CharPoly(
         coeffs=rel,
         k=sys.k,
@@ -464,10 +462,3 @@ def compute_fpoly(sys, max_deg=12):
         tau=sys.tau,
         tstar_minpoly=tsmin,
     )
-
-
-def _matrix_powers(M, l):
-    P = np.eye(M.shape[0], dtype=np.int64)
-    while True:
-        yield P.reshape(-1)
-        P = (P @ M) % l

@@ -2,7 +2,8 @@
 
 Elements are dicts {Weyl element: coefficient}.  Coefficients live in a
 pluggable backend: matrices acting on a concrete coefficient system, or
-formal words in named generators for structure-constant work.  A basis
+formal words in named generators, with free central shifts, for
+structure-constant work.  A basis
 symbol [eta]^j_c stands for the function supported on the coset of eta
 with value (central element)^j * c there.
 
@@ -33,8 +34,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BadCharacteristic, NotMonic, ParityViolation
-from .gfp import is_prime, matmul_mod, pdivmod
+from .errors import BadCharacteristic, ParityViolation
+from .gfp import is_prime, matmul_mod
 from .weyl import W, W_ID, W_W, shape_class, t_power, word_of
 
 
@@ -112,9 +113,12 @@ class MatrixCoefficients:
 
 class FreeCoefficients:
     """Formal noncommutative words in named generators, times powers of
-    the central element.  A coefficient is {(word, j): scalar mod l}."""
+    the central element.  A coefficient is {(word, j): scalar mod l}.
 
-    def __init__(self, generators, l, tau, fpoly=None):
+    The shift j counts powers of T* and is left free: T* obeys its own
+    minimal polynomial (tstar_minpoly), not the polynomial part's F."""
+
+    def __init__(self, generators, l, tau):
         self.generators = dict(generators)  # name -> parity (0 or 1)
         if not is_prime(l):
             raise BadCharacteristic("l=%d is not prime" % l)
@@ -123,10 +127,6 @@ class FreeCoefficients:
         if gcd(self.tau, l) != 1:
             raise BadCharacteristic("tau=%d is not a unit mod l=%d" % (tau, l))
         self.tau_inv = pow(self.tau, -1, l)
-        self.fpoly = tuple(fpoly) if fpoly else None
-        if self.fpoly and self.fpoly[-1] % l != 1:
-            raise NotMonic("reduction polynomial %r is not monic mod %d" % (self.fpoly, l))
-        self._jred = {}
 
     def one(self):
         return {((), 0): 1}
@@ -135,24 +135,8 @@ class FreeCoefficients:
         for n in names:
             if n not in self.generators:
                 raise KeyError("unknown generator %r" % (n,))
-        return self._canon({(tuple(names), j): scalar % self.l})
-
-    def _reduce_power(self, j):
-        if self.fpoly is None or j < len(self.fpoly) - 1:
-            return {j: 1}
-        if j not in self._jred:
-            mono = (0,) * j + (1,)
-            _, rem = pdivmod(mono, self.fpoly, self.l)
-            self._jred[j] = {i: c % self.l for i, c in enumerate(rem) if c % self.l}
-        return self._jred[j]
-
-    def _canon(self, c):
-        out = {}
-        for (wrd, j), s in c.items():
-            for jr, cr in self._reduce_power(j).items():
-                key = (wrd, jr)
-                out[key] = (out.get(key, 0) + s * cr) % self.l
-        return {k: v for k, v in out.items() if v}
+        s = scalar % self.l
+        return {(tuple(names), j): s} if s else {}
 
     def compose(self, a, b):
         out = {}
@@ -160,12 +144,10 @@ class FreeCoefficients:
             for (w2, j2), s2 in b.items():
                 key = (w1 + w2, j1 + j2)
                 out[key] = (out.get(key, 0) + s1 * s2) % self.l
-        return self._canon(out)
+        return {k: v for k, v in out.items() if v}
 
     def tstar(self, c, j):
-        if j == 0:
-            return self._canon(c)
-        return self._canon({(wrd, jj + j): s for (wrd, jj), s in c.items()})
+        return {(wrd, jj + j): s % self.l for (wrd, jj), s in c.items() if s % self.l}
 
     def combine(self, ca, cb, pairs):
         """Sum of s * T*^j * ca[i] * cb[k], one term at a time."""
@@ -254,9 +236,6 @@ class HeckeEngine:
         if j:
             c = self.be.tstar(c, j)
         return {} if self.be.is_zero(c) else {eta: c}
-
-    def unit(self):
-        return self.symbol(W_ID)
 
     def add(self, a, b):
         out = dict(a)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     BadCharacteristic,
+    BadCount,
     NotACharacter,
     NotBiEquivariant,
     NotCuspidal,
@@ -120,6 +121,8 @@ def unit_group(F):
 
 def general_linear(k, F):
     """GL_k(F) as a table; k = 1 or 2 only."""
+    if k < 1:
+        raise BadCount("k=%d; need at least 1" % k)
     if k == 1:
         return unit_group(F)
     if k != 2:
@@ -416,7 +419,8 @@ def _action_on_subspace(A_arrs, basis, l):
     return out
 
 
-def _min_poly(M, l, bound=40):
+def min_poly(M, l, bound=40):
+    """Minimal monic polynomial of the square matrix M mod l, degree <= bound."""
     M = np.asarray(M, dtype=np.int64) % l
 
     def powers():
@@ -442,7 +446,7 @@ def _split_once(acts, l, rng):
             z = (z + int(c) * e) % l
         cands.append(z)
     for z in cands:
-        m = _min_poly(z, l)
+        m = min_poly(z, l)
         if len(m) < 2:
             continue
         fac = pfactor(m, l)

@@ -9,14 +9,14 @@ extended bilinearly.  The result is commutative and associative (it embeds
 into rational functions: T^{2i} -> X^{2i}/(X+tau)^i and similarly for odd
 powers, which tp_localize realizes).  Polynomials are little-endian tuples,
 as in gfp.
+
+tp_reduce is the one reduction modulo the ideal of f: division by f and T*f.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DegenerateIdeal
-from .gfp import padd, pdivmod, pmul, pnormalize, pscale, rref_mod
+from .gfp import padd, pdivmod, pmul, pnormalize, pscale
 
 
 def tp_mono(i, j, tau, l):
@@ -43,33 +43,18 @@ def tp_mul(a, b, tau, l):
     return out
 
 
-def tp_ideal_rows(fpoly, tau, l, top):
-    """Coefficient rows of T^i * fpoly for i = 0..top, width top+deg(f)+2."""
-    fpoly = pnormalize(fpoly)
-    width = top + len(fpoly) + 2
-    rows = np.zeros((top + 1, width), dtype=np.int64)
-    for i in range(top + 1):
-        v = tp_mul(tuple([0] * i + [1]), fpoly, tau, l)
-        for d, c in enumerate(v):
-            rows[i, d] = c
-    return rows
-
-
 def tp_reduce(p, fpoly, tau, l):
     """Normal form of p against the ideal generated by fpoly for *.
 
-    T^2 * x is the plain shift of x, so the ideal is F[T^2].f + F[T^2].(T*f).
-    Let h be T*f, less T^2.f when deg f is odd so that deg h <= deg f + 1.
-    If deg h = deg f + 1, the leading degrees of f and h differ in parity,
-    so the ideal's leading degrees are exactly deg f, deg f + 1, ... and
-    every class has a unique representative of degree < deg f: the quotient
-    is a ring.  Otherwise the ideal holds a nonzero element of lower degree,
-    or has rank one over F[T^2], and this raises DegenerateIdeal.
-
-    The normal form row-reduces the span of T^i * fpoly and eliminates p
-    from the top degree down.
+    T^2 * x is the plain shift of x, so the ideal is spanned by the shifts
+    T^{2i}.f and T^{2i}.h, where h is T*f less T^2.f when deg f is odd.
+    If deg h = deg f + 1, their leading degrees meet each degree >= deg f
+    exactly once: dividing from the top degree d down, by f or h as the
+    parity of d - deg f says, gives the unique representative of degree
+    < deg f, and the quotient is a ring.  Otherwise the ideal holds a
+    nonzero element of lower degree, or has rank one over F[T^2], and this
+    raises DegenerateIdeal.  f need not be monic; l must be prime.
     """
-    p = pnormalize(tuple(c % l for c in p))
     fpoly = pnormalize(tuple(c % l for c in fpoly))
     if not fpoly:
         raise ZeroDivisionError("reduction by zero")
@@ -83,20 +68,14 @@ def tp_reduce(p, fpoly, tau, l):
         raise DegenerateIdeal(
             "ideal of %r has no element of degree %d (tau=%d)" % (fpoly, degf + 1, tau)
         )
-    top = max(len(p) - 1, degf) - degf + 2
-    rows = tp_ideal_rows(fpoly, tau, l, top)
-    width = rows.shape[1]
-    # orient by descending degree so RREF pivots sit on leading terms
-    R, piv = rref_mod(rows[:, ::-1], l)
-    pivot_deg = {width - 1 - c: R[r] for r, c in enumerate(piv)}
-    r = np.zeros(width, dtype=np.int64)
-    for d, c in enumerate(p):
-        r[d] = c
-    for d in sorted(pivot_deg, reverse=True):
-        if r[d]:
-            r = (r - r[d] * pivot_deg[d][::-1]) % l
-    assert not r[degf:].any()
-    return pnormalize(tuple(int(c) for c in r[:degf]))
+    divisors = ((fpoly, pow(fpoly[-1], -1, l)), (h, pow(h[-1], -1, l)))
+    r = [c % l for c in p]
+    for d in range(len(r) - 1, degf - 1, -1):
+        g, inv = divisors[(d - degf) % 2]
+        c = r[d] * inv
+        for i, gi in enumerate(g, start=d + 1 - len(g)):
+            r[i] = (r[i] - c * gi) % l
+    return pnormalize(tuple(r[:degf]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WrongModularCase
+from .errors import BadCount, WrongModularCase
 from .finhecke import fin_unit, fin_w, random_fin_element
 from .heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
 from .modrep import build_coefficient_system
@@ -66,6 +66,18 @@ class CheckResult:
 
 def _result(name, anchor, inputs, ok, detail=""):
     return CheckResult(name, anchor, inputs, "pass" if ok else "fail", detail)
+
+
+def _sampled(name, anchor, inputs, n, ok, detail):
+    """A row over n seeded samples; with none it is a report, never a pass."""
+    if n == 0:
+        return CheckResult(name, anchor, inputs, "report", "0 samples; nothing checked")
+    return _result(name, anchor, inputs, ok, detail)
+
+
+def _at_least(name, value, low):
+    if value < low:
+        raise BadCount("%s=%d; need at least %d" % (name, value, low))
 
 
 _ENGINE_CACHE = {}
@@ -166,6 +178,7 @@ def check_cases(k, q, l, rho="trivial", mode="plain", with_oracle=True):
 
 def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
     """Engine vs the enumeration oracle on every supported pair in a window."""
+    _at_least("bound", bound, 0)
     sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
     inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode, "bound": bound}
     window = [e for e in elements_in_window(bound) if oracle_supported(e)]
@@ -221,6 +234,8 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
     opposite chambers shorten and acquire a second term; the boundary
     check pins the first such product exactly.
     """
+    _at_least("pairs", pairs, 1)
+    _at_least("seed", seed, 0)
     eng = free_engine(l, tau)
     inputs = {"l": l, "tau": tau, "seed": seed, "pairs": pairs}
     out = []
@@ -288,10 +303,11 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
             bad = (X, Y)
             break
     out.append(
-        _result(
+        _sampled(
             "iso.multiplicative",
             "iso.multiplicative",
             inputs,
+            half,
             bad is None,
             "%d aligned pairs" % half if bad is None else repr(bad),
         )
@@ -311,10 +327,11 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
             bad = (Xp, Yp)
             break
     out.append(
-        _result(
+        _sampled(
             "iso.fin-multiplicative",
             "iso.fin-multiplicative",
             dict(inputs, system="k%d.q%d.l%d" % fin_cfg),
+            nfin,
             bad is None,
             "%d aligned pairs" % nfin if bad is None else repr(bad),
         )
@@ -351,6 +368,7 @@ def check_iwahori(k=1, q=4, l=3, rho="trivial", mode="plain", bound=2):
     Where the parameter degenerates to 1 and the torus sum vanishes the
     same products are also compared with the plain group algebra.
     """
+    _at_least("bound", bound, 0)
     sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
     inputs = {"k": k, "q": q, "l": l, "rho": rho, "mode": mode, "bound": bound}
     out = []
@@ -422,6 +440,8 @@ def _random_element_matrix(sys, eng, rng, window, max_len):
 
 def check_assoc(seed=42, triples=1000, max_len=6, l=5, tau=4):
     """(a*b)*c == a*(b*c) on seeded random triples, three backends."""
+    _at_least("triples", triples, 1)
+    _at_least("seed", seed, 0)
     window = [e for e in elements_in_window(3) if length(e) <= max_len]
     out = []
 
@@ -435,10 +455,11 @@ def check_assoc(seed=42, triples=1000, max_len=6, l=5, tau=4):
             bad = (a, b, c)
             break
     out.append(
-        _result(
+        _sampled(
             "mul.assoc-free",
             "mul.assoc",
             {"seed": seed, "triples": n_free, "l": l, "tau": tau},
+            n_free,
             bad is None,
             "supports of length <= %d" % max_len if bad is None else repr(bad),
         )
@@ -459,10 +480,11 @@ def check_assoc(seed=42, triples=1000, max_len=6, l=5, tau=4):
                 bad = tuple(sorted(render(e) for e in a))
                 break
         out.append(
-            _result(
+            _sampled(
                 "mul.assoc-%s" % cfg[4],
                 "mul.assoc",
                 {"seed": seed, "triples": triples // 4, "system": sys.name},
+                triples // 4,
                 bad is None,
                 "supports of length <= %d" % max_len if bad is None else repr(bad),
             )

@@ -187,6 +187,23 @@ def test_verify_iwahori_outside_scalar_case_exits_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv, empty",
+    [
+        (("--suite", "assoc", "--triples", "3"), {"mul.assoc-plain", "mul.assoc-pp"}),
+        (("--suite", "iso", "--pairs", "1"), {"iso.fin-multiplicative"}),
+    ],
+    ids=["assoc-triples-3", "iso-pairs-1"],
+)
+def test_verify_row_without_samples_is_info(capsys, argv, empty):
+    # a count too small to reach a row leaves it unchecked: INFO, never PASS
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    for line in out.splitlines():
+        tag, name = line.split()[:2]
+        assert tag == ("[INFO]" if name in empty else "[PASS]"), line
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # --suite is required
@@ -253,6 +270,12 @@ BAD_INPUTS = [
     ("mul", "[w]", "[w]", "-q", "3", "-l", "4"),  # l not prime
     ("mul", "[w]", "[w]", "-q", "3", "-l", "1"),
     ("verify", "--suite", "cases", "-l", "9"),
+    ("fpoly", "-k", "0"),  # counts and sizes below their least value
+    ("mul", "[w]", "[w]", "-k", "0"),
+    ("verify", "--suite", "assoc", "--triples", "0"),
+    ("verify", "--suite", "iso", "--pairs", "-1"),
+    ("verify", "--suite", "assoc", "--seed", "-1"),
+    ("verify", "--suite", "oracle", "--bound", "-1"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckekit.errors import BadCharacteristic, NotMonic, ParityViolation
+from heckekit.errors import BadCharacteristic, ParityViolation
 from heckekit.finhecke import FinElement, fin_mul, random_fin_element
 from heckekit.heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
 from heckekit.modrep import build_coefficient_system
@@ -199,9 +199,9 @@ def test_symbol_product_window_terminates():
                 assert (eta * delta).grade == (eps.grade + j) % 2
 
 
-def free_engine(l=5, tau=3, fpoly=None):
+def free_engine(l=5, tau=3):
     gens = {"f": 1, "g": 1, "h": 1, "e": 0}
-    return HeckeEngine(FreeCoefficients(gens, l, tau, fpoly=fpoly))
+    return HeckeEngine(FreeCoefficients(gens, l, tau))
 
 
 def test_free_backend_parity_validation():
@@ -224,23 +224,7 @@ def test_free_backend_words_compose_in_order():
     assert ab[W_W] == {(("f", "g"), 1): 1}
 
 
-def test_free_backend_reduction_by_polynomial():
-    # modulo T^2 the shifted term of a cancellation disappears
-    eng = free_engine(l=5, tau=2, fpoly=(0, 0, 1))
-    a = eng.symbol(W_W, eng.be.word("f"))
-    b = eng.symbol(W_W, eng.be.word("g"))
-    ab = eng.mul(a, b)
-    assert set(ab) == {W_ID, W_W}
-    assert ab[W_ID] == {(("f", "g"), 0): 2}
-    assert ab[W_W] == {(("f", "g"), 1): 1}
-    sq = eng.mul(ab, eng.symbol(W_W, eng.be.word("h")))
-    for c in sq.values():
-        assert all(j < 2 for (_, j) in c)
-
-
 def test_free_backend_rejects_bad_parameters():
-    with pytest.raises(NotMonic):
-        free_engine(l=5, tau=2, fpoly=(0, 0, 2))
     with pytest.raises(BadCharacteristic):
         free_engine(l=5, tau=10)
     for l in (0, 1, 4, 9):

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckekit.errors import DegenerateIdeal
-from heckekit.gfp import pnormalize
+from heckekit.gfp import padd, pnormalize, pscale, rref_mod
 from heckekit.tpoly import Frac, tp_localize, tp_mono, tp_mul, tp_reduce
 
 polys = st.lists(st.integers(0, 6), min_size=0, max_size=6).map(tuple)
@@ -99,3 +100,67 @@ def test_reduce_degenerate_tau_asserts():
     # tau = 0 leaves degree-2 uncovered for F = T; the coverage check raises
     with pytest.raises(DegenerateIdeal):
         tp_reduce((0, 0, 1), (0, 1), 0, 5)
+
+
+# -- the row-reduction reference -------------------------------------------
+
+
+def rref_reduce(p, fpoly, tau, l):
+    """tp_reduce as it was: row-reduce the span of T^i * fpoly, then
+    eliminate p from the top degree down."""
+    p = pnormalize(tuple(c % l for c in p))
+    fpoly = pnormalize(tuple(c % l for c in fpoly))
+    if not fpoly:
+        raise ZeroDivisionError("reduction by zero")
+    degf = len(fpoly) - 1
+    if degf == 0:
+        return ()
+    h = tp_mul((0, 1), fpoly, tau, l)
+    if len(h) == degf + 3:
+        h = padd(h, pscale((0, 0) + fpoly, -1, l), l)
+    if len(h) != degf + 2:
+        raise DegenerateIdeal("no element of degree %d" % (degf + 1))
+    top = max(len(p) - 1, degf) - degf + 2
+    width = top + len(fpoly) + 2
+    rows = np.zeros((top + 1, width), dtype=np.int64)
+    for i in range(top + 1):
+        for d, c in enumerate(tp_mul(tuple([0] * i + [1]), fpoly, tau, l)):
+            rows[i, d] = c
+    # orient by descending degree so RREF pivots sit on leading terms
+    R, piv = rref_mod(rows[:, ::-1], l)
+    pivot_deg = {width - 1 - c: R[r] for r, c in enumerate(piv)}
+    r = np.zeros(width, dtype=np.int64)
+    for d, c in enumerate(p):
+        r[d] = c
+    for d in sorted(pivot_deg, reverse=True):
+        if r[d]:
+            r = (r - r[d] * pivot_deg[d][::-1]) % l
+    assert not r[degf:].any()
+    return pnormalize(tuple(int(c) for c in r[:degf]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateIdeal:
+        return DegenerateIdeal
+
+
+@st.composite
+def reduce_inputs(draw):
+    l = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    coeff = st.integers(0, l - 1)
+    p = tuple(draw(st.lists(coeff, max_size=13)))
+    degf = draw(st.integers(0, 4))
+    f = tuple(draw(st.lists(coeff, min_size=degf, max_size=degf))) + (
+        draw(st.integers(1, l - 1)),  # any nonzero leading coefficient
+    )
+    tau = draw(st.integers(0, l - 1))
+    return p, f, tau, l
+
+
+@given(reduce_inputs())
+@settings(max_examples=400, deadline=None)
+def test_reduce_matches_rref_reference(args):
+    # same normal form, or DegenerateIdeal on both sides
+    assert _outcome(tp_reduce, *args) == _outcome(rref_reduce, *args)
