@@ -22,6 +22,7 @@ import sys
 from . import verify as vf
 from .errors import BadCount, HeckeError
 from .finhecke import compute_fpoly, parameter_image
+from .gfp import _factor_prime_power
 from .heckealg import FreeCoefficients, HeckeEngine
 from .modrep import build_coefficient_system
 from .weyl import from_word, render
@@ -211,6 +212,7 @@ def cmd_mul(args):
             return 2
     if args.k < 1:
         raise BadCount("k=%d; need at least 1" % args.k)
+    _factor_prime_power(args.q)  # TooLarge unless q is a prime power
     tau = pow(args.q, args.k * args.k, args.l)
     eng = HeckeEngine(FreeCoefficients(gens, args.l, tau))
 

@@ -30,7 +30,7 @@ class WindowExhausted(HeckeError):
 
 
 class GapTooLarge(HeckeError):
-    """Coset enumeration is only implemented for congruence gaps <= 2."""
+    """Coset enumeration is only implemented for a congruence gap <= 2 in one block."""
 
 
 class BadCharacteristic(HeckeError):

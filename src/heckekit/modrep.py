@@ -250,12 +250,21 @@ def boxtimes(r1, r2, P):
 # intertwiners and irreducibility
 
 
+# unknowns of one intertwiner system: dim 32 against dim 32 is the largest
+# module pair any configuration builds; each generator's Kronecker block is
+# unknowns^2 int64 entries, 8 MiB at this bound
+_MAX_UNKNOWNS = 1024
+
+
 def intertwiners(A_arrs, B_arrs, l, generators=None):
     """Basis of {X : X A[g] = B[g] X}, each a (dimB x dimA) matrix."""
     A_arrs = np.asarray(A_arrs)
     B_arrs = np.asarray(B_arrs)
     n, da = A_arrs.shape[0], A_arrs.shape[1]
     db = B_arrs.shape[1]
+    if da * db > _MAX_UNKNOWNS:
+        raise TooLarge("intertwiners between modules of dimension %d and %d: %d unknowns, "
+                       "at most %d" % (da, db, da * db, _MAX_UNKNOWNS))
     gens = generators if generators is not None else range(n)
     gens = list(gens)
     if not gens:

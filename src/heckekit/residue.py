@@ -1,8 +1,12 @@
 """Brute-force product oracle over the local field, in exact arithmetic.
 
-Group elements are matrices over F_q[pi, pi^-1] (dicts exponent -> code,
-so no truncation ever happens; a defensive window of |exponent| <= 16
-raises WindowExhausted long before exactness could be threatened).
+Group elements are matrices over F_q[pi, pi^-1], held densely: a Laurent
+matrix is an int array of F_q codes of shape (..., 2k, 2k, E), where slot s
+holds the coefficient of pi^(s - 16), so the E = 33 slots cover the window
+|exponent| <= 16.  Codes are added, multiplied and negated through the
+GF(q) ADD, MUL and NEG tables.  Nothing is ever truncated: a product or
+shift that would put a nonzero coefficient outside the window raises
+WindowExhausted, long before exactness could be threatened.
 
 The parahoric P is block upper triangular mod pi with invertible diagonal
 blocks.  For a Weyl element eta, P^(eta) = P intersect eta P eta^-1 deepens
@@ -16,15 +20,22 @@ transversal.  The product of two basis functions is then literally summed:
 with only the pairs where p2 lands in P contributing.  The support of the
 result is pinned exactly: the determinant fixes x+y, and valuations bound
 x from both sides.  Weyl matrices are monomial, so eta^-1, delta^-1 and eps
-are applied as a permutation plus an exponent shift.  Every coset pair is
-still tested against every eps of that support; a valuation prefilter
-rejects most eps before p2 is built and its residue blocks are ranked.
+are applied as a permutation plus an exponent shift.
+
+The sum runs on stacks.  All v^-1 of the transversal of delta are stacked
+on a leading axis, and so are the eta^-1 u^-1 of a run of u: one u when
+the v alone are 256, the largest transversal, and as many u as keep the
+stack at 256 coset pairs otherwise.  v^-1 eta^-1 u^-1 for the whole stack
+is one batched product, each digit of the one off-diagonal block of v^-1
+an exponent shift plus a table multiply.  Every coset pair is still tested
+against every eps of the support: a valuation prefilter, one boolean mask
+over (pairs x eps) from the least occupied slot of each block, rejects
+most eps before p2 is built and its residue blocks are ranked.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import inf
 
 import numpy as np
 
@@ -33,183 +44,109 @@ from .gfp import GF, fq_rank
 from .weyl import W
 
 _CAP = 16
+E = 2 * _CAP + 1
+_ROWS = 256  # coset pairs per stacked product: the largest transversal
 
 # ---------------------------------------------------------------------------
-# Laurent scalars and matrices
+# dense Laurent matrices
 
 
-def lp_add(F, a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = F.add(out.get(e, 0), c)
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+def _lost(X, d):
+    """The slots of X that a shift by d pushes out of the window."""
+    return X[..., max(E - d, 0) :] if d > 0 else X[..., : min(-d, E)]
 
 
-def lp_mul(F, a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if abs(e) > _CAP:
-                raise WindowExhausted("exponent %d" % e)
-            s = F.add(out.get(e, 0), F.mul(c1, c2))
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def lp_val(a):
-    return min(a) if a else None
-
-
-def lmat_zero(n):
-    return [[{} for _ in range(n)] for _ in range(n)]
+def _shift_into(out, X, d):
+    """out = X * pi^d along the last axis, out being zero; raises
+    WindowExhausted if a nonzero coefficient of X would leave the window."""
+    if _lost(X, d).any():
+        raise WindowExhausted("exponents shifted by %+d leave the window" % d)
+    if abs(d) < E:
+        out[..., max(d, 0) : E + min(d, 0)] = X[..., max(-d, 0) : E - max(d, 0)]
 
 
 def lmat_mul(F, A, B):
-    n = len(A)
-    C = lmat_zero(n)
-    for i in range(n):
-        for j in range(n):
-            acc = {}
-            for k in range(n):
-                if A[i][k] and B[k][j]:
-                    acc = lp_add(F, acc, lp_mul(F, A[i][k], B[k][j]))
-            C[i][j] = acc
+    """A[a] @ B[b] for every matrix of the stack A and every matrix of the
+    stack B; the result has the leading axes of A, then those of B.
+
+    Per (inner index j, slot s) where column j of A has a nonzero
+    coefficient, one gather of MUL table rows and one ADD table update, on
+    the band of slots the product can reach; raises WindowExhausted where
+    the product of two nonzero coefficients would leave the window."""
+    n = A.shape[-2]
+    A2, B2 = A.reshape(-1, n, n, E), B.reshape(-1, n, n, E)
+    js, ss = (x.tolist() for x in np.nonzero(A2.any(axis=(0, 1))))
+    slots = np.flatnonzero(B2.any(axis=(0, 1, 2))).tolist()
+    C = np.zeros(A.shape[:-3] + B.shape[:-3] + (n, n, E), dtype=np.int64)
+    if not js or not slots:
+        return C
+    lo = min(max(slots[0] + min(ss) - _CAP, 0), E)
+    hi = min(max(slots[-1] + max(ss) - _CAP + 1, 0), E)
+    wide = np.zeros(B2.shape[:-1] + (3 * E,), dtype=np.int64)
+    wide[..., E : 2 * E] = B2  # so that every band slice below is in range
+    band = None
+    for j, s in zip(js, ss):
+        if _lost(B2[:, j], s - _CAP).any():
+            raise WindowExhausted("a product by pi^%+d leaves the window" % (s - _CAP))
+        rows = F.MUL[:, wide[:, j, :, E + lo - s + _CAP : E + hi - s + _CAP].ravel()]
+        term = rows[A2[:, :, j, s].ravel()]
+        band = term if band is None else F.ADD.ravel().take(band * F.q + term)
+    band = band.reshape(len(A2), n, len(B2), n, hi - lo).transpose(0, 2, 1, 3, 4)
+    C[..., lo:hi] = band.reshape(C.shape[:-1] + (hi - lo,))
     return C
 
 
-def lmat_weyl(k, e):
-    """The monomial matrix of a Weyl element; a homomorphism in e."""
-    n = 2 * k
-    M = lmat_zero(n)
-    if not e.flip:
-        for i in range(k):
-            M[i][i] = {e.x: 1}
-            M[k + i][k + i] = {e.y: 1}
-    else:
-        for i in range(k):
-            M[i][k + i] = {e.x: 1}
-            M[k + i][i] = {e.y: 1}
-    return M
-
-
-def _weyl_monomial(k, e):
-    """(column, exponent) of the one entry in each row of lmat_weyl(k, e);
-    the row-to-column map is an involution."""
-    n = 2 * k
-    return [((r + k) % n if e.flip else r, e.x if r < k else e.y) for r in range(n)]
-
-
-def lp_shift(a, s):
-    """a * pi^s, with lp_mul's window check on every exponent."""
-    out = {e + s: c for e, c in a.items()}
-    if out and (min(out) < -_CAP or max(out) > _CAP):
-        raise WindowExhausted("exponents of %r shifted by %d" % (a, s))
+def weyl_left(k, e, A):
+    """(monomial matrix of e) @ A: the top k rows of A shifted by e.x and
+    the bottom k by e.y; a flip swaps the two halves."""
+    out = np.zeros_like(A)
+    top, bot = (slice(k), slice(k, 2 * k))[:: -1 if e.flip else 1]
+    _shift_into(out[..., :k, :, :], A[..., top, :, :], e.x)
+    _shift_into(out[..., k:, :, :], A[..., bot, :, :], e.y)
     return out
 
 
-def weyl_mul_left(k, e, A):
-    """lmat_weyl(k, e) @ A, as a row permutation plus an exponent shift."""
-    return [[lp_shift(a, s) for a in A[c]] for c, s in _weyl_monomial(k, e)]
-
-
-def weyl_mul_right(k, A, e):
-    """A @ lmat_weyl(k, e), as a column permutation plus an exponent shift."""
-    mono = _weyl_monomial(k, e)
-    return [[lp_shift(row[r], mono[r][1]) for r, _ in mono] for row in A]
-
-
-def lmat_unipotent(F, k, side, coeffs):
-    """(I X; 0 I) for side "ur" or (I 0; pi Y I) for side "ll", with inverse.
-
-    coeffs is a tuple of k x k integer arrays, the pi-adic digits of the
-    off-diagonal block (starting at pi^0 for "ur", at pi^1 for "ll").
-    """
-    n = 2 * k
-    M = lmat_zero(n)
-    Minv = lmat_zero(n)
-    for i in range(n):
-        M[i][i] = {0: 1}
-        Minv[i][i] = {0: 1}
-    base = 0 if side == "ur" else 1
-    for d, block in enumerate(coeffs):
-        for i in range(k):
-            for j in range(k):
-                c = int(block[i, j])
-                if not c:
-                    continue
-                if side == "ur":
-                    r, s = i, k + j
-                else:
-                    r, s = k + i, j
-                M[r][s] = lp_add(F, M[r][s], {base + d: c})
-                Minv[r][s] = lp_add(F, Minv[r][s], {base + d: F.neg(c)})
-    return M, Minv
-
-
-def block_min_val(M, k, bi, bj):
-    vals = []
-    for i in range(k):
-        for j in range(k):
-            v = lp_val(M[bi * k + i][bj * k + j])
-            if v is not None:
-                vals.append(v)
-    return min(vals) if vals else None
-
-
-def residue_block(F, M, k, bi, bj):
-    """The pi^0 coefficient of a block, as a k x k array of codes."""
-    out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = M[bi * k + i][bj * k + j].get(0, 0)
+def weyl_right(k, A, e):
+    """A @ (monomial matrix of e): the left k columns of A shifted by e.x,
+    the right k by e.y; a flip swaps the two halves."""
+    out = np.zeros_like(A)
+    left, right = (slice(k), slice(k, 2 * k))[:: -1 if e.flip else 1]
+    _shift_into(out[..., left, :], A[..., :k, :], e.x)
+    _shift_into(out[..., right, :], A[..., k:, :], e.y)
     return out
 
 
 def in_parabolic(F, M, k):
-    """Membership in P: integral, deep lower-left, unit diagonal blocks."""
-    for bi, bj, floor in ((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0)):
-        v = block_min_val(M, k, bi, bj)
-        if v is not None and v < floor:
-            return False
-    return (
-        fq_rank(F, residue_block(F, M, k, 0, 0)) == k
-        and fq_rank(F, residue_block(F, M, k, 1, 1)) == k
-    )
+    """Membership in P of one matrix: integral, deep lower-left, unit
+    diagonal blocks."""
+    if M[:, :, :_CAP].any() or M[k:, :k, _CAP].any():
+        return False
+    return fq_rank(F, M[:k, :k, _CAP]) == k and fq_rank(F, M[k:, k:, _CAP]) == k
 
 
-def half_valuations(A, k):
-    """Per half (left, right k columns) of A: least exponent in the top k
-    rows, in the bottom k rows and overall, and greatest exponent; +-inf
-    where there is none."""
-    out = []
-    for cols in (range(k), range(k, 2 * k)):
-        top = [e for row in A[:k] for j in cols for e in row[j]]
-        bot = [e for row in A[k:] for j in cols for e in row[j]]
-        top_lo, bot_lo = min(top, default=inf), min(bot, default=inf)
-        out.append((top_lo, bot_lo, min(top_lo, bot_lo), max(top + bot, default=-inf)))
-    return out
+def prefilter(A, k, cands):
+    """The valuation half of in_parabolic on A[...] @ (monomial matrix of
+    eps) for every matrix of the stack A and every eps of cands, as a mask
+    of shape A's leading axes + (len(cands),); raises WindowExhausted where
+    one of those products would.
 
-
-def valuations_admit(vals, e):
-    """The valuation half of in_parabolic on A @ lmat_weyl(k, e), where vals
-    is half_valuations(A, k); raises WindowExhausted where that product would.
-    The left half of A is shifted by e.x and the right by e.y; a flip swaps
-    the halves, so the lower-left floor of 1 then falls on the right half."""
-    (tl, bl, ll, hl), (tr, br, lr, hr) = vals
-    x, y = e.x, e.y
-    if ll + x < -_CAP or lr + y < -_CAP or hl + x > _CAP or hr + y > _CAP:
-        raise WindowExhausted("exponents beyond the window for %r" % (e,))
-    if e.flip:
-        return tl + x >= 0 and bl + x >= 0 and tr + y >= 0 and br + y >= 1
-    return tl + x >= 0 and bl + x >= 1 and tr + y >= 0 and br + y >= 0
+    The left half of A[...] is shifted by eps.x and the right by eps.y; the
+    floor of 1 of the lower-left block falls on the left half, or on the
+    right half when eps flips."""
+    nz = A.reshape(A.shape[:-3] + (2, k, 2, k, E)).any(axis=(-4, -2))
+    xs, ys = [e.x for e in cands], [e.y for e in cands]
+    for row, sh in zip(nz.reshape(-1, 2, E).any(0).tolist(), (xs, ys)):
+        # the least and the greatest occupied slot of a column half, shifted
+        if True in row and (row.index(True) + min(sh) < 0 or row[::-1].index(True) < max(sh)):
+            raise WindowExhausted("exponents beyond the window for one of %r" % (cands,))
+    fl = [int(e.flip) for e in cands]
+    floor = np.array([[[0] * len(fl), [0] * len(fl)], [[1 - f for f in fl], fl]])
+    # the least occupied slot of each block, E where there is none; a block
+    # falls short of its floor iff that slot is below floor - shift + 16,
+    # capped at E so that an empty block always passes
+    least = np.concatenate([nz, np.ones(nz.shape[:-1] + (1,), dtype=bool)], -1).argmax(-1)
+    cut = np.minimum(floor - np.array([xs, ys]) + _CAP, E)
+    return (least[..., None] >= cut).all(axis=(-3, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +166,31 @@ def p_eta_pattern(eta):
 
 
 def coset_reps(k, q, eta):
-    """Unipotent transversal of P / P^(eta), as (matrix, inverse) pairs."""
+    """Unipotent transversal of P / P^(eta): an int array of shape
+    (cosets, 2, 2k, 2k, E) holding each representative and its inverse.
+
+    The one deepened block carries e pi-adic digits (from pi^0 in the upper
+    right, from pi^1 in the lower left), enumerated in lexicographic order;
+    its square is 0, so the inverse negates them."""
     F = GF(q)
     ur, ll = p_eta_pattern(eta)
     e_ur, e_ll = ur - 0, ll - 1
-    assert not (e_ur > 0 and e_ll > 0), "gap in both blocks for %r" % (eta,)
+    if e_ur > 0 and e_ll > 0:
+        raise GapTooLarge("gap in both blocks for %r" % (eta,))
     side, e = ("ur", e_ur) if e_ur > 0 else ("ll", e_ll)
-    if e == 0:
-        eye, _ = lmat_unipotent(F, k, "ur", ())
-        return [(eye, eye)]
     if e > 2:
         raise GapTooLarge("congruence gap %d for %r" % (e, eta))
-    out = []
-    cells = k * k * e
-    for vals in iproduct(range(q), repeat=cells):
-        digits = tuple(
-            np.array(vals[d * k * k : (d + 1) * k * k], dtype=np.int64).reshape(k, k)
-            for d in range(e)
-        )
-        out.append(lmat_unipotent(F, k, side, digits))
-    return out
+    n = 2 * k
+    digits = np.array(list(iproduct(range(q), repeat=k * k * e)), dtype=np.int64)
+    digits = digits.reshape(q ** (k * k * e), e, k, k)
+    reps = np.zeros((len(digits), 2, n, n, E), dtype=np.int64)
+    reps[:, :, range(n), range(n), _CAP] = 1
+    rows, cols, base = (slice(k), slice(k, n), _CAP) if side == "ur" else (
+        slice(k, n), slice(k), _CAP + 1)
+    for d in range(e):
+        reps[:, 0, rows, cols, base + d] = digits[:, d]
+        reps[:, 1, rows, cols, base + d] = F.NEG[digits[:, d]]
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +198,10 @@ def coset_reps(k, q, eta):
 
 
 def _levi_sigma(sys, M):
-    k, F = sys.k, GF(sys.q)
+    k = sys.k
     idx = []
     for b in (0, 1):
-        B = residue_block(F, M, k, b, b)
+        B = M[b * k : (b + 1) * k, b * k : (b + 1) * k, _CAP]
         idx.append(sys.M.index[int(B[0, 0]) if k == 1 else tuple(map(tuple, B.tolist()))])
     return sys.sigma(*idx)
 
@@ -279,27 +221,37 @@ def oracle_product(sys, eta, f, delta, g):
     """{eps: h_eps} with [eta]_f * [delta]_g = sum [eps]_{h_eps}; brute force.
 
     Every coset pair is tested against every eps of the support window, and
-    must land in at most one cell."""
+    must land in at most one cell.  WindowExhausted is raised wherever a
+    loop over the pairs would raise it; within one run of u the window is
+    checked before the cells."""
     k, l = sys.k, sys.l
     F = GF(sys.q)
     f = np.asarray(f, dtype=np.int64) % l
     g = np.asarray(g, dtype=np.int64) % l
-    eta_inv, delta_inv = eta.inv(), delta.inv()
-    V = [(vinv, _levi_sigma(sys, v)) for v, vinv in coset_reps(k, sys.q, delta)]
+    V = coset_reps(k, sys.q, delta)
+    U = coset_reps(k, sys.q, eta)
+    EU = weyl_left(k, eta.inv(), U[:, 1])
     cands = support_window(eta, delta)
+    step = max(1, _ROWS // len(V))
     out = {}
-    for u, uinv in coset_reps(k, sys.q, eta):
-        su = _levi_sigma(sys, u)
-        eu = weyl_mul_left(k, eta_inv, uinv)
-        for vinv, sv in V:
-            prefix = weyl_mul_left(k, delta_inv, lmat_mul(F, vinv, eu))
-            vals = half_valuations(prefix, k)
-            hits = [eps for eps in cands if valuations_admit(vals, eps)
-                    and in_parabolic(F, weyl_mul_right(k, prefix, eps), k)]
-            if len(hits) > 1:
-                raise CellConflict("one coset pair fell into cells %r" % (hits,))
-            for eps in hits:
-                p2 = weyl_mul_right(k, prefix, eps)
-                term = (su @ f @ sv @ g @ _levi_sigma(sys, p2)) % l
-                out[eps] = (out.get(eps, 0) + term) % l
+    for start in range(0, len(U), step):
+        # every coset pair (v, u) of this run of u
+        prefix = weyl_left(k, delta.inv(), lmat_mul(F, V[:, 1], EU[start : start + step]))
+        admit = prefilter(prefix, k, cands)
+        hits = []
+        for c in np.flatnonzero(admit.any(axis=(0, 1))):
+            vs, us = np.nonzero(admit[:, :, c])
+            for v, u, p2 in zip(vs, us, weyl_right(k, prefix[vs, us], cands[c])):
+                if in_parabolic(F, p2, k):
+                    hits.append((start + u, v, cands[c], p2))
+        # (u, v) order: two hits of one pair sit side by side, and cells
+        # enter out in the order a loop over the pairs meets them
+        hits.sort(key=lambda h: h[:2])
+        for (u, v, a, _), (u2, v2, b, _) in zip(hits, hits[1:]):
+            if (u, v) == (u2, v2):
+                raise CellConflict("one coset pair fell into cells %r" % ([a, b],))
+        for u, v, eps, p2 in hits:
+            term = (_levi_sigma(sys, U[u, 0]) @ f @ _levi_sigma(sys, V[v, 0]) @ g
+                    @ _levi_sigma(sys, p2)) % l
+            out[eps] = (out.get(eps, 0) + term) % l
     return {eps: h for eps, h in out.items() if h.any()}

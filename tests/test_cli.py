@@ -269,7 +269,10 @@ BAD_INPUTS = [
     ("mul", "[w]", "[w]", "-q", "5", "-l", "5"),  # tau = 0 mod l
     ("mul", "[w]", "[w]", "-q", "3", "-l", "4"),  # l not prime
     ("mul", "[w]", "[w]", "-q", "3", "-l", "1"),
+    ("mul", "[w]", "[w]", "-q", "6", "-l", "5"),  # q not a prime power
+    ("mul", "[w]", "[w]", "-q", "1", "-l", "5"),
     ("verify", "--suite", "cases", "-l", "9"),
+    ("fpoly", "-k", "1", "-q", "9", "-l", "2", "--mode", "pp"),  # dim 128: too large
     ("fpoly", "-k", "0"),  # counts and sizes below their least value
     ("mul", "[w]", "[w]", "-k", "0"),
     ("verify", "--suite", "assoc", "--triples", "0"),

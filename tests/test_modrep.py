@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,23 @@ def test_intertwiners_schur():
     mods = dict(irreducible_modules(G, 5))
     assert len(commutant(mods["std"])) == 1
     assert len(intertwiners(mods["trivial"].A, mods["sign"].A, 5)) == 0
+
+
+def test_intertwiners_refuse_a_system_too_large_to_build():
+    # dim 128 against dim 128 is 16384 unknowns: a 2 GiB Kronecker block per
+    # generator, refused before any block is allocated
+    A = np.stack([np.eye(128, dtype=np.int64)] * 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="16384 unknowns"):
+            intertwiners(A, A, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # dim 32 against dim 32, the largest pair any configuration builds, still solves
+    B = np.stack([np.eye(32, dtype=np.int64)])
+    assert len(intertwiners(B, B, 2)) == 1024
 
 
 def test_split_regular_banal():

@@ -2,39 +2,261 @@ import hashlib
 import os
 import subprocess
 import sys
+from itertools import product as iproduct
+from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckekit
 from heckekit import residue
 from heckekit.errors import CellConflict, GapTooLarge, WindowExhausted
-from heckekit.gfp import GF
+from heckekit.gfp import GF, fq_rank
 from heckekit.modrep import build_coefficient_system
 from heckekit.finhecke import FinElement, fin_mul
 from heckekit.residue import (
     _CAP,
-    block_min_val,
+    E,
     coset_reps,
-    half_valuations,
     in_parabolic,
     lmat_mul,
-    lmat_weyl,
-    lp_val,
     oracle_product,
     p_eta_pattern,
+    prefilter,
     support_window,
-    valuations_admit,
-    weyl_mul_left,
-    weyl_mul_right,
+    weyl_left,
+    weyl_right,
 )
 from heckekit.weyl import W, W_ID, W_T, W_TINV, W_W, W_WP, diag, elements_in_window
 
+# ---------------------------------------------------------------------------
+# The reference: Laurent matrices as lists of dicts exponent -> code, the
+# per-pair arithmetic the oracle used before it moved to dense arrays.
 
-def lmat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+def lp_add(F, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = F.add(out.get(e, 0), c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def lp_mul(F, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if abs(e) > _CAP:
+                raise WindowExhausted("exponent %d" % e)
+            s = F.add(out.get(e, 0), F.mul(c1, c2))
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def lp_val(a):
+    return min(a) if a else None
+
+
+def lmat_zero(n):
+    return [[{} for _ in range(n)] for _ in range(n)]
+
+
+def dict_lmat_mul(F, A, B):
+    n = len(A)
+    C = lmat_zero(n)
+    for i in range(n):
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                if A[i][k] and B[k][j]:
+                    acc = lp_add(F, acc, lp_mul(F, A[i][k], B[k][j]))
+            C[i][j] = acc
+    return C
+
+
+def lmat_weyl(k, e):
+    """The monomial matrix of a Weyl element; a homomorphism in e."""
+    n = 2 * k
+    M = lmat_zero(n)
+    if not e.flip:
+        for i in range(k):
+            M[i][i] = {e.x: 1}
+            M[k + i][k + i] = {e.y: 1}
+    else:
+        for i in range(k):
+            M[i][k + i] = {e.x: 1}
+            M[k + i][i] = {e.y: 1}
+    return M
+
+
+def _weyl_monomial(k, e):
+    n = 2 * k
+    return [((r + k) % n if e.flip else r, e.x if r < k else e.y) for r in range(n)]
+
+
+def lp_shift(a, s):
+    out = {e + s: c for e, c in a.items()}
+    if out and (min(out) < -_CAP or max(out) > _CAP):
+        raise WindowExhausted("exponents of %r shifted by %d" % (a, s))
+    return out
+
+
+def weyl_mul_left(k, e, A):
+    """lmat_weyl(k, e) @ A, as a row permutation plus an exponent shift."""
+    return [[lp_shift(a, s) for a in A[c]] for c, s in _weyl_monomial(k, e)]
+
+
+def weyl_mul_right(k, A, e):
+    """A @ lmat_weyl(k, e), as a column permutation plus an exponent shift."""
+    mono = _weyl_monomial(k, e)
+    return [[lp_shift(row[r], mono[r][1]) for r, _ in mono] for row in A]
+
+
+def lmat_unipotent(F, k, side, coeffs):
+    n = 2 * k
+    M = lmat_zero(n)
+    Minv = lmat_zero(n)
+    for i in range(n):
+        M[i][i] = {0: 1}
+        Minv[i][i] = {0: 1}
+    base = 0 if side == "ur" else 1
+    for d, block in enumerate(coeffs):
+        for i in range(k):
+            for j in range(k):
+                c = int(block[i, j])
+                if not c:
+                    continue
+                r, s = (i, k + j) if side == "ur" else (k + i, j)
+                M[r][s] = lp_add(F, M[r][s], {base + d: c})
+                Minv[r][s] = lp_add(F, Minv[r][s], {base + d: F.neg(c)})
+    return M, Minv
+
+
+def block_min_val(M, k, bi, bj):
+    vals = []
+    for i in range(k):
+        for j in range(k):
+            v = lp_val(M[bi * k + i][bj * k + j])
+            if v is not None:
+                vals.append(v)
+    return min(vals) if vals else None
+
+
+def residue_block(M, k, bi, bj):
+    out = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            out[i, j] = M[bi * k + i][bj * k + j].get(0, 0)
+    return out
+
+
+def dict_in_parabolic(F, M, k):
+    for bi, bj, floor in ((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0)):
+        v = block_min_val(M, k, bi, bj)
+        if v is not None and v < floor:
+            return False
+    return fq_rank(F, residue_block(M, k, 0, 0)) == k and fq_rank(
+        F, residue_block(M, k, 1, 1)) == k
+
+
+def half_valuations(A, k):
+    """Per half (left, right k columns) of A: least exponent in the top k
+    rows, in the bottom k rows and overall, and greatest exponent."""
+    out = []
+    for cols in (range(k), range(k, 2 * k)):
+        top = [e for row in A[:k] for j in cols for e in row[j]]
+        bot = [e for row in A[k:] for j in cols for e in row[j]]
+        top_lo, bot_lo = min(top, default=inf), min(bot, default=inf)
+        out.append((top_lo, bot_lo, min(top_lo, bot_lo), max(top + bot, default=-inf)))
+    return out
+
+
+def valuations_admit(vals, e):
+    """The valuation half of in_parabolic on A @ lmat_weyl(k, e)."""
+    (tl, bl, ll, hl), (tr, br, lr, hr) = vals
+    x, y = e.x, e.y
+    if ll + x < -_CAP or lr + y < -_CAP or hl + x > _CAP or hr + y > _CAP:
+        raise WindowExhausted("exponents beyond the window for %r" % (e,))
+    if e.flip:
+        return tl + x >= 0 and bl + x >= 0 and tr + y >= 0 and br + y >= 1
+    return tl + x >= 0 and bl + x >= 1 and tr + y >= 0 and br + y >= 0
+
+
+def dict_coset_reps(k, q, eta):
+    F = GF(q)
+    ur, ll = p_eta_pattern(eta)
+    side, e = ("ur", ur) if ur > 0 else ("ll", ll - 1)
+    if e == 0:
+        eye, _ = lmat_unipotent(F, k, "ur", ())
+        return [(eye, eye)]
+    out = []
+    for vals in iproduct(range(q), repeat=k * k * e):
+        digits = tuple(
+            np.array(vals[d * k * k : (d + 1) * k * k], dtype=np.int64).reshape(k, k)
+            for d in range(e)
+        )
+        out.append(lmat_unipotent(F, k, side, digits))
+    return out
+
+
+def dict_levi_sigma(sys_, M):
+    k, idx = sys_.k, []
+    for b in (0, 1):
+        B = residue_block(M, k, b, b)
+        idx.append(sys_.M.index[int(B[0, 0]) if k == 1 else tuple(map(tuple, B.tolist()))])
+    return sys_.sigma(*idx)
+
+
+def dict_oracle_product(sys_, eta, f, delta, g):
+    """The per-coset-pair oracle on dict matrices."""
+    k, l = sys_.k, sys_.l
+    F = GF(sys_.q)
+    f = np.asarray(f, dtype=np.int64) % l
+    g = np.asarray(g, dtype=np.int64) % l
+    eta_inv, delta_inv = eta.inv(), delta.inv()
+    V = [(vinv, dict_levi_sigma(sys_, v)) for v, vinv in dict_coset_reps(k, sys_.q, delta)]
+    cands = support_window(eta, delta)
+    out = {}
+    for u, uinv in dict_coset_reps(k, sys_.q, eta):
+        su = dict_levi_sigma(sys_, u)
+        eu = weyl_mul_left(k, eta_inv, uinv)
+        for vinv, sv in V:
+            prefix = weyl_mul_left(k, delta_inv, dict_lmat_mul(F, vinv, eu))
+            vals = half_valuations(prefix, k)
+            hits = [eps for eps in cands if valuations_admit(vals, eps)
+                    and dict_in_parabolic(F, weyl_mul_right(k, prefix, eps), k)]
+            if len(hits) > 1:
+                raise CellConflict("one coset pair fell into cells %r" % (hits,))
+            for eps in hits:
+                p2 = weyl_mul_right(k, prefix, eps)
+                term = (su @ f @ sv @ g @ dict_levi_sigma(sys_, p2)) % l
+                out[eps] = (out.get(eps, 0) + term) % l
+    return {eps: h for eps, h in out.items() if h.any()}
+
+
+def to_dense(A):
+    n = len(A)
+    M = np.zeros((n, n, E), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            for e, c in A[i][j].items():
+                M[i, j, e + _CAP] = c
+    return M
+
+
+def from_dense(M):
+    n = M.shape[0]
+    return [[{s - _CAP: int(c) for s, c in enumerate(M[i, j]) if c} for j in range(n)]
+            for i in range(n)]
 
 
 def test_weyl_matrix_is_homomorphism():
@@ -43,15 +265,15 @@ def test_weyl_matrix_is_homomorphism():
     small = [e for e in window if abs(e.x) <= 1 and abs(e.y) <= 1]
     for a in small:
         for b in small:
-            left = lmat_mul(F, lmat_weyl(1, a), lmat_weyl(1, b))
-            assert lmat_eq(left, lmat_weyl(1, a * b))
+            left = lmat_mul(F, to_dense(lmat_weyl(1, a)), to_dense(lmat_weyl(1, b)))
+            assert np.array_equal(left, to_dense(lmat_weyl(1, a * b)))
 
 
 def test_weyl_matrix_inverse():
     F = GF(4)
     for e in [W_T, W_TINV, W_WP, diag(2, -1), W(1, -2, True)]:
-        prod = lmat_mul(F, lmat_weyl(1, e), lmat_weyl(1, e.inv()))
-        assert lmat_eq(prod, lmat_weyl(1, W_ID))
+        prod = lmat_mul(F, to_dense(lmat_weyl(1, e)), to_dense(lmat_weyl(1, e.inv())))
+        assert np.array_equal(prod, to_dense(lmat_weyl(1, W_ID)))
 
 
 def test_pattern_values():
@@ -97,7 +319,7 @@ def test_transversal_distinct():
             for j, (v, _) in enumerate(reps):
                 if i == j:
                     continue
-                d = lmat_mul(F, uinv, v)
+                d = from_dense(lmat_mul(F, uinv, v))
                 # the quotient must fall outside the deepened pattern
                 vur = lp_val(d[0][1])
                 vll = lp_val(d[1][0])
@@ -109,12 +331,17 @@ def test_transversal_distinct():
 
 def test_in_parabolic_basics():
     F = GF(5)
-    assert in_parabolic(F, lmat_weyl(1, W_ID), 1)
-    assert not in_parabolic(F, lmat_weyl(1, W_T), 1)
-    assert not in_parabolic(F, lmat_weyl(1, W_W), 1)
-    assert not in_parabolic(F, lmat_weyl(1, diag(1, -1)), 1)
-    assert not in_parabolic(F, lmat_weyl(1, diag(-1, 1)), 1)
-    assert in_parabolic(F, lmat_weyl(2, W(0, 0, False)), 2)
+    assert in_parabolic(F, to_dense(lmat_weyl(1, W_ID)), 1) is True
+    assert not in_parabolic(F, to_dense(lmat_weyl(1, W_T)), 1)
+    assert not in_parabolic(F, to_dense(lmat_weyl(1, W_W)), 1)
+    assert not in_parabolic(F, to_dense(lmat_weyl(1, diag(1, -1))), 1)
+    assert not in_parabolic(F, to_dense(lmat_weyl(1, diag(-1, 1))), 1)
+    assert in_parabolic(F, to_dense(lmat_weyl(2, W(0, 0, False))), 2)
+    # integral with a deep lower left, but a residue block of rank < k
+    assert not in_parabolic(F, to_dense(lmat_weyl(1, diag(1, 0))), 1)
+    M = to_dense(lmat_weyl(2, W(0, 0, False)))
+    M[0, 1, _CAP] = M[1, 0, _CAP] = 1
+    assert not in_parabolic(GF(2), M, 2)
 
 
 def test_support_window_contains_products():
@@ -232,23 +459,36 @@ def test_oracle_golden_digest():
 
 
 # ---------------------------------------------------------------------------
-# Weyl factors as permute-and-shift, and the valuation prefilter
+# Weyl factors as permute-and-shift, the valuation prefilter, and the dense
+# arithmetic against the dict reference
 
 WINDOW3 = elements_in_window(3)
 
 
-@st.composite
-def laurent_matrices(draw):
-    """(F, k, A): a sparse 2k x 2k Laurent matrix, of exponents near 0 or near
-    the window edges."""
-    k = draw(st.sampled_from((1, 2)))
-    q = draw(st.sampled_from((2, 3, 4, 5)))
+def _laurent_matrix(draw, q, k):
+    """A sparse 2k x 2k Laurent matrix, of exponents near 0 or near the
+    window edges."""
     edges = st.integers(-_CAP, 3 - _CAP) | st.integers(_CAP - 3, _CAP)
     exps = edges if draw(st.booleans()) else st.integers(-1, 2)
     terms = st.dictionaries(exps, st.integers(1, q - 1), min_size=1, max_size=2)
     entry = st.just({}) | terms
-    A = [[draw(entry) for _ in range(2 * k)] for _ in range(2 * k)]
-    return GF(q), k, A
+    return [[draw(entry) for _ in range(2 * k)] for _ in range(2 * k)]
+
+
+@st.composite
+def laurent_matrices(draw):
+    """(F, k, A)"""
+    k = draw(st.sampled_from((1, 2)))
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    return GF(q), k, _laurent_matrix(draw, q, k)
+
+
+@st.composite
+def laurent_stacks(draw):
+    """(F, k, [A, ...]): one to three matrices over one field."""
+    k = draw(st.sampled_from((1, 2)))
+    q = draw(st.sampled_from((2, 3, 4, 5, 9)))
+    return GF(q), k, [_laurent_matrix(draw, q, k) for _ in range(draw(st.integers(1, 3)))]
 
 
 def outcome(fn):
@@ -263,8 +503,15 @@ def outcome(fn):
 def test_weyl_shift_products_match_dense(mat, e):
     F, k, A = mat
     M = lmat_weyl(k, e)
-    assert outcome(lambda: weyl_mul_left(k, e, A)) == outcome(lambda: lmat_mul(F, M, A))
-    assert outcome(lambda: weyl_mul_right(k, A, e)) == outcome(lambda: lmat_mul(F, A, M))
+    for got, want in (
+        (outcome(lambda: weyl_mul_left(k, e, A)), outcome(lambda: dict_lmat_mul(F, M, A))),
+        (outcome(lambda: weyl_mul_right(k, A, e)), outcome(lambda: dict_lmat_mul(F, A, M))),
+        (outcome(lambda: from_dense(weyl_left(k, e, to_dense(A)))),
+         outcome(lambda: dict_lmat_mul(F, M, A))),
+        (outcome(lambda: from_dense(weyl_right(k, to_dense(A), e))),
+         outcome(lambda: dict_lmat_mul(F, A, M))),
+    ):
+        assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,11 +521,11 @@ def test_valuation_prefilter_matches_in_parabolic(mat, e):
     # whose small exponents often sit right at the floors of P
     F, k, B = mat
     floors = ((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0))
-    for A in (B, outcome(lambda: lmat_mul(F, B, lmat_weyl(k, e.inv())))):
+    for A in (B, outcome(lambda: dict_lmat_mul(F, B, lmat_weyl(k, e.inv())))):
         if A is WindowExhausted:
             continue
-        dense = outcome(lambda: lmat_mul(F, A, lmat_weyl(k, e)))
-        admit = outcome(lambda: valuations_admit(half_valuations(A, k), e))
+        dense = outcome(lambda: dict_lmat_mul(F, A, lmat_weyl(k, e)))
+        admit = outcome(lambda: prefilter(to_dense(A)[None], k, [e])[0, 0])
         if dense is WindowExhausted:
             assert admit is WindowExhausted
             continue
@@ -287,14 +534,101 @@ def test_valuation_prefilter_matches_in_parabolic(mat, e):
         assert admit == all(v is None or v >= fl for v, fl in vals)
 
 
+# candidate cells near the identity, and shifts that reach past the window
+FAR = st.builds(W, st.integers(-18, 18), st.integers(-18, 18), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_stacks(), st.lists(st.sampled_from(WINDOW3) | FAR, min_size=1, max_size=4))
+# an empty column half passes its floors whatever the shift
+@example((GF(2), 1, [[[{}, {1: 1}], [{}, {1: 1}]]]), [W(-17, 0, False), W(-18, 0, True)])
+def test_dense_arithmetic_matches_dict_reference(stack, cands):
+    # product of every pair of the stack, Weyl shifts and the prefilter: equal
+    # values, and WindowExhausted from the dense call exactly when one of the
+    # dict calls it stands for raises it
+    F, k, mats = stack
+    dense = np.stack([to_dense(A) for A in mats])
+
+    def run(want):  # a dict-reference call, or a nested list of them
+        return [run(w) for w in want] if isinstance(want, list) else outcome(want)
+
+    def exhausted(want):
+        return any(map(exhausted, want)) if isinstance(want, list) else want is WindowExhausted
+
+    def check(dense_call, reference):
+        got, want = outcome(dense_call), run(reference)
+        if exhausted(want):
+            assert got is WindowExhausted
+        else:
+            assert got is not WindowExhausted
+            assert np.array_equal(got, np.array(want))
+
+    check(lambda: lmat_mul(F, dense, dense),
+          [[(lambda A=A, B=B: to_dense(dict_lmat_mul(F, A, B))) for B in mats] for A in mats])
+    check(lambda: lmat_mul(F, dense[0], dense[-1]),
+          lambda: to_dense(dict_lmat_mul(F, mats[0], mats[-1])))
+    check(lambda: prefilter(dense, k, cands),
+          [[(lambda A=A, e=e: valuations_admit(half_valuations(A, k), e)) for e in cands]
+           for A in mats])
+    for e in cands:
+        check(lambda: weyl_left(k, e, dense),
+              [(lambda A=A: to_dense(weyl_mul_left(k, e, A))) for A in mats])
+        check(lambda: weyl_right(k, dense, e),
+              [(lambda A=A: to_dense(weyl_mul_right(k, A, e))) for A in mats])
+
+
+def _oracle_systems():
+    # q = 5 too, where negation is not the identity on codes
+    return {args: build_coefficient_system(*args[:3], rho=args[3], mode=args[4])
+            for args in ((1, 4, 3, "trivial", "pp"), (2, 2, 3, "sign", "pp"),
+                         (1, 5, 3, "trivial", "pp"))}
+
+
+# gap <= 2 elements out to exponents that run off the window
+LOCAL = [W(x, y, fl) for x in range(-9, 10) for y in range(-9, 10) for fl in (False, True)
+         if _gap(W(x, y, fl)) <= 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oracle_matches_dict_reference(data):
+    # k = 2 keeps the two gaps to a sum of 2, so that the dict path stays fast
+    systems = _oracle_systems()
+    sys_ = systems[data.draw(st.sampled_from(sorted(systems)))]
+    eta = data.draw(st.sampled_from(LOCAL))
+    most = 2 if sys_.k == 1 else 2 - _gap(eta)
+    delta = data.draw(st.sampled_from([e for e in LOCAL if _gap(e) <= most]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f, g = _random_coeff(rng, sys_, eta), _random_coeff(rng, sys_, delta)
+    want = outcome(lambda: dict_oracle_product(sys_, eta, f, delta, g))
+    got = outcome(lambda: oracle_product(sys_, eta, f, delta, g))
+    if want is WindowExhausted:
+        assert got is WindowExhausted
+        return
+    assert got is not WindowExhausted
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[eps], want[eps]) for eps in want)
+
+
 def test_two_cells_raise_typed_error(monkeypatch):
     # a coset pair admitted by two cells is an oracle verdict, not an assert
-    monkeypatch.setattr(residue, "valuations_admit", lambda vals, e: True)
+    monkeypatch.setattr(
+        residue, "prefilter", lambda A, k, cands: np.ones(A.shape[:-3] + (len(cands),), bool))
     monkeypatch.setattr(residue, "in_parabolic", lambda F, M, k: True)
     sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
     one = np.array([[1]], dtype=np.int64)
     with pytest.raises(CellConflict):
         oracle_product(sys_, W_W, one, W_W, one)
+
+
+def _run_optimized(script):
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def test_two_cells_raise_under_optimize():
@@ -307,17 +641,35 @@ from heckekit.modrep import build_coefficient_system
 from heckekit.weyl import W_W
 sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
 one = np.array([[1]], dtype=np.int64)
-with mock.patch.object(residue, "valuations_admit", lambda vals, e: True), \\
+admit = lambda A, k, cands: np.ones(A.shape[:-3] + (len(cands),), dtype=bool)
+with mock.patch.object(residue, "prefilter", admit), \\
         mock.patch.object(residue, "in_parabolic", lambda F, M, k: True):
     try:
         residue.oracle_product(sys_, W_W, one, W_W, one)
     except CellConflict:
         print("CellConflict", __debug__)
 """
-    src = os.path.dirname(os.path.dirname(heckekit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["CellConflict", "False"]
+    assert _run_optimized(script) == ["CellConflict", "False"]
+
+
+def test_gap_in_both_blocks_raises_typed_error(monkeypatch):
+    # p_eta_pattern never deepens both blocks; a pattern that did has no
+    # transversal here, and that is a typed error, not an assert
+    monkeypatch.setattr(residue, "p_eta_pattern", lambda eta: (1, 2))
+    with pytest.raises(GapTooLarge, match="both blocks"):
+        coset_reps(1, 3, W_W)
+
+
+def test_gap_in_both_blocks_raises_under_optimize():
+    script = """
+from unittest import mock
+from heckekit import residue
+from heckekit.errors import GapTooLarge
+from heckekit.weyl import W_W
+with mock.patch.object(residue, "p_eta_pattern", lambda eta: (1, 2)):
+    try:
+        residue.coset_reps(1, 3, W_W)
+    except GapTooLarge:
+        print("GapTooLarge", __debug__)
+"""
+    assert _run_optimized(script) == ["GapTooLarge", "False"]
