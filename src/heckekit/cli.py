@@ -98,8 +98,6 @@ def parse_symbol(text):
     if i < n and s[i] == "^":
         i += 1
         shift = integer(signed=False)
-        if shift < 0:
-            raise ParseError("shift must not be negative", i)
     name = None
     if i < n and s[i] == "_":
         i += 1

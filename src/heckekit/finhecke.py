@@ -15,8 +15,7 @@ product are implemented:
     cells in between must come out zero, and the oracle checks that rather
     than assuming it.
 
-Also here: the minimal monic relation of the parameter image (compute_fpoly)
-and the group-algebra computations around T* itself.
+Also here: the minimal monic relation of the parameter image (compute_fpoly).
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from .gfp import (
     fq_matmul,
     fq_rank,
     fq_rref,
-    nullspace_mod,
     poly_str,
 )
-from .modrep import general_linear, min_poly, pair_index
+from .modrep import general_linear, intertwiners, min_poly, pair_index
 
 # ---------------------------------------------------------------------------
 # elements and the closed product
@@ -258,17 +256,6 @@ class AmbientGL:
             raise BruhatMismatch("w_d^-1 p^-1 g left the parabolic")
         return d, self.levi_indices(p), self.levi_indices(p2)
 
-    def cell_of(self, g):
-        return int(fq_rank(self.F, np.asarray(g)[self.k :, : self.k]))
-
-    def swap_cell_size(self):
-        """Number of P-cosets inside the full-swap double cell."""
-        return sum(
-            1
-            for lab, rep in self.labels.items()
-            if self.cell_of(rep) == self.k
-        )
-
 
 def phi_value(amb, sys, elem, g):
     """Value at g of the bi-equivariant function with data (f1, fw); None
@@ -294,26 +281,20 @@ def middle_hom_dims(sys):
     key = sys.name
     if key not in _MIDDLE_DIMS:
         amb = AmbientGL(sys.k, sys.q)
-        eye = np.eye(sys.dim, dtype=np.int64)
         dims = []
         for d in range(1, amb.k):
             xd = amb.swap_mat(d)
             xdinv = fq_inv_matrix(amb.F, xd)
-            seen = set()
-            rows = []
+            pairs = {}
             for p in amb.parabolic:
                 c = fq_matmul(amb.F, fq_matmul(amb.F, xdinv, p), xd)
                 if not amb.in_parabolic(c):
                     continue
                 sp = sys.sigma(*amb.levi_indices(p))
                 sc = sys.sigma(*amb.levi_indices(c))
-                tag = (sp.tobytes(), sc.tobytes())
-                if tag in seen:
-                    continue
-                seen.add(tag)
-                rows.append((np.kron(sp, eye) - np.kron(eye, sc.T)) % sys.l)
-            ns = nullspace_mod(np.concatenate(rows, axis=0), sys.l)
-            dims.append(int(ns.shape[0]))
+                pairs.setdefault((sp.tobytes(), sc.tobytes()), (sc, sp))
+            sigma_c, sigma_p = (np.stack(m) for m in zip(*pairs.values()))
+            dims.append(len(intertwiners(sigma_c, sigma_p, sys.l)))
         _MIDDLE_DIMS[key] = tuple(dims)
     return _MIDDLE_DIMS[key]
 
@@ -358,39 +339,6 @@ def fin_convolve(a, b):
             if dims[d - 1] == 0:
                 raise CellLeak("support leaked into partial-swap cell %d" % d)
     return FinElement(sys, out[0], out[k])
-
-
-def coset_count(k, q):
-    """(#P-cosets in the swap cell, total #G/P cosets)."""
-    amb = AmbientGL(k, q)
-    return amb.swap_cell_size(), amb.count
-
-
-# ---------------------------------------------------------------------------
-# T* inside the group algebra of M x M
-
-
-def tstar_support(k, q):
-    """(row index, col index) arrays of the pairs (g, -g^{-1}) in M x M."""
-    M = general_linear(k, GF(q))
-    rows = np.arange(M.n, dtype=np.int64)
-    cols = M.NEG[M.INV]
-    return M, rows, cols
-
-
-def tstar_group_algebra_power(k, q, l, m):
-    """Coefficient array of (T*)^m in F_l[M x M], indexed by factor pairs."""
-    M, rows, cols = tstar_support(k, q)
-    coeff = np.zeros((M.n, M.n), dtype=np.int64)
-    coeff[0, 0] = 1
-    for _ in range(m):
-        nxt = np.zeros_like(coeff)
-        ver = np.nonzero(coeff)
-        for a, b in zip(*ver):
-            c = coeff[a, b]
-            np.add.at(nxt, (M.MUL[a, rows], M.MUL[b, cols]), c)
-        coeff = nxt % l
-    return coeff
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ thousand columns.  Everything is exact; nothing here ever rounds.
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 
 import numpy as np
 
@@ -28,17 +29,17 @@ _MODPOLY = {
 
 
 def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            a = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                a += 1
-            if m != 1:
-                raise TooLarge("q=%d is not a prime power" % q)
-            return p, a
-    raise TooLarge("bad q=%d" % q)
+    if q < 2:
+        raise TooLarge("bad q=%d" % q)
+    # the least prime factor is at most isqrt(q) unless q itself is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    a, m = 0, q
+    while m % p == 0:
+        m //= p
+        a += 1
+    if m != 1:
+        raise TooLarge("q=%d is not a prime power" % q)
+    return p, a
 
 
 def _digits(code, p, a):
@@ -409,20 +410,6 @@ def pmonic(a, l):
     if not a:
         return a
     return pscale(a, pow(a[-1], -1, l), l)
-
-
-def pgcd(a, b, l):
-    a, b = pnormalize([x % l for x in a]), pnormalize([x % l for x in b])
-    while b:
-        a, b = b, pdivmod(a, b, l)[1]
-    return pmonic(a, l)
-
-
-def peval(a, x, l):
-    r = 0
-    for c in reversed(a):
-        r = (r * x + c) % l
-    return r
 
 
 def pfactor(a, l, cap=100000):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BadCharacteristic, ParityViolation
 from .gfp import is_prime, matmul_mod
-from .weyl import W, W_ID, W_W, shape_class, t_power, word_of
+from .weyl import W, W_ID, W_W, t_power, word_of
 
 
 class MatrixCoefficients:
@@ -182,7 +182,7 @@ class FreeCoefficients:
 
 
 class HeckeEngine:
-    """Products, structure constants, and identity checks over a backend."""
+    """Products and structure constants over a backend."""
 
     def __init__(self, backend):
         self.be = backend
@@ -264,65 +264,6 @@ class HeckeEngine:
     def validate(self, a):
         for eta, c in a.items():
             self.be.validate(eta, c)
-
-    # -- the flip-past-a-coset lemma -----------------------------------
-
-    def commute_w(self, eta, a, f):
-        """The product [w]_f * [eta]^a rewritten with [w]_f on the right.
-
-        Returns the rewritten element; compare with mul() for the check.
-        The four shapes give four right-hand sides; the pure translation
-        shape needs no rewriting because lengths just add.
-        """
-        if a % 2 != int(eta.flip):
-            raise ParityViolation("shift %d has wrong parity for %r" % (a, eta))
-        be = self.be
-        be.validate(W_W, f)
-        wf = self.symbol(W_W, f)
-        conj = W_W * eta * W_W
-        shape = shape_class(eta)
-        if shape == "T":
-            return self.mul(wf, self.symbol(eta, j=a))
-        unit1f = self.symbol(W_ID, be.tstar(f, 1))
-        if shape == "A":
-            return self.mul(self.symbol(conj, j=a), wf)
-        if shape == "B":
-            return self.add(
-                self.scale(self.mul(self.symbol(conj, j=a), wf), be.tau),
-                self.mul(self.symbol(eta, j=a), unit1f),
-            )
-        if shape == "C":
-            return self.scale(
-                self.mul(self.symbol(conj, j=a), self.sub(wf, unit1f)),
-                be.tau_inv,
-            )
-        assert shape == "D"
-        return self.add(
-            self.mul(self.symbol(conj, j=a), self.sub(wf, unit1f)),
-            self.mul(self.symbol(eta, j=a), unit1f),
-        )
-
-    # -- distinguished identities --------------------------------------
-
-    def annihilator_element(self):
-        """[w]^1 - [1]^2, the left annihilator of unit cosets against [w]_f."""
-        return self.sub(self.symbol(W_W, j=1), self.symbol(W_ID, j=2))
-
-    def check_unit_identity(self, f):
-        """tau*[1]^1_f == ([w]^1 - [1]^2) * [w]_f, for any odd f."""
-        lhs = self.scale(self.symbol(W_ID, self.be.tstar(f, 1)), self.be.tau)
-        rhs = self.mul(self.annihilator_element(), self.symbol(W_W, f))
-        return self.eq(lhs, rhs)
-
-    def check_shift_identity(self, eta, c):
-        """[eta]^c * ([w]^1 - [1]^2) == tau * [eta.w]^{c+1}.
-
-        Holds when the reduced word of eta ends in the plain letter; the
-        caller is responsible for that hypothesis.
-        """
-        lhs = self.mul(self.symbol(eta, j=c), self.annihilator_element())
-        rhs = self.scale(self.symbol(eta * W_W, j=c + 1), self.be.tau)
-        return self.eq(lhs, rhs)
 
     # -- polynomial part -----------------------------------------------
 

@@ -15,6 +15,7 @@ Those five things are all any Hecke-algebra computation downstream needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .gfp import (
     GF,
+    _factor_prime_power,
     first_monic_dependence,
     fq_matmul,
     is_prime,
@@ -119,14 +121,20 @@ def unit_group(F):
     return G
 
 
-def general_linear(k, F):
-    """GL_k(F) as a table; k = 1 or 2 only."""
+def _gl_order(k, q):
+    """|GL_k(F_q)| for the k that general_linear builds, 1 or 2."""
     if k < 1:
         raise BadCount("k=%d; need at least 1" % k)
+    if k > 2:
+        raise TooLarge("only k <= 2")
+    return prod(q**k - q**i for i in range(k))
+
+
+def general_linear(k, F):
+    """GL_k(F) as a table; k = 1 or 2 only."""
+    _gl_order(k, F.q)  # BadCount or TooLarge unless k is 1 or 2
     if k == 1:
         return unit_group(F)
-    if k != 2:
-        raise TooLarge("only k <= 2")
     labels = []
     for a in F.elements():
         for b in F.elements():
@@ -149,9 +157,13 @@ def general_linear(k, F):
     return G
 
 
+# elements of the largest product table that product_group builds
+_MAX_PRODUCT = 5000
+
+
 def product_group(G1, G2):
     n1, n2 = G1.n, G2.n
-    if n1 * n2 > 5000:
+    if n1 * n2 > _MAX_PRODUCT:
         raise TooLarge("product table would have %d elements" % (n1 * n2))
     P = object.__new__(FiniteGroupTable)
     P.labels = [(i, j) for i in range(n1) for j in range(n2)]
@@ -208,10 +220,6 @@ class RepModule:
 
     def __repr__(self):
         return "RepModule(%s, dim=%d, l=%d)" % (self.name or "?", self.dim, self.l)
-
-
-def trivial_module(G, l):
-    return RepModule(G, np.ones((G.n, 1, 1), dtype=np.int64), l, name="trivial")
 
 
 def regular_module(G, l):
@@ -273,32 +281,15 @@ def intertwiners(A_arrs, B_arrs, l, generators=None):
     eye_a = np.eye(da, dtype=np.int64)
     eye_b = np.eye(db, dtype=np.int64)
     for g in gens:
-        blocks.append(
-            (kron_mod(eye_b, A_arrs[g].T, l) - kron_mod(B_arrs[g], eye_a, l)) % l
-        )
+        blocks.append((np.kron(eye_b, A_arrs[g].T) - np.kron(B_arrs[g], eye_a)) % l)
     ns = nullspace_mod(np.concatenate(blocks, axis=0), l)
     return [v.reshape(db, da) for v in ns]
 
 
-def commutant(rep):
-    return intertwiners(rep.A, rep.A, rep.l, generators=rep.G.generators)
-
-
-def is_irreducible(rep):
-    """Exhaustive: every nonzero vector must generate everything."""
-    l, d = rep.l, rep.dim
-    if l**d > 10**5:
-        raise TooLarge("too many vectors to sweep")
-    for code in range(1, l**d):
-        v = np.array([(code // l**i) % l for i in range(d)], dtype=np.int64)
-        orbit = (rep.A @ v) % l
-        if rank_mod(orbit, l) < d:
-            return False
-    return True
-
-
 def is_absolutely_irreducible(rep):
-    return is_irreducible(rep) and len(commutant(rep)) == 1
+    """Burnside: the group's matrices span all of M_d(F_l)."""
+    d = rep.dim
+    return rank_mod(rep.A.reshape(rep.G.n, d * d), rep.l) == d * d
 
 
 def is_cuspidal(rep):
@@ -638,9 +629,13 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
         return _SYSTEM_CACHE[key]
     if not is_prime(l):
         raise BadCharacteristic("l=%d is not prime" % l)
-    F = GF(q)
-    if l == F.p:
+    if l == _factor_prime_power(q)[0]:
         raise BadCharacteristic("l=%d equals the residue characteristic" % l)
+    # refused before GF(q) builds its q x q tables
+    n = _gl_order(k, q)
+    if n * n > _MAX_PRODUCT:
+        raise TooLarge("product table would have %d elements" % (n * n))
+    F = GF(q)
     M = general_linear(k, F)
     irr = dict(irreducible_modules(M, l))
     if rho not in irr:

@@ -7,8 +7,7 @@ One variable T over F_l, with the product twisted on odd-by-odd monomials:
 
 extended bilinearly.  The result is commutative and associative (it embeds
 into rational functions: T^{2i} -> X^{2i}/(X+tau)^i and similarly for odd
-powers, which tp_localize realizes).  Polynomials are little-endian tuples,
-as in gfp.
+powers).  Polynomials are little-endian tuples, as in gfp.
 
 tp_reduce is the one reduction modulo the ideal of f: division by f and T*f.
 """
@@ -16,7 +15,7 @@ tp_reduce is the one reduction modulo the ideal of f: division by f and T*f.
 from __future__ import annotations
 
 from .errors import DegenerateIdeal
-from .gfp import padd, pdivmod, pmul, pnormalize, pscale
+from .gfp import padd, pnormalize, pscale
 
 
 def tp_mono(i, j, tau, l):
@@ -76,67 +75,3 @@ def tp_reduce(p, fpoly, tau, l):
         for i, gi in enumerate(g, start=d + 1 - len(g)):
             r[i] = (r[i] - c * gi) % l
     return pnormalize(tuple(r[:degf]))
-
-
-# ---------------------------------------------------------------------------
-# the localization picture: fractions num / (X + tau)^k over F_l
-
-
-class Frac:
-    """num(X) / (X+tau)^k, kept fully cancelled so equality is literal."""
-
-    __slots__ = ("num", "k", "tau", "l")
-
-    def __init__(self, num, k, tau, l):
-        num = pnormalize(tuple(c % l for c in num))
-        den = (tau % l, 1)
-        while k > 0 and num:
-            q, rem = pdivmod(num, den, l)
-            if rem:
-                break
-            num, k = q, k - 1
-        if not num:
-            k = 0
-        self.num, self.k, self.tau, self.l = num, k, tau % l, l
-
-    def __eq__(self, other):
-        return (self.num, self.k, self.tau, self.l) == (
-            other.num,
-            other.k,
-            other.tau,
-            other.l,
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.k, self.tau, self.l))
-
-    def __add__(self, other):
-        assert (self.tau, self.l) == (other.tau, other.l)
-        den = (self.tau, 1)
-        hi = max(self.k, other.k)
-        a = self.num
-        for _ in range(hi - self.k):
-            a = pmul(a, den, self.l)
-        b = other.num
-        for _ in range(hi - other.k):
-            b = pmul(b, den, self.l)
-        return Frac(padd(a, b, self.l), hi, self.tau, self.l)
-
-    def __mul__(self, other):
-        assert (self.tau, self.l) == (other.tau, other.l)
-        return Frac(pmul(self.num, other.num, self.l), self.k + other.k, self.tau, self.l)
-
-    def __repr__(self):
-        return "Frac(%s, k=%d)" % (list(self.num), self.k)
-
-
-def tp_localize(p, tau, l):
-    """Image of p under T^{2i} -> X^{2i}/(X+tau)^i, T^{2i+1} -> X^{2i+1}/(X+tau)^i."""
-    out = Frac((), 0, tau, l)
-    for d, c in enumerate(pnormalize(p)):
-        if c % l == 0:
-            continue
-        mono = [0] * (d + 1)
-        mono[d] = c % l
-        out = out + Frac(tuple(mono), d // 2, tau, l)
-    return out

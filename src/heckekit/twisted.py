@@ -26,7 +26,7 @@ from .errors import NotMonic, WrongModularCase
 from .finhecke import FinElement, fin_mul
 from .gfp import pnormalize
 from .tpoly import tp_mul, tp_reduce
-from .weyl import W, W_ID, W_W, diag, length, t_power, word_of
+from .weyl import W_ID, W_W, diag, length, t_power, word_of
 
 
 class PolynomialPart:
@@ -217,52 +217,6 @@ def hecke_to_fin_tensor(sys, eng, elem):
             tc = (sys.tstar @ c) % l
             fin = FinElement(sys, (-tinv * tc) % l, (tinv * c) % l)
             _tensor_fin_add(sys, out, (eta.x, eta.y), fin)
-    return out
-
-
-def gamma_action(sys, j, b):
-    """The polynomial generator acting on the finite cells, j times."""
-    power = sys.tstar_power(j)
-    zero = np.zeros_like(power)
-    shift = FinElement(sys, power, zero) if j % 2 == 0 else FinElement(sys, zero, power)
-    return fin_mul(shift, b)
-
-
-def psi3_cross(sys, b, pair):
-    """The crossing computed along the composite route.
-
-    Instead of comparing the pair entries, this conjugates the flip cell
-    past the diagonal symbol by inspecting the symbol's reduced word (the
-    branch condition of the four-case rewriting table), then pushes the
-    leftover one-variable shifts into the cell pair with `gamma_action`.
-    Agreement with `zeta_cross` on every pair is a test.
-    """
-    alpha, beta = pair
-    l = sys.l
-    out = {}
-    zero = np.zeros_like(b.f1)
-    if b.f1.any():
-        _tensor_fin_add(sys, out, (alpha, beta), FinElement(sys, b.f1 % l, zero))
-    if b.fw.any():
-        f = b.fw % l
-        tpow, letters = word_of(diag(alpha, beta))
-        ascending_word = (not letters) or (
-            letters[-1] == "w"
-            and letters[0] == ("w'" if tpow % 2 == 0 else "w")
-        )
-        swap = (beta, alpha)
-        if ascending_word:
-            terms = [(swap, 0, FinElement(sys, zero, f))]
-        else:
-            assert letters[-1] == "w'"
-            assert letters[0] == ("w" if tpow % 2 == 0 else "w'")
-            tf = (sys.tstar @ f) % l
-            terms = [
-                (swap, 0, FinElement(sys, (-tf) % l, f)),
-                ((alpha, beta), 0, FinElement(sys, tf, zero)),
-            ]
-        for pr, shift, fin in terms:
-            _tensor_fin_add(sys, out, pr, gamma_action(sys, shift, fin))
     return out
 
 

@@ -37,11 +37,6 @@ class W:
             return W(-self.y, -self.x, True)
         return W(-self.x, -self.y, False)
 
-    @property
-    def grade(self):
-        """Z/2 grading; equals the letter count mod 2."""
-        return (self.x + self.y + (1 if self.flip else 0)) % 2
-
     def __repr__(self):
         return "W(%d,%d,%s)" % (self.x, self.y, "w" if self.flip else "1")
 
@@ -105,35 +100,6 @@ def from_word(alpha, letters):
 def length(e):
     """Number of letters in the reduced word: |y - x - flip|."""
     return abs(e.y - e.x - e.flip)
-
-
-def ends_on_w(e):
-    _, letters = word_of(e)
-    return bool(letters) and letters[-1] == "w"
-
-
-def shape_class(e):
-    """Which commutation pattern w . e^a falls into: A, B, C, D, or T.
-
-    T is the pure odd translation t^{2x+1} (handled by length additivity,
-    no commutation needed).  The square diagonal delta(x, x) sits in both
-    the A and D patterns, whose formulas agree there; the square-with-flip
-    t^{2x} w belongs to A (the letterwise patterns misfile it, but only A
-    is consistent with the basic product [w][w] and centrality).
-    """
-    if not e.flip:
-        if e.x < e.y:
-            return "A"
-        if e.x > e.y:
-            return "D"
-        return "A"
-    if e.y == e.x + 1:
-        return "T"
-    if e.x < e.y:
-        return "C"
-    if e.x > e.y:
-        return "B"
-    return "A"
 
 
 def elements_in_window(bound, with_flip=True):

@@ -10,17 +10,16 @@ never turns into an assertion.
 import time
 
 import numpy as np
+from reference import coset_count, tstar_group_algebra_power
 
 import heckekit.verify as vf
 from heckekit.cli import _fpoly_side
 from heckekit.finhecke import (
     compute_fpoly,
-    coset_count,
     fin_convolve,
     fin_mul,
     middle_hom_dims,
     random_fin_element,
-    tstar_group_algebra_power,
 )
 from heckekit.modrep import build_coefficient_system
 

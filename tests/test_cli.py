@@ -279,6 +279,9 @@ BAD_INPUTS = [
     ("verify", "--suite", "iso", "--pairs", "-1"),
     ("verify", "--suite", "assoc", "--seed", "-1"),
     ("verify", "--suite", "oracle", "--bound", "-1"),
+    ("fpoly", "-q", "10007", "-l", "3"),  # product table refused before GF(q) is built
+    ("verify", "--suite", "cases", "-q", "4099", "-l", "3"),
+    ("mul", "[w]", "[w]", "-q", "-3", "-l", "5"),
 ]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import coset_count, tstar_group_algebra_power
 from test_acceptance import FIN_CONFIGS
 
 import heckekit
@@ -17,7 +18,6 @@ from heckekit.finhecke import (
     CharPoly,
     FinElement,
     compute_fpoly,
-    coset_count,
     fin_convolve,
     fin_convolve_cells,
     fin_mul,
@@ -26,7 +26,6 @@ from heckekit.finhecke import (
     parameter_image,
     phi_value,
     random_fin_element,
-    tstar_group_algebra_power,
 )
 from heckekit.gfp import fq_inv_matrix, fq_matmul
 from heckekit.modrep import build_coefficient_system
@@ -52,9 +51,10 @@ def test_parabolic_sizes():
 def test_bruhat_cells_partition():
     amb = AmbientGL(2, 2)
     cells = {}
-    for lab, rep in amb.labels.items():
-        cells.setdefault(amb.cell_of(rep), 0)
-        cells[amb.cell_of(rep)] += 1
+    for lab in amb.labels:
+        d = amb.bruhat[lab][2]
+        cells.setdefault(d, 0)
+        cells[d] += 1
     # 35 = 1 + 18 + 16 over the three cells
     assert cells == {0: 1, 1: 18, 2: 16}
 
@@ -221,6 +221,24 @@ def test_random_fin_element_matches_loop():
         for _ in range(50):
             assert random_fin_element(sys, fast) == _random_fin_element_loop(sys, slow)
         assert fast.integers(1 << 30) == slow.integers(1 << 30)
+
+
+MIDDLE_DIMS = {
+    (3, "plain"): (0,),
+    (3, "pp"): (4,),
+    (5, "plain"): (0,),
+    (5, "pp"): (0,),
+    (7, "plain"): (0,),
+    (7, "pp"): (0,),
+}
+
+
+@pytest.mark.parametrize("l,mode", sorted(MIDDLE_DIMS))
+def test_middle_hom_dims_frozen(monkeypatch, l, mode):
+    # solved afresh, not read from the per-system cache
+    monkeypatch.setattr(finhecke, "_MIDDLE_DIMS", {})
+    sys = _sys(2, 2, l, "sign", mode)
+    assert finhecke.middle_hom_dims(sys) == MIDDLE_DIMS[l, mode]
 
 
 def _leaking_pair():

@@ -11,6 +11,7 @@ from heckekit.errors import NoRelationWithinBound, TooLarge
 from heckekit.gfp import (
     GF,
     Field,
+    _factor_prime_power,
     first_monic_dependence,
     fq_inv_matrix,
     fq_matmul,
@@ -21,9 +22,8 @@ from heckekit.gfp import (
     matmul_mod,
     nullspace_mod,
     pdivmod,
-    peval,
     pfactor,
-    pgcd,
+    pmonic,
     pmul,
     pnormalize,
     poly_str,
@@ -31,6 +31,20 @@ from heckekit.gfp import (
     rref_mod,
     solve_mod,
 )
+
+
+def pgcd(a, b, l):
+    a, b = pnormalize([x % l for x in a]), pnormalize([x % l for x in b])
+    while b:
+        a, b = b, pdivmod(a, b, l)[1]
+    return pmonic(a, l)
+
+
+def peval(a, x, l):
+    r = 0
+    for c in reversed(a):
+        r = (r * x + c) % l
+    return r
 
 
 def test_prime_field_basics():
@@ -85,6 +99,19 @@ def test_unit_generator():
 def test_field_rejects_nonprimepower():
     with pytest.raises(TooLarge):
         Field(6)
+
+
+def test_factor_prime_power():
+    # trial division stops at isqrt(q): a prime near 10^9 factors at once
+    assert _factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
+    assert _factor_prime_power(2) == (2, 1)
+    assert _factor_prime_power(4) == (2, 2)
+    assert _factor_prime_power(9) == (3, 2)
+    assert _factor_prime_power(3**13) == (3, 13)
+    assert _factor_prime_power(10007**2) == (10007, 2)
+    for q in (6, 12, 10007 * 10009, -3, 0, 1):
+        with pytest.raises(TooLarge):
+            _factor_prime_power(q)
 
 
 def test_fq_matmul_and_inverse():

@@ -14,16 +14,15 @@ from heckekit.errors import (
 from heckekit.gfp import GF, rank_mod
 from heckekit.modrep import (
     FiniteGroupTable,
+    RepModule,
     boxtimes,
     build_coefficient_system,
-    commutant,
     contragredient,
     general_linear,
     intertwiners,
     irreducible_modules,
     is_absolutely_irreducible,
     is_cuspidal,
-    is_irreducible,
     is_prime,
     pair_index,
     product_group,
@@ -31,9 +30,65 @@ from heckekit.modrep import (
     regular_module,
     split_indecomposable,
     swap_permutation,
-    trivial_module,
     unit_group,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference models: the trivial module, and irreducibility by sweeping every
+# vector plus a one-dimensional commutant
+
+
+def trivial_module(G, l):
+    return RepModule(G, np.ones((G.n, 1, 1), dtype=np.int64), l, name="trivial")
+
+
+def commutant(rep):
+    return intertwiners(rep.A, rep.A, rep.l, generators=rep.G.generators)
+
+
+def is_irreducible(rep):
+    """Exhaustive: every nonzero vector must generate everything."""
+    l, d = rep.l, rep.dim
+    if l**d > 10**5:
+        raise TooLarge("too many vectors to sweep")
+    for code in range(1, l**d):
+        v = np.array([(code // l**i) % l for i in range(d)], dtype=np.int64)
+        orbit = (rep.A @ v) % l
+        if rank_mod(orbit, l) < d:
+            return False
+    return True
+
+
+def _sweepable_modules():
+    """Irreducible, regular and dual modules over every (q, k, l) with an
+    enumeration, l != p, that the sweep can still decide (l^d <= 10^5)."""
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = GF(q)
+        for k in (1, 2) if q == 2 else (1,):  # GL_2 is enumerated over F_2 only
+            G = general_linear(k, F)
+            for l in (2, 3, 5, 7, 11):
+                if l == F.p:
+                    continue
+                mods = [r for _, r in irreducible_modules(G, l)] + [regular_module(G, l)]
+                for r in mods + [contragredient(r) for r in mods]:
+                    if l**r.dim <= 10**5:
+                        out.append(pytest.param(r, id="q%d.k%d.l%d.%s" % (q, k, l, r.name)))
+    return out
+
+
+SWEEPABLE = _sweepable_modules()
+
+
+def test_sweepable_module_count():
+    assert len(SWEEPABLE) == 158
+
+
+@pytest.mark.parametrize("rep", SWEEPABLE)
+def test_burnside_agrees_with_sweep_and_commutant(rep):
+    want = is_irreducible(rep) and len(commutant(rep)) == 1
+    assert is_absolutely_irreducible(rep) == want
 
 
 def test_unit_group_sizes():
@@ -46,6 +101,9 @@ def test_general_linear_orders():
     assert general_linear(2, GF(2)).n == 6
     assert general_linear(2, GF(3)).n == 48
     assert general_linear(2, GF(4)).n == 180
+    # the closed form that refuses a table before GF(q) is built
+    for k, q in [(1, 2), (1, 9), (2, 2), (2, 3), (2, 4)]:
+        assert modrep._gl_order(k, q) == general_linear(k, GF(q)).n
 
 
 def test_table_inverses():

@@ -4,11 +4,76 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckekit.errors import DegenerateIdeal
-from heckekit.gfp import padd, pnormalize, pscale, rref_mod
-from heckekit.tpoly import Frac, tp_localize, tp_mono, tp_mul, tp_reduce
+from heckekit.gfp import padd, pdivmod, pmul, pnormalize, pscale, rref_mod
+from heckekit.tpoly import tp_mono, tp_mul, tp_reduce
 
 polys = st.lists(st.integers(0, 6), min_size=0, max_size=6).map(tuple)
 taus = st.sampled_from([1, 2, 3, 4, 6])
+
+
+# ---------------------------------------------------------------------------
+# the localization picture: fractions num / (X + tau)^k over F_l, an
+# independent model of tp_mul
+
+
+class Frac:
+    """num(X) / (X+tau)^k, kept fully cancelled so equality is literal."""
+
+    __slots__ = ("num", "k", "tau", "l")
+
+    def __init__(self, num, k, tau, l):
+        num = pnormalize(tuple(c % l for c in num))
+        den = (tau % l, 1)
+        while k > 0 and num:
+            q, rem = pdivmod(num, den, l)
+            if rem:
+                break
+            num, k = q, k - 1
+        if not num:
+            k = 0
+        self.num, self.k, self.tau, self.l = num, k, tau % l, l
+
+    def __eq__(self, other):
+        return (self.num, self.k, self.tau, self.l) == (
+            other.num,
+            other.k,
+            other.tau,
+            other.l,
+        )
+
+    def __hash__(self):
+        return hash((self.num, self.k, self.tau, self.l))
+
+    def __add__(self, other):
+        assert (self.tau, self.l) == (other.tau, other.l)
+        den = (self.tau, 1)
+        hi = max(self.k, other.k)
+        a = self.num
+        for _ in range(hi - self.k):
+            a = pmul(a, den, self.l)
+        b = other.num
+        for _ in range(hi - other.k):
+            b = pmul(b, den, self.l)
+        return Frac(padd(a, b, self.l), hi, self.tau, self.l)
+
+    def __mul__(self, other):
+        assert (self.tau, self.l) == (other.tau, other.l)
+        return Frac(pmul(self.num, other.num, self.l), self.k + other.k, self.tau, self.l)
+
+    def __repr__(self):
+        return "Frac(%s, k=%d)" % (list(self.num), self.k)
+
+
+def tp_localize(p, tau, l):
+    """Image of p under T^{2i} -> X^{2i}/(X+tau)^i, T^{2i+1} -> X^{2i+1}/(X+tau)^i."""
+    out = Frac((), 0, tau, l)
+    for d, c in enumerate(pnormalize(p)):
+        if c % l == 0:
+            continue
+        mono = [0] * (d + 1)
+        mono[d] = c % l
+        out = out + Frac(tuple(mono), d // 2, tau, l)
+    return out
 
 
 def test_mono_frozen():
