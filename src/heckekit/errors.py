@@ -13,6 +13,10 @@ class TooLarge(HeckeError):
     """The requested object exceeds the sizes this exact engine supports."""
 
 
+class NotAHomomorphism(HeckeError):
+    """A stack of matrices does not define a representation of its group table."""
+
+
 class NotIrreducible(HeckeError):
     """A module expected to be (absolutely) irreducible is not."""
 

@@ -5,15 +5,19 @@ G = GL_{2k}(q): the identity coset (value f1, a self-intertwiner of V) and
 the full-swap coset (value fw, a swap-intertwiner).  Two routes to the
 product are implemented:
 
-  * fin_mul: the closed two-term formulas in f1, fw, tau, T*;
+  * fin_mul: the closed two-term formulas in f1, fw, tau, T*, on int64 `@`;
   * fin_convolve: genuine convolution of V-valued bi-equivariant functions
     over G/P.  The group geometry depends only on (k, q), so AmbientGL
-    builds it once as a convolution plan: for each target cell and coset,
-    the Bruhat cells and Levi indices of both factors.  The plan holds no
-    sigma products and nothing of fin_mul, so the oracle stays independent;
-    each pair costs one batched matrix product per cell.  The partial-swap
-    cells in between must come out zero, and the oracle checks that rather
-    than assuming it.
+    builds it once: a convolution plan (for each target cell and coset,
+    the Bruhat cells and Levi indices of both factors) and, for each
+    partial-swap cell, generators of its Levi pairs.  AmbientGL holds
+    geometry only, no sigma products and nothing of fin_mul, so the
+    oracle stays independent.  Each pair costs a few float64 BLAS
+    products per cell, reduced mod l after every product: exact while
+    every partial sum stays below 2^53, and TooLarge beyond that (never
+    rounded).  The arithmetic is the oracle's own, not gfp.matmul_mod.
+    The partial-swap cells in between must come out zero, and the oracle
+    checks that rather than assuming it.
 
 Also here: the minimal monic relation of the parameter image (compute_fpoly).
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BruhatMismatch, CellLeak, SystemMismatch
+from .errors import BruhatMismatch, CellLeak, SystemMismatch, TooLarge
 from .gfp import (
     GF,
     first_monic_dependence,
@@ -113,7 +117,10 @@ class AmbientGL:
     `plan[d]` drives the convolution at w_d: for each coset y with neither
     y nor y^-1 w_d in a partial-swap cell, one row holding, for each of
     the two, 1 if it lies in the swap cell (else 0) and the Levi indices
-    of p and p2 in its decomposition.  Group geometry only.
+    of p and p2 in its decomposition.  `middle[d - 1]` holds, for each
+    partial-swap cell 0 < d < k, rows (a1, a2, b1, b2) of Levi indices that
+    generate the group of pairs (levi(p), levi(w_d^-1 p w_d)) over p in
+    P intersect w_d P w_d^-1.  Group geometry only.
     """
 
     _cache = {}
@@ -144,6 +151,7 @@ class AmbientGL:
                 if sy and sz:
                     rows.append((sy[0] > 0, *sy[1], *sy[2], sz[0] > 0, *sz[1], *sz[2]))
             self.plan.append(np.array(rows, dtype=np.int64).reshape(-1, 10))
+        self.middle = [self._middle_generators(d) for d in range(1, k)]
 
     # -- bookkeeping helpers
 
@@ -245,6 +253,30 @@ class AmbientGL:
                 raise BruhatMismatch("no Bruhat decomposition found for %s" % (lab,))
             self.bruhat[lab] = found
 
+    def _middle_generators(self, d):
+        # w_d is a permutation matrix and an involution, so w_d^-1 p w_d
+        # permutes the rows and columns of p; a conjugate of p with zero
+        # lower-left block is invertible, hence in P
+        perm = self.swap_mat(d).argmax(axis=1)
+        k, MUL = self.k, self.M.MUL
+        pairs = set()
+        for p in self.parabolic:
+            c = p[np.ix_(perm, perm)]
+            if not c[k:, :k].any():
+                pairs.add((*self.levi_indices(p), *self.levi_indices(c)))
+        # a pair outside the group generated so far becomes a generator
+        gens, group = [], {(0, 0, 0, 0)}
+        for pair in sorted(pairs):
+            if pair in group:
+                continue
+            gens.append(pair)
+            while True:  # close up under MUL, componentwise
+                grown = group | {tuple(MUL[x, g].tolist()) for x in group for g in gens}
+                if grown == group:
+                    break
+                group = grown
+        return np.array(gens or [(0, 0, 0, 0)], dtype=np.int64)
+
     def split(self, g):
         """(d, Levi indices of p, of p2) for g = p . w_d . p2; None when
         g lies in a partial-swap cell."""
@@ -276,46 +308,68 @@ def middle_hom_dims(sys):
 
     A function supported on the cell of w_d must satisfy
     sigma(p) X = X sigma(w_d^-1 p w_d) for every p in the parabolic that
-    w_d conjugates back into it.  Solved once per system and cached.
+    w_d conjugates back into it.  sigma is a homomorphism, so it is enough
+    to solve on the generators of those Levi pairs that AmbientGL.middle
+    holds.  Solved once per system and cached.
     """
     key = sys.name
     if key not in _MIDDLE_DIMS:
-        amb = AmbientGL(sys.k, sys.q)
         dims = []
-        for d in range(1, amb.k):
-            xd = amb.swap_mat(d)
-            xdinv = fq_inv_matrix(amb.F, xd)
-            pairs = {}
-            for p in amb.parabolic:
-                c = fq_matmul(amb.F, fq_matmul(amb.F, xdinv, p), xd)
-                if not amb.in_parabolic(c):
-                    continue
-                sp = sys.sigma(*amb.levi_indices(p))
-                sc = sys.sigma(*amb.levi_indices(c))
-                pairs.setdefault((sp.tobytes(), sc.tobytes()), (sc, sp))
-            sigma_c, sigma_p = (np.stack(m) for m in zip(*pairs.values()))
+        for gens in AmbientGL(sys.k, sys.q).middle:
+            sigma_p, sigma_c = sys.sigma(*gens[:, :2].T), sys.sigma(*gens[:, 2:].T)
             dims.append(len(intertwiners(sigma_c, sigma_p, sys.l)))
         _MIDDLE_DIMS[key] = tuple(dims)
     return _MIDDLE_DIMS[key]
 
 
+def _exact_below(n, l):
+    """Raise TooLarge unless a float64 product of residues mod l with inner
+    dimension n is exact: its partial sums are integers of at most
+    n*(l-1)^2, exact in float64 below 2^53 in any summation order."""
+    if n * (l - 1) ** 2 >= 2**53:
+        raise TooLarge("inner dimension %d mod l=%d is not exact in float64" % (n, l))
+
+
+def _mulmod(X, Y, l):
+    """(X @ Y) mod l on float64 arrays of residues in [0, l); 2-D or stacked.
+
+    floor(fl(y/l)) is the true quotient of each exact y below 2^53, because
+    fl(y/l) misses y/l by less than 1/l; so y - l*floor(y/l) is exact."""
+    _exact_below(X.shape[-1], l)
+    Z = X @ Y
+    Z -= l * np.floor(Z / l)
+    return Z
+
+
 def fin_convolve_cells(a, b):
-    """(phi_a * phi_b)(w_d) for every cell d, as a dict keyed by d."""
+    """(phi_a * phi_b)(w_d) for every cell d, as a dict keyed by d.
+
+    The values phi(y) of a cell's plan rows are batched triple products
+    sigma . f . sigma, and the sum over cosets of phi_a(y) phi_b(y^-1 w_d)
+    is one product with inner dimension rows*dim.  All of it runs in
+    float64 and is reduced mod l after each product; TooLarge is raised
+    before the first product unless every one is exact (below 2^53)."""
     _same(a, b)
     sys = a.sys
-    A, l = sys.V.A, sys.l
+    l, n = sys.l, sys.dim
+    plan = AmbientGL(sys.k, sys.q).plan
+    _exact_below(n * max(1, *map(len, plan)), l)
+    A = sys.V.A.astype(np.float64)
 
     def values(f, cell, m1, m2, n1, n2):
-        # phi at every row's point, one batched triple product
-        left = A[pair_index(sys.MM, m1, m2)]
-        return (left @ f[cell] @ A[pair_index(sys.MM, n1, n2)]) % l
+        # phi at every row's point
+        left = _mulmod(A[pair_index(sys.MM, m1, m2)], f[cell], l)
+        return _mulmod(left, A[pair_index(sys.MM, n1, n2)], l)
 
-    fa, fb = np.stack((a.f1, a.fw)), np.stack((b.f1, b.fw))
+    fa = np.stack((a.f1, a.fw)).astype(np.float64)
+    fb = np.stack((b.f1, b.fw)).astype(np.float64)
     out = {}
-    for d, rows in enumerate(AmbientGL(sys.k, sys.q).plan):
+    for d, rows in enumerate(plan):
         va = values(fa, *rows[:, :5].T)
         vb = values(fb, *rows[:, 5:].T)
-        out[d] = np.einsum("rij,rjk->ik", va, vb) % l
+        r = len(rows)
+        out[d] = _mulmod(va.transpose(1, 0, 2).reshape(n, r * n), vb.reshape(r * n, n),
+                         l).astype(np.int64)
     return out
 
 

@@ -23,6 +23,7 @@ from .errors import (
     BadCharacteristic,
     BadCount,
     NotACharacter,
+    NotAHomomorphism,
     NotBiEquivariant,
     NotCuspidal,
     NotIrreducible,
@@ -212,11 +213,15 @@ class RepModule:
             self.validate()
 
     def validate(self):
-        assert np.array_equal(self.A[0], np.eye(self.dim, dtype=np.int64))
+        """Raise NotAHomomorphism unless the identity acts as 1 and
+        A[g h] = A[g] A[h] for every generator g and every h."""
+        if not np.array_equal(self.A[0], np.eye(self.dim, dtype=np.int64)):
+            raise NotAHomomorphism("the identity does not act as 1 on %r" % self)
         for g in self.G.generators:
             lhs = self.A[self.G.MUL[g]]
             rhs = np.matmul(self.A[g], self.A) % self.l
-            assert np.array_equal(lhs, rhs), "not a homomorphism at generator %d" % g
+            if not np.array_equal(lhs, rhs):
+                raise NotAHomomorphism("%r is not a homomorphism at generator %d" % (self, g))
 
     def __repr__(self):
         return "RepModule(%s, dim=%d, l=%d)" % (self.name or "?", self.dim, self.l)

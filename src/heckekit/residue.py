@@ -39,13 +39,17 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .errors import CellConflict, GapTooLarge, WindowExhausted
+from .errors import CellConflict, GapTooLarge, TooLarge, WindowExhausted
 from .gfp import GF, fq_rank
 from .weyl import W
 
 _CAP = 16
 E = 2 * _CAP + 1
 _ROWS = 256  # coset pairs per stacked product: the largest transversal
+# coset pairs of one oracle_product: that transversal on both sides, at
+# (k, q) = (2, 2) with gap 2, is the most any test, verify run or benchmark
+# enumerates; a gap-2 by gap-1 product at k = 1, q = 71 would be 357,911
+_MAX_PAIRS = _ROWS * _ROWS
 
 # ---------------------------------------------------------------------------
 # dense Laurent matrices
@@ -165,6 +169,29 @@ def p_eta_pattern(eta):
     return max(0, 1 + x - y), max(1, y - x)
 
 
+def _deepened(eta):
+    """(side, e): the one block that P^(eta) deepens, "ur" or "ll", and
+    its congruence gap e."""
+    ur, ll = p_eta_pattern(eta)
+    e_ur, e_ll = ur - 0, ll - 1
+    if e_ur > 0 and e_ll > 0:
+        raise GapTooLarge("gap in both blocks for %r" % (eta,))
+    side, e = ("ur", e_ur) if e_ur > 0 else ("ll", e_ll)
+    if e > 2:
+        raise GapTooLarge("congruence gap %d for %r" % (e, eta))
+    return side, e
+
+
+def pair_count(k, q, eta, delta):
+    """Coset pairs that oracle_product enumerates for [eta] * [delta];
+    TooLarge above _MAX_PAIRS."""
+    pairs = q ** (k * k * (_deepened(delta)[1] + _deepened(eta)[1]))
+    if pairs > _MAX_PAIRS:
+        raise TooLarge("%d coset pairs for %r * %r over q=%d; at most %d"
+                       % (pairs, eta, delta, q, _MAX_PAIRS))
+    return pairs
+
+
 def coset_reps(k, q, eta):
     """Unipotent transversal of P / P^(eta): an int array of shape
     (cosets, 2, 2k, 2k, E) holding each representative and its inverse.
@@ -173,13 +200,7 @@ def coset_reps(k, q, eta):
     right, from pi^1 in the lower left), enumerated in lexicographic order;
     its square is 0, so the inverse negates them."""
     F = GF(q)
-    ur, ll = p_eta_pattern(eta)
-    e_ur, e_ll = ur - 0, ll - 1
-    if e_ur > 0 and e_ll > 0:
-        raise GapTooLarge("gap in both blocks for %r" % (eta,))
-    side, e = ("ur", e_ur) if e_ur > 0 else ("ll", e_ll)
-    if e > 2:
-        raise GapTooLarge("congruence gap %d for %r" % (e, eta))
+    side, e = _deepened(eta)
     n = 2 * k
     digits = np.array(list(iproduct(range(q), repeat=k * k * e)), dtype=np.int64)
     digits = digits.reshape(q ** (k * k * e), e, k, k)
@@ -223,8 +244,10 @@ def oracle_product(sys, eta, f, delta, g):
     Every coset pair is tested against every eps of the support window, and
     must land in at most one cell.  WindowExhausted is raised wherever a
     loop over the pairs would raise it; within one run of u the window is
-    checked before the cells."""
+    checked before the cells.  More than _MAX_PAIRS coset pairs raise
+    TooLarge before any is built."""
     k, l = sys.k, sys.l
+    pair_count(k, sys.q, eta, delta)
     F = GF(sys.q)
     f = np.asarray(f, dtype=np.int64) % l
     g = np.asarray(g, dtype=np.int64) % l

@@ -16,7 +16,7 @@ from .errors import BadCount, WrongModularCase
 from .finhecke import fin_unit, fin_w, random_fin_element
 from .heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
 from .modrep import build_coefficient_system
-from .residue import oracle_product, p_eta_pattern
+from .residue import oracle_product, p_eta_pattern, pair_count
 from .twisted import (
     PolynomialPart,
     compare_iwahori,
@@ -182,6 +182,9 @@ def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
     sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
     inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode, "bound": bound}
     window = [e for e in elements_in_window(bound) if oracle_supported(e)]
+    for eta in window:  # TooLarge before the first product, not during the run
+        for delta in window:
+            pair_count(k, q, eta, delta)
     checked = 0
     for eta in window:
         f = sys.basis(int(eta.flip))[0] % l

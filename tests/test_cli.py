@@ -282,6 +282,7 @@ BAD_INPUTS = [
     ("fpoly", "-q", "10007", "-l", "3"),  # product table refused before GF(q) is built
     ("verify", "--suite", "cases", "-q", "4099", "-l", "3"),
     ("mul", "[w]", "[w]", "-q", "-3", "-l", "5"),
+    ("verify", "--suite", "oracle", "-k", "1", "-q", "71", "-l", "2"),  # coset pairs
 ]
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import subprocess
@@ -12,7 +13,7 @@ from test_acceptance import FIN_CONFIGS
 
 import heckekit
 from heckekit import finhecke
-from heckekit.errors import BruhatMismatch, CellLeak
+from heckekit.errors import BruhatMismatch, CellLeak, TooLarge
 from heckekit.finhecke import (
     AmbientGL,
     CharPoly,
@@ -28,7 +29,7 @@ from heckekit.finhecke import (
     random_fin_element,
 )
 from heckekit.gfp import fq_inv_matrix, fq_matmul
-from heckekit.modrep import build_coefficient_system
+from heckekit.modrep import build_coefficient_system, intertwiners, pair_index
 
 
 def _sys(k=1, q=4, l=5, rho="trivial", mode="plain"):
@@ -223,6 +224,115 @@ def test_random_fin_element_matches_loop():
         assert fast.integers(1 << 30) == slow.integers(1 << 30)
 
 
+def _int64_convolve_cells(a, b):
+    """Reference: the plan's cells in int64, one einsum per cell sum."""
+    sys = a.sys
+    A, l = sys.V.A, sys.l
+
+    def values(f, cell, m1, m2, n1, n2):
+        left = A[pair_index(sys.MM, m1, m2)]
+        return (left @ f[cell] @ A[pair_index(sys.MM, n1, n2)]) % l
+
+    fa, fb = np.stack((a.f1, a.fw)), np.stack((b.f1, b.fw))
+    out = {}
+    for d, rows in enumerate(AmbientGL(sys.k, sys.q).plan):
+        va = values(fa, *rows[:, :5].T)
+        vb = values(fb, *rows[:, 5:].T)
+        out[d] = np.einsum("rij,rjk->ik", va, vb) % l
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_float_cells_match_int64_reference(data):
+    args = data.draw(st.sampled_from(
+        [(*cfg, mode) for cfg in FIN_CONFIGS for mode in ("plain", "pp")]
+        + [(1, 5, 2, "trivial", "pp")]))
+    sys = _sys(*args)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a, b = random_fin_element(sys, rng), random_fin_element(sys, rng)
+    got, want = fin_convolve_cells(a, b), _int64_convolve_cells(a, b)
+    assert sorted(got) == sorted(want)
+    for d in want:
+        assert got[d].dtype == np.int64
+        assert np.array_equal(got[d], want[d]), (args, d)
+
+
+def test_float_product_exact_below_2_53():
+    # (l-1)^2 = 2^50: inner dimension 7 reaches 7 * 2^50 < 2^53, 8 reaches 2^53
+    l = 2**25 + 1
+    rng = np.random.default_rng(4)
+    for n in (1, 7):
+        X = np.full((3, n), l - 1, dtype=np.int64)
+        X[1:] = rng.integers(0, l, size=(2, n))
+        Y = np.full((n, 2), l - 1, dtype=np.int64)
+        got = finhecke._mulmod(X.astype(np.float64), Y.astype(np.float64), l)
+        want = np.array(X.astype(object) @ Y.astype(object) % l, dtype=np.int64)
+        assert np.array_equal(got.astype(np.int64), want)
+    assert 7 * (l - 1) ** 2 == 2**53 - 2**50
+    with pytest.raises(TooLarge):
+        finhecke._mulmod(np.ones((1, 8)), np.ones((8, 1)), l)
+
+
+def test_cells_refuse_an_inexact_plan_before_any_product(monkeypatch):
+    # dim 18 and 17 plan rows: with this l every triple product (inner
+    # dimension 18) would be exact, but the cell sum (18 * 17) would not
+    sys = _sys(2, 2, 3, "sign", "pp")
+    big = copy.copy(sys)
+    big.l = 2**23 + 9
+    assert 18 * (big.l - 1) ** 2 < 2**53 <= 18 * 17 * (big.l - 1) ** 2
+    calls = []
+    monkeypatch.setattr(finhecke, "_mulmod", lambda *args: calls.append(args))
+    with pytest.raises(TooLarge):
+        fin_convolve_cells(fin_unit(big), fin_unit(big))
+    assert calls == []
+
+
+def _levi_pairs_by_conjugation(amb, d):
+    """Reference: (levi(p), levi(w_d^-1 p w_d)) over every p in P that w_d
+    conjugates back into P, each conjugate formed by two matrix products."""
+    xd = amb.swap_mat(d)
+    xdinv = fq_inv_matrix(amb.F, xd)
+    pairs = set()
+    for p in amb.parabolic:
+        c = fq_matmul(amb.F, fq_matmul(amb.F, xdinv, p), xd)
+        if amb.in_parabolic(c):
+            pairs.add((*amb.levi_indices(p), *amb.levi_indices(c)))
+    return pairs
+
+
+def _all_pairs_middle_hom_dims(sys):
+    """Reference: intertwiners on every distinct (sigma(c), sigma(p)) pair."""
+    amb = AmbientGL(sys.k, sys.q)
+    dims = []
+    for d in range(1, amb.k):
+        pairs = {}
+        for a1, a2, b1, b2 in sorted(_levi_pairs_by_conjugation(amb, d)):
+            sp, sc = sys.sigma(a1, a2), sys.sigma(b1, b2)
+            pairs.setdefault((sp.tobytes(), sc.tobytes()), (sc, sp))
+        sigma_c, sigma_p = (np.stack(m) for m in zip(*pairs.values()))
+        dims.append(len(intertwiners(sigma_c, sigma_p, sys.l)))
+    return tuple(dims)
+
+
+def test_middle_generators_generate_the_levi_pairs():
+    amb = AmbientGL(2, 2)
+    MUL = amb.M.MUL
+    assert len(amb.middle) == amb.k - 1
+    for d, gens in enumerate(amb.middle, start=1):
+        want = _levi_pairs_by_conjugation(amb, d)
+        assert {tuple(g) for g in gens.tolist()} <= want
+        group = {(0, 0, 0, 0)}
+        while True:
+            grown = group | {tuple(MUL[x, g]) for x in group for g in map(tuple, gens)}
+            if grown == group:
+                break
+            group = grown
+        assert group == want, d
+    assert [len(g) for g in amb.middle] == [4]
+    assert AmbientGL(1, 5).middle == []
+
+
 MIDDLE_DIMS = {
     (3, "plain"): (0,),
     (3, "pp"): (4,),
@@ -239,6 +349,12 @@ def test_middle_hom_dims_frozen(monkeypatch, l, mode):
     monkeypatch.setattr(finhecke, "_MIDDLE_DIMS", {})
     sys = _sys(2, 2, l, "sign", mode)
     assert finhecke.middle_hom_dims(sys) == MIDDLE_DIMS[l, mode]
+
+
+@pytest.mark.parametrize("l,mode", sorted(MIDDLE_DIMS))
+def test_middle_hom_dims_match_all_pairs(l, mode):
+    sys = _sys(2, 2, l, "sign", mode)
+    assert finhecke.middle_hom_dims(sys) == _all_pairs_middle_hom_dims(sys)
 
 
 def _leaking_pair():

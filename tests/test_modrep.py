@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys as _sys_mod
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import heckekit
 from heckekit import modrep
 from heckekit.errors import (
     BadCharacteristic,
     NotACharacter,
+    NotAHomomorphism,
     NotCuspidal,
     TooLarge,
     UnknownModule,
@@ -155,6 +160,48 @@ def test_regular_module_is_faithful_action():
     # validated on construction; spot-check one full product
     g, h = 2, 4
     assert np.array_equal((reg.A[g] @ reg.A[h]) % 5, reg.A[G.MUL[g, h]])
+
+
+def _broken_stacks():
+    """(what is wrong, group, stack) for two stacks that are not representations:
+    an identity acting as 2, and the regular module of GL_2(2) with the
+    matrices of two non-identity elements exchanged."""
+    U = unit_group(GF(5))
+    G = general_linear(2, GF(2))
+    swapped = regular_module(G, 5).A.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    return [("identity", U, np.full((U.n, 1, 1), 2, dtype=np.int64)),
+            ("generator", G, swapped)]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_validate_raises_typed_error(case):
+    what, G, A = _broken_stacks()[case]
+    with pytest.raises(NotAHomomorphism, match=what):
+        RepModule(G, A, 5)
+    RepModule(G, A, 5, validate=False)  # the check is the only gate
+
+
+def test_validate_raises_under_optimize():
+    script = """
+import sys
+sys.path.insert(0, %r)
+from test_modrep import _broken_stacks
+from heckekit.errors import NotAHomomorphism
+from heckekit.modrep import RepModule
+for what, G, A in _broken_stacks():
+    try:
+        RepModule(G, A, 5)
+    except NotAHomomorphism:
+        print(what, __debug__)
+""" % os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [_sys_mod.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["identity", "False", "generator", "False"]
 
 
 def test_unit_characters_counts():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import heckekit
 from heckekit import residue
-from heckekit.errors import CellConflict, GapTooLarge, WindowExhausted
+from heckekit import verify
+from heckekit.errors import CellConflict, GapTooLarge, TooLarge, WindowExhausted
 from heckekit.gfp import GF, fq_rank
 from heckekit.modrep import build_coefficient_system
 from heckekit.finhecke import FinElement, fin_mul
@@ -24,6 +25,7 @@ from heckekit.residue import (
     lmat_mul,
     oracle_product,
     p_eta_pattern,
+    pair_count,
     prefilter,
     support_window,
     weyl_left,
@@ -303,6 +305,42 @@ def test_coset_counts():
     assert len(coset_reps(1, 3, diag(0, 2))) == 9
     assert len(coset_reps(1, 3, diag(2, 0))) == 9
     assert len(coset_reps(2, 2, W_W)) == 16
+
+
+def test_pair_counts_and_bound():
+    for k, q, eta in [(1, 3, W_W), (1, 5, W_W), (1, 3, diag(0, 2)), (2, 2, W_W), (1, 3, W_T)]:
+        assert pair_count(k, q, eta, W_W) == len(coset_reps(k, q, eta)) * len(coset_reps(k, q, W_W))
+    # the largest transversal on both sides is still admitted
+    assert pair_count(2, 2, diag(0, 2), diag(2, 0)) == 256 * 256
+    assert pair_count(1, 71, diag(0, 2), W_T) == 71**2
+    with pytest.raises(TooLarge):
+        pair_count(1, 71, diag(0, 2), W_W)
+    with pytest.raises(GapTooLarge):
+        pair_count(1, 3, W_W, diag(0, 3))
+
+
+def test_pair_bound_refuses_before_any_coset(monkeypatch):
+    sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
+    one = np.array([[1]], dtype=np.int64)
+    built = []
+    monkeypatch.setattr(residue, "coset_reps", lambda *args: built.append(args))
+    monkeypatch.setattr(residue, "_MAX_PAIRS", 15)  # W_W * W_W has 4 * 4 at q = 4
+    with pytest.raises(TooLarge):
+        oracle_product(sys_, W_W, one, W_W, one)
+    assert built == []
+
+
+def test_oracle_window_refuses_before_any_product(monkeypatch):
+    products = []
+    monkeypatch.setattr(verify, "oracle_product", lambda *args: products.append(args))
+    monkeypatch.setattr(verify.HeckeEngine, "mul", lambda *args: products.append(args))
+    with pytest.raises(TooLarge):
+        verify.check_oracle_window(1, 71, 2, bound=2)
+    assert products == []
+    monkeypatch.setattr(residue, "_MAX_PAIRS", 15)
+    with pytest.raises(TooLarge):
+        verify.check_oracle_window(1, 4, 3, bound=1)
+    assert products == []
 
 
 def test_gap_cap():
