@@ -9,6 +9,10 @@ class NoRelationWithinBound(HeckeError):
     """Searched for a linear relation up to the stated degree and found none."""
 
 
+class RelationNotUnique(HeckeError):
+    """A minimal monic relation was found over earlier vectors that are dependent."""
+
+
 class TooLarge(HeckeError):
     """The requested object exceeds the sizes this exact engine supports."""
 
@@ -63,6 +67,10 @@ class DegenerateIdeal(HeckeError):
 
 class WrongModularCase(HeckeError):
     """The requested construction needs a different divisibility of q-1/q+1 by l."""
+
+
+class EmptyIntertwiners(HeckeError):
+    """A coefficient system came out with no self- or no swap-intertwiners."""
 
 
 class NotBiEquivariant(HeckeError):

@@ -2,9 +2,12 @@
 
 Two layers live here.  Tiny fields F_q (q = p^a) are realized through dense
 lookup tables on integer codes and drive the residue-field geometry, where
-matrices stay 4x4 or smaller.  Row reduction mod a prime l is numpy-backed
-and drives the representation-theoretic solves, where matrices can reach a
-thousand columns.  Everything is exact; nothing here ever rounds.
+matrices stay 4x4 or smaller.  Linear algebra mod a prime l is numpy-backed
+and drives the representation-theoretic solves.  Their nullspaces, up to a
+thousand unknowns, go through one routine on sparse (row, column, value)
+triplets: rows of one or two entries are settled by a weighted union-find,
+and only the rare rows of three or more are row-reduced, on one unknown per
+component.  Everything is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import NoRelationWithinBound, TooLarge
+from .errors import NoRelationWithinBound, RelationNotUnique, TooLarge
 
 # ---------------------------------------------------------------------------
 # fields on integer codes
@@ -307,18 +310,98 @@ def rank_mod(A, l):
     return len(rref_mod(A, l)[1])
 
 
-def nullspace_mod(A, l):
-    """Rows spanning {x : A x = 0 mod l}, in reduced form."""
-    A = np.asarray(A, dtype=np.int64)
-    rows, cols = A.shape
-    R, pivots = rref_mod(A, l)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-R[r, fc]) % l
+def nullspace_triplets(rows, cols, vals, ncols, l):
+    """Rows spanning {x : A x = 0 mod l} for A given as (row, col, value)
+    triplets with ncols columns; repeated (row, col) pairs add up.
+
+    The answer is the reduced basis that the echelon form of A gives: one
+    row per free column of A, 1 there and 0 on the other free columns.
+    Rows are taken by their number of nonzeros.  A row with one entry
+    kills its variable.  A row a*x_u + b*x_v joins u and v in a weighted
+    union-find, x_i = w_i * x_root(i), whose root is the largest column of
+    its component; a cycle whose ratios disagree kills the component.  Rows
+    of three or more entries are restricted to the live roots and reduced
+    there by rref_mod.  A vector's last nonzero column is the largest root
+    it lives on, so the free columns of A are the free roots, and each
+    reduced row over the roots expands into the reduced row of A.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+    vals = np.asarray(vals, dtype=np.int64).reshape(-1) % l
+    # one entry per (row, col), summed mod l, zeros dropped, sorted by row
+    key = rows * ncols + cols
+    order = np.argsort(key)
+    key, vals = key[order], vals[order]
+    if key.size:
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key, vals = key[first], np.add.reduceat(vals, first) % l
+        key, vals = key[vals != 0], vals[vals != 0]
+    rows, cols = np.divmod(key, ncols)
+    _, head, count = np.unique(rows, return_index=True, return_counts=True)
+    per_entry = np.repeat(count, count)
+
+    parent = list(range(ncols))
+    weight = [1] * ncols  # x_i = weight[i] * x_parent[i]
+    dead = [False] * ncols  # read at roots only
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        w = 1
+        for j in reversed(path):
+            w = w * weight[j] % l
+            weight[j], parent[j] = w, i
+        return i
+
+    pair = head[count == 2]
+    for u, v, a, b in zip(cols[pair].tolist(), cols[pair + 1].tolist(),
+                          vals[pair].tolist(), vals[pair + 1].tolist()):
+        ru, rv = find(u), find(v)
+        a, b = a * weight[u] % l, b * weight[v] % l  # a*x_ru + b*x_rv = 0
+        if ru == rv:
+            if (a + b) % l:
+                dead[ru] = True
+            continue
+        if ru > rv:
+            ru, rv, a, b = rv, ru, b, a
+        parent[ru], weight[ru] = rv, -b * pow(a, -1, l) % l
+        dead[rv] = dead[rv] or dead[ru]
+    for c in cols[per_entry == 1].tolist():
+        dead[find(c)] = True
+
+    root = np.fromiter(map(find, range(ncols)), dtype=np.int64, count=ncols)
+    weight = np.array(weight, dtype=np.int64)
+    live = ~np.array(dead, dtype=bool)[root]
+    reps = np.flatnonzero(live & (root == np.arange(ncols)))
+    pos = np.zeros(ncols, dtype=np.int64)
+    pos[reps] = np.arange(reps.size)
+    # rows of three or more entries, on the live roots
+    many = per_entry >= 3
+    ids, at = np.unique(rows[many], return_inverse=True)
+    c = cols[many]
+    on = live[c]
+    red = np.zeros((ids.size, reps.size), dtype=np.int64)
+    np.add.at(red, (at[on], pos[root[c[on]]]), vals[many][on] * weight[c[on]])
+    R, pivots = rref_mod(red, l)
+    free = np.setdiff1d(np.arange(reps.size), pivots)
+    Y = np.zeros((free.size, reps.size), dtype=np.int64)
+    Y[np.arange(free.size), free] = 1
+    Y[:, pivots] = (-R[: len(pivots), free].T) % l
+    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis[:, live] = Y[:, pos[root[live]]] * weight[live] % l
     return basis
+
+
+def nullspace_mod(A, l):
+    """Rows spanning {x : A x = 0 mod l}, in reduced form: nullspace_triplets
+    on the nonzeros of the dense matrix A."""
+    A = np.asarray(A, dtype=np.int64) % l
+    if A.ndim != 2:
+        raise ValueError("need a 2d array")
+    r, c = np.nonzero(A)
+    return nullspace_triplets(r, c, A[r, c], A.shape[1], l)
 
 
 def solve_mod(A, b, l):
@@ -475,7 +558,8 @@ def first_monic_dependence(vectors, l, max_len=12):
     """Smallest d with v_d in span(v_0..v_{d-1}) mod l; returns monic coeffs.
 
     The return value is the little-endian tuple r of length d+1, r[d] = 1,
-    with sum_i r[i] v_i = 0.  Minimality makes r unique, which is asserted.
+    with sum_i r[i] v_i = 0.  Minimality makes r unique when v_0..v_{d-1}
+    are independent; RelationNotUnique if they turn out dependent.
     Raises NoRelationWithinBound if no relation shows up by max_len.
     """
     seen = []
@@ -487,7 +571,8 @@ def first_monic_dependence(vectors, l, max_len=12):
             A = np.stack(seen, axis=1)
             x = solve_mod(A, v, l)
             if x is not None:
-                assert rank_mod(A, l) == len(seen), "earlier vectors dependent?"
+                if rank_mod(A, l) != len(seen):
+                    raise RelationNotUnique("the %d earlier vectors are dependent" % len(seen))
                 rel = [(-c) % l for c in x.tolist()] + [1]
                 return pnormalize(rel)
         elif not v.any():

@@ -10,6 +10,8 @@ The end product is a CoefficientSystem: the module V over M x M together
 with its self-intertwiners I_1, its swap-intertwiners I_w, the central
 element T* = sum_g (g, -g^{-1}) acting on V, and the index parameter tau.
 Those five things are all any Hecke-algebra computation downstream needs.
+Intertwiner spaces are solved from the equations X A(g) = B(g) X as sparse
+triplets read off the nonzeros of A(g) and B(g), never as Kronecker blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .errors import (
     BadCharacteristic,
     BadCount,
+    EmptyIntertwiners,
     NotACharacter,
     NotAHomomorphism,
     NotBiEquivariant,
@@ -39,6 +42,7 @@ from .gfp import (
     kron_mod,
     matinv_mod,
     nullspace_mod,
+    nullspace_triplets,
     pdivmod,
     pfactor,
     pmul,
@@ -264,13 +268,20 @@ def boxtimes(r1, r2, P):
 
 
 # unknowns of one intertwiner system: dim 32 against dim 32 is the largest
-# module pair any configuration builds; each generator's Kronecker block is
-# unknowns^2 int64 entries, 8 MiB at this bound
+# module pair any configuration builds; the equations are sparse, but the
+# basis can hold unknowns^2 int64 entries (every X intertwines a trivial
+# action), 8 MiB at this bound
 _MAX_UNKNOWNS = 1024
 
 
 def intertwiners(A_arrs, B_arrs, l, generators=None):
-    """Basis of {X : X A[g] = B[g] X}, each a (dimB x dimA) matrix."""
+    """Basis of {X : X A[g] = B[g] X}, each a (dimB x dimA) matrix.
+
+    The unknowns are the entries of X, row-major.  Equation (g, i, j) is
+    sum_k X[i, k] A[g][k, j] - sum_k B[g][i, k] X[k, j] = 0, so each
+    nonzero of A[g] enters db equations and each nonzero of B[g] enters
+    da; those (row, column, value) triplets go to gfp.nullspace_triplets.
+    """
     A_arrs = np.asarray(A_arrs)
     B_arrs = np.asarray(B_arrs)
     n, da = A_arrs.shape[0], A_arrs.shape[1]
@@ -278,16 +289,22 @@ def intertwiners(A_arrs, B_arrs, l, generators=None):
     if da * db > _MAX_UNKNOWNS:
         raise TooLarge("intertwiners between modules of dimension %d and %d: %d unknowns, "
                        "at most %d" % (da, db, da * db, _MAX_UNKNOWNS))
-    gens = generators if generators is not None else range(n)
-    gens = list(gens)
-    if not gens:
-        gens = [0]
-    blocks = []
-    eye_a = np.eye(da, dtype=np.int64)
-    eye_b = np.eye(db, dtype=np.int64)
-    for g in gens:
-        blocks.append((np.kron(eye_b, A_arrs[g].T) - np.kron(B_arrs[g], eye_a)) % l)
-    ns = nullspace_mod(np.concatenate(blocks, axis=0), l)
+    gens = list(generators if generators is not None else range(n)) or [0]
+    A, B = A_arrs[gens] % l, B_arrs[gens] % l
+    g, k, j = np.nonzero(A)
+    i = np.arange(db)[:, None]
+    rows_a, cols_a = (g * db + i) * da + j, i * da + k
+    vals_a = np.broadcast_to(A[g, k, j], rows_a.shape)
+    g, i, k = np.nonzero(B)
+    j = np.arange(da)[:, None]
+    rows_b, cols_b = (g * db + i) * da + j, k * da + j
+    vals_b = np.broadcast_to(-B[g, i, k], rows_b.shape)
+    ns = nullspace_triplets(
+        np.concatenate([rows_a.ravel(), rows_b.ravel()]),
+        np.concatenate([cols_a.ravel(), cols_b.ravel()]),
+        np.concatenate([vals_a.ravel(), vals_b.ravel()]),
+        da * db, l,
+    )
     return [v.reshape(db, da) for v in ns]
 
 
@@ -663,7 +680,8 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
     gens = MM.generators
     I1 = intertwiners(V.A, V.A, l, generators=gens)
     Iw = intertwiners(V.A[swap], V.A, l, generators=gens)
-    assert I1 and Iw, "degenerate intertwiner spaces"
+    if not I1 or not Iw:
+        raise EmptyIntertwiners("%d self- and %d swap-intertwiners on V" % (len(I1), len(Iw)))
     tstar = np.zeros((V.dim, V.dim), dtype=np.int64)
     for g in range(M.n):
         m2 = int(M.NEG[M.INV[g]])

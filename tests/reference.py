@@ -1,14 +1,15 @@
 """Reference models that more than one test file reads.
 
-Nothing in heckekit calls these; they restate facts of the Weyl group and
-of the finite geometry in their own terms, so that tests can check the
-package against them.  pytest does not collect this module.
+Nothing in heckekit calls these; they restate facts of the Weyl group, of
+the finite geometry and of the linear algebra in their own terms, so that
+tests can check the package against them.  pytest does not collect this
+module.
 """
 
 import numpy as np
 
 from heckekit.finhecke import AmbientGL
-from heckekit.gfp import GF
+from heckekit.gfp import GF, rref_mod
 from heckekit.modrep import general_linear
 from heckekit.weyl import word_of
 
@@ -72,3 +73,32 @@ def tstar_group_algebra_power(k, q, l, m):
             np.add.at(nxt, (M.MUL[a, rows], M.MUL[b, cols]), c)
         coeff = nxt % l
     return coeff
+
+
+def nullspace_rref(A, l):
+    """Reduced nullspace basis of a dense A mod l, read off its echelon form:
+    one row per free column, 1 there and minus the column's entries of R on
+    the pivots."""
+    A = np.asarray(A, dtype=np.int64)
+    rows, cols = A.shape
+    R, pivots = rref_mod(A, l)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = (-R[r, fc]) % l
+    return basis
+
+
+def kronecker_intertwiners(A_arrs, B_arrs, l, generators=None):
+    """Basis of {X : X A[g] = B[g] X} from one dense Kronecker block per
+    generator, kron(I, A[g]^T) - kron(B[g], I) on X row-major, stacked."""
+    A_arrs = np.asarray(A_arrs)
+    B_arrs = np.asarray(B_arrs)
+    da, db = A_arrs.shape[1], B_arrs.shape[1]
+    gens = list(generators if generators is not None else range(A_arrs.shape[0])) or [0]
+    eye_a = np.eye(da, dtype=np.int64)
+    eye_b = np.eye(db, dtype=np.int64)
+    blocks = [(np.kron(eye_b, A_arrs[g].T) - np.kron(B_arrs[g], eye_a)) % l for g in gens]
+    return [v.reshape(db, da) for v in nullspace_rref(np.concatenate(blocks, axis=0), l)]

@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import nullspace_rref
 
-from heckekit.errors import NoRelationWithinBound, TooLarge
+from heckekit import gfp
+from heckekit.errors import NoRelationWithinBound, RelationNotUnique, TooLarge
 from heckekit.gfp import (
     GF,
     Field,
@@ -21,6 +24,7 @@ from heckekit.gfp import (
     matinv_mod,
     matmul_mod,
     nullspace_mod,
+    nullspace_triplets,
     pdivmod,
     pfactor,
     pmonic,
@@ -235,6 +239,113 @@ def test_first_monic_dependence_planar():
 def test_first_monic_dependence_bound():
     with pytest.raises(NoRelationWithinBound):
         first_monic_dependence((np.eye(9, dtype=np.int64)[i] for i in range(9)), 3, max_len=4)
+
+
+def _relation_over_dependent_vectors():
+    """first_monic_dependence on e0, e0, e0 mod 3 with its first span test
+    made to miss, so that the two vectors it keeps are dependent."""
+    real, calls = gfp.solve_mod, []
+
+    def miss_once(A, b, l):
+        calls.append(b)
+        return None if len(calls) == 1 else real(A, b, l)
+
+    e0 = np.array([1, 0])
+    with mock.patch.object(gfp, "solve_mod", miss_once):
+        return first_monic_dependence([e0, e0, e0], 3)
+
+
+def test_first_monic_dependence_refuses_dependent_earlier_vectors():
+    e0 = np.array([1, 0])
+    assert first_monic_dependence([e0, e0, e0], 3) == (2, 1)
+    with pytest.raises(RelationNotUnique, match="2 earlier vectors"):
+        _relation_over_dependent_vectors()
+
+
+def test_first_monic_dependence_refuses_under_optimize():
+    script = """
+import sys
+sys.path.insert(0, %r)
+from test_gfp import _relation_over_dependent_vectors
+from heckekit.errors import RelationNotUnique
+try:
+    _relation_over_dependent_vectors()
+except RelationNotUnique:
+    print("RelationNotUnique", __debug__)
+""" % os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["RelationNotUnique", "False"]
+
+
+# ---------------------------------------------------------------------------
+# the nullspace against the echelon-form reference
+
+
+@st.composite
+def sparse_systems(draw):
+    """A matrix mod l whose rows are zero, one-entry, two-entry, cycles of
+    two-entry rows whose ratios agree or disagree, or of 3+ entries."""
+    l = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    unit = st.integers(1, l - 1)
+    col = st.integers(0, n - 1)
+    rows = []
+    kinds = st.sampled_from(["zero", "one", "two", "cycle", "many"])
+    for kind in draw(st.lists(kinds, max_size=10)):
+        if kind == "zero":
+            rows.append({})
+        elif kind == "one":
+            rows.append({draw(col): draw(unit)})
+        elif kind in ("two", "many") or n == 1:
+            size = 2 if kind == "two" else draw(st.integers(3, max(3, n)))
+            cols = draw(st.lists(col, min_size=min(size, n), max_size=min(size, n), unique=True))
+            rows.append({c: draw(unit) for c in cols})
+        else:
+            # x_c[i] = r_i * x_c[i+1] around the cycle, the last row closing it
+            cyc = draw(st.lists(col, min_size=2, max_size=min(n, 5), unique=True))
+            ratios = [draw(unit) for _ in cyc[1:]]
+            agree = pow(int(np.prod(ratios)) % l, -1, l)
+            close = agree if draw(st.booleans()) else draw(unit)
+            for (u, v), r in zip(zip(cyc, cyc[1:] + cyc[:1]), ratios + [close]):
+                s = draw(unit)
+                rows.append({u: s, v: -r * s})
+    rows = draw(st.permutations(rows))
+    A = np.zeros((len(rows), n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            A[i, c] = v + l * draw(st.integers(-2, 2))
+    return A, l
+
+
+@given(sparse_systems(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_nullspace_matches_rref_reference(system, seed):
+    A, l = system
+    want = nullspace_rref(A, l)
+    got = nullspace_mod(A, l)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not ((A @ got.T) % l).any()
+    # the same matrix as triplets: every entry split in two, plus a pair
+    # that cancels, in a shuffled order
+    rng = np.random.default_rng(seed)
+    r, c = np.nonzero(A)
+    part = rng.integers(-l, l, size=r.size)
+    extra = rng.integers(0, A.shape[1], size=2) if A.size else np.zeros(0, dtype=np.int64)
+    extra_r = np.zeros(extra.size, dtype=np.int64)
+    extra_v = np.array([1, -1])[: extra.size]
+    if extra.size:
+        extra[1] = extra[0]
+    rows = np.concatenate([r, r, extra_r])
+    cols = np.concatenate([c, c, extra])
+    vals = np.concatenate([part, A[r, c] - part, extra_v])
+    order = rng.permutation(rows.size)
+    got = nullspace_triplets(rows[order], cols[order], vals[order], A.shape[1], l)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
+import hashlib
 import os
 import subprocess
 import sys as _sys_mod
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from reference import kronecker_intertwiners
+from test_acceptance import FIN_CONFIGS
 
 import heckekit
-from heckekit import modrep
+from heckekit import finhecke, modrep
 from heckekit.errors import (
     BadCharacteristic,
+    EmptyIntertwiners,
     NotACharacter,
     NotAHomomorphism,
     NotCuspidal,
@@ -283,6 +288,143 @@ def test_intertwiners_refuse_a_system_too_large_to_build():
     # dim 32 against dim 32, the largest pair any configuration builds, still solves
     B = np.stack([np.eye(32, dtype=np.int64)])
     assert len(intertwiners(B, B, 2)) == 1024
+
+
+def test_intertwiner_solve_stays_sparse_in_memory():
+    # one dense stacked Kronecker system of the (1,5,2,trivial,pp) build is
+    # 2048 x 1024 int64, 16 MiB; the triplet solve stays under 4 MiB
+    sys = build_coefficient_system(1, 5, 2, "trivial", "pp")
+    for A in (sys.V.A, sys.V.A[sys.swap]):
+        tracemalloc.start()
+        try:
+            got = intertwiners(A, sys.V.A, sys.l, generators=sys.MM.generators)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 64
+        assert peak < 4 << 20, peak
+
+
+def _configurations():
+    # FIN_CONFIGS in both modes holds the engine-products systems
+    # (1,5,2,trivial,pp) and (1,4,3,trivial,pp) too
+    return [(k, q, l, rho, mode) for k, q, l, rho in FIN_CONFIGS for mode in ("plain", "pp")]
+
+
+def _fresh_builds(record):
+    """Build every configuration and its partial-swap dims from scratch,
+    handing each intertwiners call and its result to record."""
+    real = modrep.intertwiners
+
+    def recording(A, B, l, generators=None):
+        got = real(A, B, l, generators=generators)
+        record(A, B, l, generators, got)
+        return got
+
+    with mock.patch.object(modrep, "_SYSTEM_CACHE", {}), \
+            mock.patch.object(finhecke, "_MIDDLE_DIMS", {}), \
+            mock.patch.object(modrep, "intertwiners", recording), \
+            mock.patch.object(finhecke, "intertwiners", recording):
+        out = {}
+        for cfg in _configurations():
+            sys = build_coefficient_system(*cfg)
+            out[cfg] = (sys, finhecke.middle_hom_dims(sys) if sys.k > 1 else ())
+        return out
+
+
+def test_intertwiners_match_the_kronecker_reference():
+    solves = []
+    _fresh_builds(lambda *call: solves.append(call))
+    assert len(solves) >= 2 * len(_configurations())
+    for A, B, l, gens, got in solves:
+        want = kronecker_intertwiners(A, B, l, generators=gens)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+# sha256 of I1, Iw, tstar and middle_hom_dims, recorded on the dense
+# Kronecker solver that the triplet solver replaced
+SYSTEM_DIGESTS = {
+    (1, 2, 3, "trivial", "plain"): "e0d0ff971d390eb4",
+    (1, 2, 3, "trivial", "pp"): "f7cd2fc113e1cd87",
+    (1, 3, 2, "trivial", "plain"): "12bef85e512bbf6d",
+    (1, 3, 2, "trivial", "pp"): "cb59b48f8c784cc5",
+    (1, 4, 3, "trivial", "plain"): "12bef85e512bbf6d",
+    (1, 4, 3, "trivial", "pp"): "086d0d9ba544db85",
+    (1, 4, 5, "trivial", "plain"): "3377a5f6a6fb1eed",
+    (1, 4, 5, "trivial", "pp"): "803bfcfcdc7c0fe4",
+    (1, 5, 2, "trivial", "plain"): "12bef85e512bbf6d",
+    (1, 5, 2, "trivial", "pp"): "9109293473a3fe1d",
+    (1, 5, 3, "trivial", "plain"): "e0d0ff971d390eb4",
+    (1, 5, 3, "trivial", "pp"): "f7cd2fc113e1cd87",
+    (2, 2, 3, "sign", "plain"): "71665de6c4a05db6",
+    (2, 2, 3, "sign", "pp"): "92c97f109f11f86f",
+    (2, 2, 5, "sign", "plain"): "b7574ff47939790a",
+    (2, 2, 5, "sign", "pp"): "88621d5901c71467",
+    (2, 2, 7, "sign", "plain"): "8998193101f6478c",
+    (2, 2, 7, "sign", "pp"): "8f3f7e17fdfcdbb8",
+}
+
+
+def test_system_golden_digest():
+    built = _fresh_builds(lambda *call: None)
+    got = {}
+    for cfg, (sys, middle) in built.items():
+        h = hashlib.sha256()
+        for name in ("I1", "Iw"):
+            mats = getattr(sys, name)
+            h.update(b"%s %d;" % (name.encode(), len(mats)))
+            for m in mats:
+                h.update(np.ascontiguousarray(m, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(sys.tstar, dtype=np.int64).tobytes())
+        if sys.k > 1:
+            h.update(repr(middle).encode())
+        got[cfg] = h.hexdigest()[:16]
+    assert got == SYSTEM_DIGESTS
+
+
+def _system_with_empty_intertwiners(which):
+    """build_coefficient_system(1,4,5,trivial,plain) with its I_1 (which=0)
+    or I_w (which=1) solve returning no intertwiners."""
+    real, calls = modrep.intertwiners, []
+
+    def empty_once(A, B, l, generators=None):
+        calls.append(generators)
+        got = real(A, B, l, generators=generators)
+        return [] if len(calls) == which + 1 else got
+
+    with mock.patch.object(modrep, "_SYSTEM_CACHE", {}), \
+            mock.patch.object(modrep, "intertwiners", empty_once):
+        return build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_empty_intertwiner_space_raises(which):
+    with pytest.raises(EmptyIntertwiners):
+        _system_with_empty_intertwiners(which)
+
+
+def test_empty_intertwiner_space_raises_under_optimize():
+    script = """
+import sys
+sys.path.insert(0, %r)
+from test_modrep import _system_with_empty_intertwiners
+from heckekit.errors import EmptyIntertwiners
+for which in (0, 1):
+    try:
+        _system_with_empty_intertwiners(which)
+    except EmptyIntertwiners:
+        print(which, __debug__)
+""" % os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [_sys_mod.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "1", "False"]
 
 
 def test_split_regular_banal():
