@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BruhatMismatch, CellLeak, SystemMismatch, TooLarge
+from .errors import BruhatMismatch, CellLeak, NotBiEquivariant, SystemMismatch, TooLarge
 from .gfp import (
     GF,
     first_monic_dependence,
@@ -46,6 +46,11 @@ from .modrep import general_linear, intertwiners, min_poly, pair_index
 
 @dataclass
 class FinElement:
+    """Values f1 on the identity cell and fw on the swap cell.  Contract,
+    not checked (a span check costs more than a convolution): f1 lies in
+    the span of sys.I1 and fw in that of sys.Iw, or fin_convolve's answer
+    depends on the choice of coset representatives."""
+
     sys: object
     f1: np.ndarray
     fw: np.ndarray
@@ -81,9 +86,13 @@ def fin_unit(sys):
 
 
 def fin_w(sys, power=0):
-    """[w] twisted by T*^power on the swap coset."""
+    """[w] twisted by T*^power on the swap coset; NotBiEquivariant unless
+    T*^power is a swap-intertwiner (T* is one, so every odd power is)."""
+    ts = sys.tstar_power(power)
+    if not sys.in_parity_span(ts, 1):
+        raise NotBiEquivariant("T*^%d is not a swap-intertwiner on %s" % (power, sys.name))
     d = sys.dim
-    return FinElement(sys, np.zeros((d, d), dtype=np.int64), sys.tstar_power(power))
+    return FinElement(sys, np.zeros((d, d), dtype=np.int64), ts)
 
 
 def fin_mul(a, b):
@@ -107,12 +116,17 @@ def random_fin_element(sys, rng):
 
 
 class AmbientGL:
-    """GL_{2k}(q) relative to its block parabolic, organized by k-subspaces.
+    """GL_{2k}(q) relative to its block parabolic P, organized by k-subspaces.
 
-    Nothing here ever enumerates the full group: cosets of P are labelled
-    by the column span of the first k columns, in reduced row echelon
-    form, and each label stores one decomposition  rep = p . w_d . p2
-    against the partial-swap permutations w_d.
+    Nothing here enumerates P or the full group.  A coset gP is labelled by
+    the span of the first k columns of g, in reduced row echelon form.  The
+    cosets of the cell P w_d P are walked breadth-first as the P-orbit of
+    w_d P, under the Levi generators and one root element I + E_{1,k+1}
+    (together they generate P).  Each label found from p keeps p . w_d as
+    its representative, so its decomposition  rep = p . w_d . p2  has
+    p2 = 1.  A label reached again from p by a generator g gives a Schreier
+    element t^-1 g p of P intersect w_d P w_d^-1, t the label's p; these
+    generate that intersection.
 
     `plan[d]` drives the convolution at w_d: for each coset y with neither
     y nor y^-1 w_d in a partial-swap cell, one row holding, for each of
@@ -139,8 +153,12 @@ class AmbientGL:
         self.F = GF(q)
         self.M = general_linear(k, self.F)
         self.n = 2 * k
-        self._enumerate_parabolic()
-        self._enumerate_cosets()
+        self.labels, self.bruhat, self.middle = {}, {}, []
+        gens = self._parabolic_generators()
+        for d in range(k + 1):
+            pairs = self._walk_cell(d, gens)
+            if 0 < d < k:
+                self.middle.append(self._middle_generators(pairs))
         self.plan = []
         for d in range(k + 1):
             x = self.swap_mat(d)
@@ -151,7 +169,6 @@ class AmbientGL:
                 if sy and sz:
                     rows.append((sy[0] > 0, *sy[1], *sy[2], sz[0] > 0, *sz[1], *sz[2]))
             self.plan.append(np.array(rows, dtype=np.int64).reshape(-1, 10))
-        self.middle = [self._middle_generators(d) for d in range(1, k)]
 
     # -- bookkeeping helpers
 
@@ -187,84 +204,59 @@ class AmbientGL:
             self.M.index[self._mat_label(p[k:, k:])],
         )
 
-    def _enumerate_parabolic(self):
-        F, k, n = self.F, self.k, self.n
-        gl = self.M
-        blocks = [np.array(lab).reshape(k, k) if k > 1 else np.array([[lab]]) for lab in gl.labels]
-        mats = []
-        from itertools import product as iproduct
-
-        for A in blocks:
-            for D in blocks:
-                for bvals in iproduct(F.elements(), repeat=k * k):
-                    p = np.zeros((n, n), dtype=np.int64)
-                    p[:k, :k] = A
-                    p[k:, k:] = D
-                    p[:k, k:] = np.array(bvals).reshape(k, k)
-                    mats.append(p)
-        self.parabolic = mats
-
     def col_label(self, g):
         """Canonical label of the span of the first k columns."""
         R, piv = fq_rref(self.F, np.asarray(g)[:, : self.k].T)
-        assert len(piv) == self.k
+        if len(piv) != self.k:
+            raise BruhatMismatch("the first %d columns of g are dependent" % self.k)
         return self._mat_label(R)
 
-    def _enumerate_cosets(self):
-        F, k, n = self.F, self.k, self.n
-        from itertools import product as iproduct
+    def _parabolic_generators(self):
+        """The Levi generators in each diagonal block, and I + E_{1,k+1}."""
+        k, n = self.k, self.n
+        gens = []
+        for i in self.M.generators:
+            for off in (0, k):
+                g = np.eye(n, dtype=np.int64)
+                g[off : off + k, off : off + k] = np.reshape(self.M.labels[i], (k, k))
+                gens.append(g)
+        root = np.eye(n, dtype=np.int64)
+        root[0, k] = 1
+        return gens + [root]
 
-        labels = {}
-        for vals in iproduct(F.elements(), repeat=n * k):
-            cols = np.array(vals, dtype=np.int64).reshape(n, k)
-            R, piv = fq_rref(F, cols.T)
-            if len(piv) != k:
-                continue
-            labels[self._mat_label(R)] = None
-        # representative: label rows as first k columns, completed by
-        # standard vectors
-        for lab in labels:
-            base = np.array(lab, dtype=np.int64).T  # n x k
-            cols = [base[:, j] for j in range(k)]
-            for j in range(n):
-                e = np.zeros(n, dtype=np.int64)
-                e[j] = 1
-                cand = np.stack(cols + [e], axis=1)
-                if fq_rank(F, cand) == len(cols) + 1:
-                    cols.append(e)
-                if len(cols) == n:
-                    break
-            rep = np.stack(cols, axis=1)
-            labels[lab] = rep
-        self.labels = labels
-        self.count = len(labels)
-        # one Bruhat decomposition per label: rep = p . w_d . p2
-        self.bruhat = {}
-        for lab, rep in labels.items():
-            d = int(fq_rank(F, rep[k:, :k]))
-            wd = self.swap_mat(d)
-            found = None
-            for p in self.parabolic:
-                p2 = fq_matmul(F, fq_matmul(F, wd, fq_inv_matrix(F, p)), rep)
-                if self.in_parabolic(p2):
-                    found = (fq_inv_matrix(F, p), p, d)
-                    break
-            if found is None:
-                raise BruhatMismatch("no Bruhat decomposition found for %s" % (lab,))
-            self.bruhat[lab] = found
-
-    def _middle_generators(self, d):
-        # w_d is a permutation matrix and an involution, so w_d^-1 p w_d
-        # permutes the rows and columns of p; a conjugate of p with zero
-        # lower-left block is invertible, hence in P
-        perm = self.swap_mat(d).argmax(axis=1)
-        k, MUL = self.k, self.M.MUL
+    def _walk_cell(self, d, gens):
+        """Walk the P-orbit of w_d P breadth-first, recording each label's
+        representative and decomposition; return the Levi pairs of the
+        Schreier elements when 0 < d < k."""
+        F, k = self.F, self.k
+        wd = self.swap_mat(d)
+        # w_d is a permutation matrix and an involution, so w_d^-1 s w_d
+        # permutes the rows and columns of s
+        perm = wd.argmax(axis=1)
+        one = np.eye(self.n, dtype=np.int64)
+        lab = self.col_label(wd)
+        self.labels[lab], self.bruhat[lab] = wd, (one, one, d)
         pairs = set()
-        for p in self.parabolic:
-            c = p[np.ix_(perm, perm)]
-            if not c[k:, :k].any():
-                pairs.add((*self.levi_indices(p), *self.levi_indices(c)))
+        queue = [one]
+        for p in queue:
+            for g in gens:
+                gp = fq_matmul(F, g, p)
+                rep = fq_matmul(F, gp, wd)
+                lab = self.col_label(rep)
+                if lab not in self.bruhat:
+                    self.labels[lab] = rep
+                    self.bruhat[lab] = (fq_inv_matrix(F, gp), gp, d)
+                    queue.append(gp)
+                    continue
+                if 0 < d < k:
+                    s = fq_matmul(F, self.bruhat[lab][0], gp)
+                    c = s[np.ix_(perm, perm)]
+                    pairs.add((*self.levi_indices(s), *self.levi_indices(c)))
+        return pairs
+
+    def _middle_generators(self, pairs):
         # a pair outside the group generated so far becomes a generator
+        MUL = self.M.MUL
         gens, group = [], {(0, 0, 0, 0)}
         for pair in sorted(pairs):
             if pair in group:

@@ -673,6 +673,12 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
         V = boxtimes(rho0, rho0, MM)
     elif mode == "pp":
         cov = projective_cover(rho0)
+        # V = P # P (+) its dual; its self-intertwiners are refused here,
+        # before boxtimes builds an action stack of |MM| * dim(V)^2 entries
+        dim_v = 2 * cov.module.dim**2
+        if dim_v**2 > _MAX_UNKNOWNS:
+            raise TooLarge("V would have dimension %d: %d intertwiner unknowns, at most %d"
+                           % (dim_v, dim_v**2, _MAX_UNKNOWNS))
         P = boxtimes(cov.module, cov.module, MM)
         V = direct_sum(P, contragredient(P))
     else:

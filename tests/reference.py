@@ -6,10 +6,12 @@ tests can check the package against them.  pytest does not collect this
 module.
 """
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
-from heckekit.finhecke import AmbientGL
-from heckekit.gfp import GF, rref_mod
+from heckekit.gfp import GF, fq_rank, fq_rref, rref_mod
 from heckekit.modrep import general_linear
 from heckekit.weyl import word_of
 
@@ -48,11 +50,37 @@ def shape_class(e):
     return "A"
 
 
+@lru_cache(maxsize=None)
+def parabolic(k, q):
+    """Every matrix of the block parabolic of GL_2k(q): invertible diagonal
+    blocks and any upper-right block, |GL_k(q)|^2 q^(k^2) of them."""
+    F = GF(q)
+    blocks = [np.array(lab, dtype=np.int64).reshape(k, k)
+              for lab in general_linear(k, F).labels]
+    mats = []
+    for A in blocks:
+        for D in blocks:
+            for vals in product(F.elements(), repeat=k * k):
+                p = np.zeros((2 * k, 2 * k), dtype=np.int64)
+                p[:k, :k], p[k:, k:] = A, D
+                p[:k, k:] = np.reshape(vals, (k, k))
+                mats.append(p)
+    return mats
+
+
 def coset_count(k, q):
-    """(#P-cosets in the swap cell, total #G/P cosets)."""
-    amb = AmbientGL(k, q)
-    swap = sum(1 for _, _, d in amb.bruhat.values() if d == k)
-    return swap, amb.count
+    """(#P-cosets in the swap cell, total #G/P cosets), from the distinct
+    row echelon labels of every full-rank tuple of k columns in F_q^2k; a
+    label lies in the swap cell when its lower k x k block is invertible."""
+    F = GF(q)
+    labels = set()
+    for vals in product(F.elements(), repeat=2 * k * k):
+        cols = np.reshape(vals, (2 * k, k))
+        R, piv = fq_rref(F, cols.T)
+        if len(piv) == k:
+            labels.add(tuple(map(tuple, R)))
+    swap = sum(1 for lab in labels if fq_rank(F, np.array(lab)[:, k:]) == k)
+    return swap, len(labels)
 
 
 def tstar_group_algebra_power(k, q, l, m):

@@ -3,17 +3,18 @@ import hashlib
 import os
 import subprocess
 import sys as _sys_mod
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import coset_count, tstar_group_algebra_power
+from reference import coset_count, parabolic, tstar_group_algebra_power
 from test_acceptance import FIN_CONFIGS
 
 import heckekit
 from heckekit import finhecke
-from heckekit.errors import BruhatMismatch, CellLeak, TooLarge
+from heckekit.errors import BruhatMismatch, CellLeak, NotBiEquivariant, TooLarge
 from heckekit.finhecke import (
     AmbientGL,
     CharPoly,
@@ -45,8 +46,47 @@ def test_geometry_counts():
 
 
 def test_parabolic_sizes():
-    assert len(AmbientGL(1, 3).parabolic) == 2 * 2 * 3
-    assert len(AmbientGL(2, 2).parabolic) == 6 * 6 * 16
+    assert len(parabolic(1, 3)) == 2 * 2 * 3
+    assert len(parabolic(2, 2)) == 6 * 6 * 16
+
+
+def _gauss_binomial(k, d, q):
+    num = den = 1
+    for i in range(d):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("k,q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 2), (2, 3)])
+def test_cell_sizes(k, q):
+    # the cell of w_d holds [k choose d]_q^2 q^(d^2) cosets
+    cells = {}
+    for _, _, d in AmbientGL(k, q).bruhat.values():
+        cells[d] = cells.get(d, 0) + 1
+    assert cells == {d: _gauss_binomial(k, d, q) ** 2 * q ** (d * d) for d in range(k + 1)}
+
+
+@pytest.mark.parametrize("k,q", [(1, 4), (2, 2), (2, 3)])
+def test_representatives_are_p_times_w_d(k, q):
+    amb = AmbientGL(k, q)
+    eye = np.eye(2 * k, dtype=np.int64)
+    for lab, rep in amb.labels.items():
+        pinv, p, d = amb.bruhat[lab]
+        assert amb.in_parabolic(p)
+        assert np.array_equal(fq_matmul(amb.F, pinv, p), eye)
+        assert np.array_equal(rep, fq_matmul(amb.F, p, amb.swap_mat(d)))
+        assert amb.col_label(rep) == lab
+
+
+def test_ambient_2_3_builds_quickly(monkeypatch):
+    # enumerating P there (186,624 matrices) and searching it label by label
+    # could take twenty minutes
+    monkeypatch.setattr(AmbientGL, "_cache", {})
+    start = time.monotonic()
+    amb = AmbientGL(2, 3)
+    assert time.monotonic() - start < 5
+    assert len(amb.labels) == 130
 
 
 def test_bruhat_cells_partition():
@@ -67,9 +107,7 @@ def test_phi_biequivariance():
     e = random_fin_element(sys, rng)
     # phi(p g p') = sigma(p) phi(g) sigma(p')
     g = amb.swap_mat()
-    for p in amb.parabolic[:9]:
-        from heckekit.gfp import fq_matmul
-
+    for p in parabolic(1, 4)[:9]:
         pg = fq_matmul(amb.F, p, g)
         a1, a2 = amb.levi_indices(p)
         lhs = phi_value(amb, sys, e, pg)
@@ -134,7 +172,7 @@ def test_fin_convolve_golden_digest():
     for k, q, l, rho in FIN_CONFIGS:
         for mode in ("plain", "pp"):
             sys = _sys(k, q, l, rho, mode)
-            pairs = [(fin_w(sys), fin_w(sys))]
+            pairs = [(fin_w(sys, 1), fin_w(sys, 1))]
             pairs += [(random_fin_element(sys, rng), random_fin_element(sys, rng))
                       for _ in range(4)]
             for a, b in pairs:
@@ -144,7 +182,7 @@ def test_fin_convolve_golden_digest():
                     h = np.asarray(cells[d], dtype=np.int64)
                     digest.update(repr(d).encode() + h.tobytes())
     assert digest.hexdigest() == (
-        "f4b22bd4c22f632ad7f3f0ea3bf4af27af042fafd12c9f82e3b3e8c057185b65"
+        "83fd8d8ddcd145f8c82af63a6ac62ba39137680dd738fb416e0990cf5864c52d"
     )
 
 
@@ -294,7 +332,7 @@ def _levi_pairs_by_conjugation(amb, d):
     xd = amb.swap_mat(d)
     xdinv = fq_inv_matrix(amb.F, xd)
     pairs = set()
-    for p in amb.parabolic:
+    for p in parabolic(amb.k, amb.q):
         c = fq_matmul(amb.F, fq_matmul(amb.F, xdinv, p), xd)
         if amb.in_parabolic(c):
             pairs.add((*amb.levi_indices(p), *amb.levi_indices(c)))
@@ -408,6 +446,47 @@ def test_bruhat_failures_raise_typed_error(monkeypatch):
     monkeypatch.setattr(AmbientGL, "_cache", {})
     with pytest.raises(BruhatMismatch):
         AmbientGL(1, 3)
+
+
+def test_singular_g_raises_typed_error():
+    sys = _sys(1, 4, 5)
+    with pytest.raises(BruhatMismatch):
+        phi_value(AmbientGL(1, 4), sys, fin_unit(sys), np.zeros((2, 2), dtype=np.int64))
+
+
+def test_singular_g_raises_typed_error_under_optimize():
+    script = """
+import numpy as np
+from heckekit.errors import BruhatMismatch
+from heckekit.finhecke import AmbientGL, fin_unit, phi_value
+from heckekit.modrep import build_coefficient_system
+sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
+try:
+    phi_value(AmbientGL(1, 4), sys_, fin_unit(sys_), np.zeros((2, 2), dtype=np.int64))
+except BruhatMismatch:
+    print("BruhatMismatch", __debug__)
+"""
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [_sys_mod.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["BruhatMismatch", "False"]
+
+
+# pp systems on which I is not a swap-intertwiner, so [w] needs a T* twist
+NOT_SWAP_EQUIVARIANT_I = [(1, 3, 2), (1, 4, 3), (1, 5, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("k,q,l", NOT_SWAP_EQUIVARIANT_I)
+def test_fin_w_refuses_a_non_bi_equivariant_element(k, q, l):
+    rho = "sign" if k == 2 else "trivial"
+    sys = _sys(k, q, l, rho, "pp")
+    with pytest.raises(NotBiEquivariant):
+        fin_w(sys)
+    assert sys.in_parity_span(fin_w(sys, 1).fw, 1)
+    assert fin_w(_sys(k, q, l, rho, "plain")).fw.any()
 
 
 def test_associativity_formula():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys as _sys_mod
+import time
 import tracemalloc
 from unittest import mock
 
@@ -288,6 +289,31 @@ def test_intertwiners_refuse_a_system_too_large_to_build():
     # dim 32 against dim 32, the largest pair any configuration builds, still solves
     B = np.stack([np.eye(32, dtype=np.int64)])
     assert len(intertwiners(B, B, 2)) == 1024
+
+
+def test_pp_system_refused_before_its_action_stack(monkeypatch):
+    # the cover of a GL_1(17) character mod 2 is 16-dimensional, so V has
+    # dimension 512 and its action stack, 256 x 512 x 512 int64, is 512 MiB;
+    # building it and validating it took 97 s and 3.4 GB before intertwiners
+    # refused.  Memory is traced from the cover on, since tracing the cover
+    # itself would take most of a minute.
+    real_cover = modrep.projective_cover
+
+    def cover_then_trace(rep):
+        cov = real_cover(rep)
+        tracemalloc.start()
+        return cov
+
+    monkeypatch.setattr(modrep, "projective_cover", cover_then_trace)
+    start = time.monotonic()
+    try:
+        with pytest.raises(TooLarge, match="dimension 512"):
+            build_coefficient_system(1, 17, 2, "trivial", "pp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 30
+    assert peak < 1 << 20, peak
 
 
 def test_intertwiner_solve_stays_sparse_in_memory():

@@ -51,8 +51,12 @@ def elem_eq(out, want, l):
 
 
 def small_fins(sys, rng):
+    # [w] carries I where I is a swap-intertwiner and T* where it is not,
+    # since fin_w refuses an element that is not bi-equivariant
+    eye = np.eye(sys.dim, dtype=np.int64)
+    w = fin_w(sys, 0 if sys.in_parity_span(eye, 1) else 1)
     mixed = fin_unit(sys) + fin_w(sys, 1)
-    return [fin_unit(sys), fin_w(sys), random_fin_element(sys, rng), mixed]
+    return [fin_unit(sys), w, random_fin_element(sys, rng), mixed]
 
 
 # ---------------------------------------------------------------------------
