@@ -262,11 +262,15 @@ class AmbientGL:
             if pair in group:
                 continue
             gens.append(pair)
-            while True:  # close up under MUL, componentwise
-                grown = group | {tuple(MUL[x, g].tolist()) for x in group for g in gens}
-                if grown == group:
-                    break
-                group = grown
+            # close up under MUL, componentwise: the group so far is closed
+            # under the earlier generators, so it is multiplied by the new one
+            # only, and after that only each round's new elements by all
+            new, by = group, [pair]
+            while new:
+                prods = MUL[np.array(list(new))[:, None], np.array(by)]
+                new = set(map(tuple, prods.reshape(-1, 4).tolist())) - group
+                group |= new
+                by = gens
         return np.array(gens or [(0, 0, 0, 0)], dtype=np.int64)
 
     def split(self, g):

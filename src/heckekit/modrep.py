@@ -639,6 +639,25 @@ class CoefficientSystem:
 _SYSTEM_CACHE = {}
 
 
+def l_part(n, l):
+    """The largest power of l dividing n > 0."""
+    part = 1
+    while n % l == 0:
+        n //= l
+        part *= l
+    return part
+
+
+def _refuse_large_v(dim_p):
+    """TooLarge when V = P # P (+) its dual, of dimension 2 dim(P)^2, has
+    more self-intertwiner unknowns than intertwiners solves; checked before
+    boxtimes builds an action stack of |MM| * dim(V)^2 entries."""
+    dim_v = 2 * dim_p**2
+    if dim_v**2 > _MAX_UNKNOWNS:
+        raise TooLarge("V would have dimension %d: %d intertwiner unknowns, at most %d"
+                       % (dim_v, dim_v**2, _MAX_UNKNOWNS))
+
+
 def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
     """Assemble the full coefficient system for a block of GL_{2k}(F).
 
@@ -665,6 +684,10 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
     rho0 = irr[rho]
     if not is_cuspidal(rho0):
         raise NotCuspidal(rho)
+    if mode == "pp" and k == 1:
+        # GL_1(q) is cyclic, so the cover of a character has dimension the
+        # l-part of q - 1: refused here, before projective_cover splits anything
+        _refuse_large_v(l_part(q - 1, l))
     MM = product_group(M, M)
     swap = swap_permutation(MM)
     if mode == "plain":
@@ -673,12 +696,7 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
         V = boxtimes(rho0, rho0, MM)
     elif mode == "pp":
         cov = projective_cover(rho0)
-        # V = P # P (+) its dual; its self-intertwiners are refused here,
-        # before boxtimes builds an action stack of |MM| * dim(V)^2 entries
-        dim_v = 2 * cov.module.dim**2
-        if dim_v**2 > _MAX_UNKNOWNS:
-            raise TooLarge("V would have dimension %d: %d intertwiner unknowns, at most %d"
-                           % (dim_v, dim_v**2, _MAX_UNKNOWNS))
+        _refuse_large_v(cov.module.dim)
         P = boxtimes(cov.module, cov.module, MM)
         V = direct_sum(P, contragredient(P))
     else:

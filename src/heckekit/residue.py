@@ -30,11 +30,21 @@ is one batched product, each digit of the one off-diagonal block of v^-1
 an exponent shift plus a table multiply.  Every coset pair is still tested
 against every eps of the support: a valuation prefilter, one boolean mask
 over (pairs x eps) from the least occupied slot of each block, rejects
-most eps before p2 is built and its residue blocks are ranked.
+most eps before p2 is built.  The pairs an eps admits are tested in one
+pass: their p2 are one stack, the valuation test is one mask, and each
+residue diagonal block is read through the Levi index of GL_k(q), where a
+singular block has none.  Hits are counted by (cell, Levi(u), Levi(v),
+Levi(p2)), and each distinct key forms its one term
+rho(u) f rho(v) g rho(p2), times its count; by distributivity the sum is
+the same.  Keys with the same Levi(u) and Levi(v) share rho(u) f rho(v) g.
+The transversals depend only on (k, q, deepened block, gap) and are built
+once, into a bounded cache of read-only arrays.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -122,10 +132,33 @@ def weyl_right(k, A, e):
 
 def in_parabolic(F, M, k):
     """Membership in P of one matrix: integral, deep lower-left, unit
-    diagonal blocks."""
+    diagonal blocks.  The reference for parabolic_levi, which the oracle
+    calls instead."""
     if M[:, :, :_CAP].any() or M[k:, :k, _CAP].any():
         return False
     return fq_rank(F, M[:k, :k, _CAP]) == k and fq_rank(F, M[k:, k:, _CAP]) == k
+
+
+def _levi_labels(P, k):
+    """For every matrix of the stack P, of shape (N, 2k, 2k, E), the pair
+    of its residue diagonal blocks, labelled as GL_k(q) labels them (the
+    code for k = 1, rows of codes for k = 2)."""
+    res = P[..., _CAP]
+    if k == 1:
+        return list(map(tuple, res[:, [0, 1], [0, 1]].tolist()))
+    blocks = np.stack([res[:, :k, :k], res[:, k:, k:]], 1).tolist()
+    return [tuple(tuple(map(tuple, b)) for b in m) for m in blocks]
+
+
+def parabolic_levi(index, P, k):
+    """in_parabolic for every matrix of the stack P, of shape
+    (N, 2k, 2k, E), with its Levi factor: per matrix, the Levi indices of
+    its two residue diagonal blocks (index maps a label to its Levi index),
+    or None where the matrix is not integral with a deep lower left, or
+    where a block is singular and so has no label."""
+    outside = P[:, :, :, :_CAP].any(axis=(1, 2, 3)) | P[:, k:, :k, _CAP].any(axis=(1, 2))
+    return [None if off or a not in index or b not in index else (index[a], index[b])
+            for off, (a, b) in zip(outside.tolist(), _levi_labels(P, k))]
 
 
 def prefilter(A, k, cands):
@@ -193,14 +226,20 @@ def pair_count(k, q, eta, delta):
 
 
 def coset_reps(k, q, eta):
-    """Unipotent transversal of P / P^(eta): an int array of shape
-    (cosets, 2, 2k, 2k, E) holding each representative and its inverse.
+    """Unipotent transversal of P / P^(eta): a read-only int array of shape
+    (cosets, 2, 2k, 2k, E) holding each representative and its inverse,
+    built once per (k, q, deepened block, gap).
 
     The one deepened block carries e pi-adic digits (from pi^0 in the upper
     right, from pi^1 in the lower left), enumerated in lexicographic order;
     its square is 0, so the inverse negates them."""
+    return transversal(k, q, *_deepened(eta))
+
+
+# five transversals per (k, q): gap 0, and gaps 1 and 2 in either block
+@lru_cache(maxsize=16)
+def transversal(k, q, side, e):
     F = GF(q)
-    side, e = _deepened(eta)
     n = 2 * k
     digits = np.array(list(iproduct(range(q), repeat=k * k * e)), dtype=np.int64)
     digits = digits.reshape(q ** (k * k * e), e, k, k)
@@ -211,20 +250,12 @@ def coset_reps(k, q, eta):
     for d in range(e):
         reps[:, 0, rows, cols, base + d] = digits[:, d]
         reps[:, 1, rows, cols, base + d] = F.NEG[digits[:, d]]
+    reps.flags.writeable = False
     return reps
 
 
 # ---------------------------------------------------------------------------
 # the product oracle
-
-
-def _levi_sigma(sys, M):
-    k = sys.k
-    idx = []
-    for b in (0, 1):
-        B = M[b * k : (b + 1) * k, b * k : (b + 1) * k, _CAP]
-        idx.append(sys.M.index[int(B[0, 0]) if k == 1 else tuple(map(tuple, B.tolist()))])
-    return sys.sigma(*idx)
 
 
 def support_window(eta, delta):
@@ -253,10 +284,13 @@ def oracle_product(sys, eta, f, delta, g):
     g = np.asarray(g, dtype=np.int64) % l
     V = coset_reps(k, sys.q, delta)
     U = coset_reps(k, sys.q, eta)
+    index = sys.M.index
+    levi_u = [(index[a], index[b]) for a, b in _levi_labels(U[:, 0], k)]
+    levi_v = [(index[a], index[b]) for a, b in _levi_labels(V[:, 0], k)]
     EU = weyl_left(k, eta.inv(), U[:, 1])
     cands = support_window(eta, delta)
     step = max(1, _ROWS // len(V))
-    out = {}
+    tally = Counter()  # hits by (cell, Levi(u), Levi(v), Levi(p2)), in the order met
     for start in range(0, len(U), step):
         # every coset pair (v, u) of this run of u
         prefix = weyl_left(k, delta.inv(), lmat_mul(F, V[:, 1], EU[start : start + step]))
@@ -264,17 +298,20 @@ def oracle_product(sys, eta, f, delta, g):
         hits = []
         for c in np.flatnonzero(admit.any(axis=(0, 1))):
             vs, us = np.nonzero(admit[:, :, c])
-            for v, u, p2 in zip(vs, us, weyl_right(k, prefix[vs, us], cands[c])):
-                if in_parabolic(F, p2, k):
-                    hits.append((start + u, v, cands[c], p2))
+            levi = parabolic_levi(index, weyl_right(k, prefix[vs, us], cands[c]), k)
+            hits += [(start + u, v, cands[c], lp)
+                     for u, v, lp in zip(us.tolist(), vs.tolist(), levi) if lp is not None]
         # (u, v) order: two hits of one pair sit side by side, and cells
-        # enter out in the order a loop over the pairs meets them
+        # enter the tally in the order a loop over the pairs meets them
         hits.sort(key=lambda h: h[:2])
         for (u, v, a, _), (u2, v2, b, _) in zip(hits, hits[1:]):
             if (u, v) == (u2, v2):
                 raise CellConflict("one coset pair fell into cells %r" % ([a, b],))
-        for u, v, eps, p2 in hits:
-            term = (_levi_sigma(sys, U[u, 0]) @ f @ _levi_sigma(sys, V[v, 0]) @ g
-                    @ _levi_sigma(sys, p2)) % l
-            out[eps] = (out.get(eps, 0) + term) % l
+        tally.update((eps, levi_u[u], levi_v[v], lp) for u, v, eps, lp in hits)
+    out, left = {}, {}  # left: rho(u) f rho(v) g, one per (Levi(u), Levi(v))
+    for (eps, lu, lv, lp), count in tally.items():
+        if (lu, lv) not in left:
+            left[lu, lv] = sys.sigma(*lu) @ f @ sys.sigma(*lv) @ g
+        term = (left[lu, lv] @ sys.sigma(*lp)) % l
+        out[eps] = (out.get(eps, 0) + count * term) % l
     return {eps: h for eps, h in out.items() if h.any()}

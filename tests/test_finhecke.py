@@ -371,6 +371,16 @@ def test_middle_generators_generate_the_levi_pairs():
     assert AmbientGL(1, 5).middle == []
 
 
+def test_middle_generators_frozen():
+    # recorded on the closure that re-closed the whole group after each
+    # generator; closing only each round's new elements finds the same rows
+    assert [m.tolist() for m in AmbientGL(2, 2).middle] == [
+        [[0, 0, 0, 4], [0, 0, 3, 0], [0, 4, 0, 0], [3, 0, 0, 0]]]
+    assert [m.tolist() for m in AmbientGL(2, 3).middle] == [
+        [[0, 0, 0, 18], [0, 0, 14, 0], [0, 18, 0, 0], [0, 19, 0, 13],
+         [0, 30, 30, 0], [13, 0, 13, 0], [14, 0, 0, 0], [32, 0, 0, 30]]]
+
+
 MIDDLE_DIMS = {
     (3, "plain"): (0,),
     (3, "pp"): (4,),

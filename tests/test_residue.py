@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product as iproduct
 from math import inf
 
@@ -26,8 +27,10 @@ from heckekit.residue import (
     oracle_product,
     p_eta_pattern,
     pair_count,
+    parabolic_levi,
     prefilter,
     support_window,
+    transversal,
     weyl_left,
     weyl_right,
 )
@@ -305,6 +308,21 @@ def test_coset_counts():
     assert len(coset_reps(1, 3, diag(0, 2))) == 9
     assert len(coset_reps(1, 3, diag(2, 0))) == 9
     assert len(coset_reps(2, 2, W_W)) == 16
+
+
+def test_transversals_are_built_once_and_read_only():
+    transversal.cache_clear()
+    first = coset_reps(1, 3, diag(0, 2))
+    assert transversal.cache_info().misses == 1 and transversal.cache_info().hits == 0
+    # diag(2, 0) deepens the other block; W_W and diag(1, 0) share gap 1 upper right
+    assert coset_reps(1, 3, diag(0, 2)) is first
+    assert transversal.cache_info().hits == 1
+    assert coset_reps(1, 3, W_W) is coset_reps(1, 3, diag(1, 0))
+    assert transversal.cache_info().hits == 2 and transversal.cache_info().misses == 2
+    assert coset_reps(1, 3, diag(2, 0)) is not first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0, 0, 0, _CAP] = 2
 
 
 def test_pair_counts_and_bound():
@@ -615,6 +633,50 @@ def test_dense_arithmetic_matches_dict_reference(stack, cands):
               [(lambda A=A: to_dense(weyl_mul_right(k, A, e))) for A in mats])
 
 
+@lru_cache(maxsize=None)
+def _gl_index(k, q):
+    """Every invertible k x k matrix over F_q, labelled as GL_k(q) labels
+    its elements (the code for k = 1, rows of codes for k = 2), to its
+    position in an enumeration of its own."""
+    F = GF(q)
+    mats = (np.reshape(c, (k, k)) for c in iproduct(range(q), repeat=k * k))
+    units = [m for m in mats if fq_rank(F, m) == k]
+    labels = [int(m[0, 0]) if k == 1 else tuple(map(tuple, m.tolist())) for m in units]
+    return {lab: i for i, lab in enumerate(labels)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_stacks())
+def test_batched_membership_matches_in_parabolic(stack):
+    # each matrix as drawn; its integral part; that with a zero lower-left
+    # residue, where membership turns on the diagonal blocks alone; that
+    # with unit diagonal residues, in P; and that again with a pi^-1 term or
+    # a lower-left residue, each of which keeps a matrix out of P
+    F, k, mats = stack
+    index = _gl_index(k, F.q)
+    drawn = np.stack([to_dense(A) for A in mats])
+    integral = drawn.copy()
+    integral[..., :_CAP] = 0
+    deep = integral.copy()
+    deep[:, k:, :k, _CAP] = 0
+    inside = deep.copy()
+    inside[:, :k, :k, _CAP] = inside[:, k:, k:, _CAP] = np.eye(k, dtype=np.int64)
+    polar, shallow = inside.copy(), inside.copy()
+    polar[:, 0, -1, _CAP - 1] = 1
+    shallow[:, -1, 0, _CAP] = 1
+    assert all(in_parabolic(F, M, k) for M in inside)
+    for P in (drawn, integral, deep, inside, polar, shallow):
+        got = parabolic_levi(index, P, k)
+        assert len(got) == len(P)
+        for M, levi in zip(P, got):
+            if not in_parabolic(F, M, k):
+                assert levi is None
+                continue
+            blocks = [M[b : b + k, b : b + k, _CAP] for b in (0, k)]
+            assert levi == tuple(index[int(B[0, 0]) if k == 1 else tuple(map(tuple, B.tolist()))]
+                                 for B in blocks)
+
+
 def _oracle_systems():
     # q = 5 too, where negation is not the identity on codes
     return {args: build_coefficient_system(*args[:3], rho=args[3], mode=args[4])
@@ -648,11 +710,16 @@ def test_oracle_matches_dict_reference(data):
     assert all(np.array_equal(got[eps], want[eps]) for eps in want)
 
 
+def _all_inside(index, P, k):
+    """parabolic_levi that puts every matrix in P, with Levi factor 1."""
+    return [(0, 0)] * len(P)
+
+
 def test_two_cells_raise_typed_error(monkeypatch):
     # a coset pair admitted by two cells is an oracle verdict, not an assert
     monkeypatch.setattr(
         residue, "prefilter", lambda A, k, cands: np.ones(A.shape[:-3] + (len(cands),), bool))
-    monkeypatch.setattr(residue, "in_parabolic", lambda F, M, k: True)
+    monkeypatch.setattr(residue, "parabolic_levi", _all_inside)
     sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
     one = np.array([[1]], dtype=np.int64)
     with pytest.raises(CellConflict):
@@ -680,8 +747,9 @@ from heckekit.weyl import W_W
 sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
 one = np.array([[1]], dtype=np.int64)
 admit = lambda A, k, cands: np.ones(A.shape[:-3] + (len(cands),), dtype=bool)
+inside = lambda index, P, k: [(0, 0)] * len(P)
 with mock.patch.object(residue, "prefilter", admit), \\
-        mock.patch.object(residue, "in_parabolic", lambda F, M, k: True):
+        mock.patch.object(residue, "parabolic_levi", inside):
     try:
         residue.oracle_product(sys_, W_W, one, W_W, one)
     except CellConflict:
@@ -694,8 +762,10 @@ def test_gap_in_both_blocks_raises_typed_error(monkeypatch):
     # p_eta_pattern never deepens both blocks; a pattern that did has no
     # transversal here, and that is a typed error, not an assert
     monkeypatch.setattr(residue, "p_eta_pattern", lambda eta: (1, 2))
+    residue.transversal.cache_clear()
     with pytest.raises(GapTooLarge, match="both blocks"):
         coset_reps(1, 3, W_W)
+    residue.transversal.cache_clear()
 
 
 def test_gap_in_both_blocks_raises_under_optimize():
