@@ -488,11 +488,18 @@ def _random_coeff(rng, sys, e):
     return sum(int(c) * b for c, b in zip(weights, basis)) % sys.l
 
 
+# sha256 prefixes of the oracle's output over a seeded pair set: every
+# congruence-gap class on both sides for (1,4,3,trivial,pp), and the gap
+# classes up to (1,1), (2,0) and (0,2) for (2,2,3,sign,pp); one rng runs
+# through both systems in this order
+ORACLE_DIGESTS = {
+    (1, 4, 3, "trivial", "pp"): "2498be9f44b0505a",
+    (2, 2, 3, "sign", "pp"): "9ad0398dc4f08121",
+}
+
+
 def test_oracle_golden_digest():
-    # Frozen oracle output over a seeded pair set: every congruence-gap
-    # class on both sides for (1,4,3,trivial,pp), and the gap classes up to
-    # (1,1), (2,0) and (0,2) for (2,2,3,sign,pp).
-    digest = hashlib.sha256()
+    got = {}
     rng = np.random.default_rng(2014)
     every = [(a, b) for a in range(3) for b in range(3)]
     for args, gap_pairs, per_class in (
@@ -501,6 +508,7 @@ def test_oracle_golden_digest():
     ):
         k, q, l, rho, mode = args
         sys = build_coefficient_system(k, q, l, rho=rho, mode=mode)
+        digest = hashlib.sha256()
         for eta, delta in _golden_pairs(rng, gap_pairs, per_class):
             f = _random_coeff(rng, sys, eta)
             g = _random_coeff(rng, sys, delta)
@@ -509,9 +517,8 @@ def test_oracle_golden_digest():
             for eps in sorted(out):
                 h = np.asarray(out[eps], dtype=np.int64)
                 digest.update(repr(eps).encode() + h.tobytes())
-    assert digest.hexdigest() == (
-        "928096449d6735e3ba5f513d26201be95f2084c9b44d35e816c8f3f182cad43b"
-    )
+        got[args] = digest.hexdigest()[:16]
+    assert got == ORACLE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
