@@ -21,6 +21,10 @@ class NotAHomomorphism(HeckeError):
     """A stack of matrices does not define a representation of its group table."""
 
 
+class NotAGroup(HeckeError):
+    """A multiplication table or its labels do not form the group they claim to."""
+
+
 class NotIrreducible(HeckeError):
     """A module expected to be (absolutely) irreducible is not."""
 

@@ -38,7 +38,7 @@ from .gfp import (
     fq_rref,
     poly_str,
 )
-from .modrep import general_linear, intertwiners, min_poly, pair_index
+from .modrep import general_linear, intertwiners, pair_index
 
 # ---------------------------------------------------------------------------
 # elements and the closed product
@@ -436,6 +436,19 @@ def parameter_image(sys, i):
     if i % 2 == 0:
         return FinElement(sys, ts, zero)
     return FinElement(sys, zero, ts)
+
+
+def min_poly(M, l, bound=40):
+    """Minimal monic polynomial of the square matrix M mod l, degree <= bound."""
+    M = np.asarray(M, dtype=np.int64) % l
+
+    def powers():
+        P = np.eye(M.shape[0], dtype=np.int64)
+        while True:
+            yield P.reshape(-1)
+            P = (P @ M) % l
+
+    return first_monic_dependence(powers(), l, max_len=bound)
 
 
 def compute_fpoly(sys, max_deg=12):

@@ -12,7 +12,6 @@ component.  Everything is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
-import itertools
 from math import isqrt
 
 import numpy as np
@@ -394,16 +393,6 @@ def nullspace_triplets(rows, cols, vals, ncols, l):
     return basis
 
 
-def nullspace_mod(A, l):
-    """Rows spanning {x : A x = 0 mod l}, in reduced form: nullspace_triplets
-    on the nonzeros of the dense matrix A."""
-    A = np.asarray(A, dtype=np.int64) % l
-    if A.ndim != 2:
-        raise ValueError("need a 2d array")
-    r, c = np.nonzero(A)
-    return nullspace_triplets(r, c, A[r, c], A.shape[1], l)
-
-
 def solve_mod(A, b, l):
     """One solution x of A x = b mod l, or None if the system is inconsistent."""
     A = np.asarray(A, dtype=np.int64)
@@ -417,16 +406,6 @@ def solve_mod(A, b, l):
     for r, pc in enumerate(pivots):
         x[pc] = R[r, cols]
     return x
-
-
-def matinv_mod(A, l):
-    A = np.asarray(A, dtype=np.int64)
-    n = A.shape[0]
-    assert A.shape == (n, n)
-    R, pivots = rref_mod(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1), l)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix not invertible mod %d" % l)
-    return R[:, n:]
 
 
 def kron_mod(A, B, l):
@@ -456,80 +435,6 @@ def padd(a, b, l):
 
 def pscale(a, s, l):
     return pnormalize([(x * s) % l for x in a])
-
-
-def pmul(a, b, l):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x % l == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % l
-    return pnormalize(out)
-
-
-def pdivmod(a, b, l):
-    a = list(pnormalize([x % l for x in a]))
-    b = pnormalize([x % l for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = pow(b[-1], -1, l)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        s = (a[-1] * binv) % l
-        d = len(a) - len(b)
-        q[d] = s
-        for i, x in enumerate(b):
-            a[d + i] = (a[d + i] - s * x) % l
-        while a and a[-1] == 0:
-            a.pop()
-    return pnormalize(q), pnormalize(a)
-
-
-def pmonic(a, l):
-    a = pnormalize([x % l for x in a])
-    if not a:
-        return a
-    return pscale(a, pow(a[-1], -1, l), l)
-
-
-def pfactor(a, l, cap=100000):
-    """Monic irreducible factors with multiplicity, by trial division.
-
-    Fine for the degrees this package meets (<= ~8 over l <= 7); raises
-    TooLarge rather than grind through a huge candidate space.
-    """
-    a = pnormalize([x % l for x in a])
-    if len(a) < 2:
-        raise ValueError("constant polynomial")
-    a = pmonic(a, l)
-    out = []
-    d = 1
-    n_cands = 0
-    while len(a) - 1 >= 2 * d:
-        n_cands += l ** d
-        if n_cands > cap:
-            raise TooLarge("factor search space too big")
-        for tail in itertools.product(range(l), repeat=d):
-            cand = pnormalize(list(tail) + [1])
-            if len(cand) != d + 1:
-                continue
-            m = 0
-            while True:
-                q, r = pdivmod(a, cand, l)
-                if r:
-                    break
-                a, m = q, m + 1
-            if m:
-                out.append((cand, m))
-            if len(a) - 1 < 2 * d:
-                break
-        d += 1
-    if len(a) > 1:
-        out.append((a, 1))
-    return out
 
 
 def poly_str(a, var="T"):

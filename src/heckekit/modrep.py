@@ -12,6 +12,9 @@ element T* = sum_g (g, -g^{-1}) acting on V, and the index parameter tau.
 Those five things are all any Hecke-algebra computation downstream needs.
 Intertwiner spaces are solved from the equations X A(g) = B(g) X as sparse
 triplets read off the nonzeros of A(g) and B(g), never as Kronecker blocks.
+The projective cover P of a cuspidal module is induced from a cyclic
+l'-complement of the group's normal Sylow l-subgroup, in one step with no
+search; the size of V = P # P (+) dual is checked before it is built.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     BadCount,
     EmptyIntertwiners,
     NotACharacter,
+    NotAGroup,
     NotAHomomorphism,
     NotBiEquivariant,
     NotCuspidal,
@@ -36,16 +40,10 @@ from .errors import (
 from .gfp import (
     GF,
     _factor_prime_power,
-    first_monic_dependence,
     fq_matmul,
     is_prime,
     kron_mod,
-    matinv_mod,
-    nullspace_mod,
     nullspace_triplets,
-    pdivmod,
-    pfactor,
-    pmul,
     rank_mod,
     solve_mod,
 )
@@ -69,7 +67,7 @@ class FiniteGroupTable:
                     ident = e
                     break
         if ident is None:
-            raise ValueError("no identity found")
+            raise NotAGroup("no identity among %d labels" % len(labels))
         labels.remove(ident)
         labels.insert(0, ident)
         self.labels = labels
@@ -83,7 +81,8 @@ class FiniteGroupTable:
         self.INV = np.zeros(self.n, dtype=np.int64)
         for i in range(self.n):
             hits = np.nonzero(self.MUL[i] == 0)[0]
-            assert hits.size == 1
+            if hits.size != 1:
+                raise NotAGroup("label %r has %d right inverses" % (labels[i], hits.size))
             self.INV[i] = hits[0]
         if neg_fn is not None:
             self.NEG = np.array([self.index[neg_fn(a)] for a in labels], dtype=np.int64)
@@ -231,13 +230,6 @@ class RepModule:
         return "RepModule(%s, dim=%d, l=%d)" % (self.name or "?", self.dim, self.l)
 
 
-def regular_module(G, l):
-    A = np.zeros((G.n, G.n, G.n), dtype=np.int64)
-    for g in range(G.n):
-        A[g, G.MUL[g, np.arange(G.n)], np.arange(G.n)] = 1
-    return RepModule(G, A, l, name="regular")
-
-
 def contragredient(rep):
     A = rep.A[rep.G.INV].transpose(0, 2, 1)
     return RepModule(rep.G, A, rep.l, name=rep.name + "*")
@@ -363,7 +355,9 @@ def _unit_characters(G, l):
         if o == want:
             zeta = z
             break
-    assert zeta is not None
+    if zeta is None:
+        raise BadCharacteristic("no element of order %d among the %d-th roots of unity mod %d"
+                                % (want, m, l))
     if m == 1:
         logs = {0: 0}
     else:
@@ -393,6 +387,8 @@ def _gl2_of_f2_modules(G, l):
                 (g[0][0] * v[0] + g[0][1] * v[1]) % 2,
                 (g[1][0] * v[0] + g[1][1] * v[1]) % 2,
             )
+            if w not in pts:
+                raise NotAGroup("label %r is not in GL_2(F_2)" % (g,))
             out.append(pts.index(w))
         return out
 
@@ -400,21 +396,17 @@ def _gl2_of_f2_modules(G, l):
     triv = np.ones((n, 1, 1), dtype=np.int64)
     sgn = np.zeros((n, 1, 1), dtype=np.int64)
     std = np.zeros((n, 2, 2), dtype=np.int64)
+    # action on {(a, b, c): a+b+c=0} with basis e0-e1, e1-e2: such a vector
+    # is a (e0-e1) - c (e1-e2), so the coordinates of the columns of P B
+    # (P permutes rows by p) are read off directly
+    B = np.array([[1, -1, 0], [0, 1, -1]], dtype=np.int64).T
     for i, g in enumerate(G.labels):
         p = perm(g)
         # parity via explicit inversion count on 3 points
         invs = sum(1 for a in range(3) for b in range(a + 1, 3) if p[a] > p[b])
         sgn[i, 0, 0] = (-1) ** invs % l
-        # action on {(a, b, c): a+b+c=0} with basis e0-e1, e1-e2
-        P = np.zeros((3, 3), dtype=np.int64)
-        for src in range(3):
-            P[p[src], src] = 1
-        B = np.array([[1, -1, 0], [0, 1, -1]], dtype=np.int64).T % l
-        PB = (P @ B) % l
-        for col in range(2):
-            sol = solve_mod(B, PB[:, col], l)
-            assert sol is not None
-            std[i, :, col] = sol
+        PB = B[np.argsort(p)]
+        std[i] = np.stack([PB[0], -PB[2]]) % l
     cands = [
         ("trivial", RepModule(G, triv, l, name="trivial")),
         ("sign", RepModule(G, sgn, l, name="sign")),
@@ -424,159 +416,69 @@ def _gl2_of_f2_modules(G, l):
 
 
 # ---------------------------------------------------------------------------
-# splitting modules and projective covers
+# projective covers
 
 
-def _action_on_subspace(A_arrs, basis, l):
-    """Restrict the ambient action to span(rows of basis); exact solve."""
-    s = basis.shape[0]
-    out = np.zeros((A_arrs.shape[0], s, s), dtype=np.int64)
-    Bt = basis.T % l
-    for g in range(A_arrs.shape[0]):
-        img = (A_arrs[g] @ Bt) % l
-        for col in range(s):
-            sol = solve_mod(Bt, img[:, col], l)
-            assert sol is not None, "subspace not stable"
-            out[g, :, col] = sol
-    return out
+def l_part(n, l):
+    """The largest power of l dividing n > 0."""
+    part = 1
+    while n % l == 0:
+        n //= l
+        part *= l
+    return part
 
 
-def min_poly(M, l, bound=40):
-    """Minimal monic polynomial of the square matrix M mod l, degree <= bound."""
-    M = np.asarray(M, dtype=np.int64) % l
-
-    def powers():
-        P = np.eye(M.shape[0], dtype=np.int64)
-        while True:
-            yield P.reshape(-1)
-            P = (P @ M) % l
-
-    return first_monic_dependence(powers(), l, max_len=bound)
-
-
-def _split_once(acts, l, rng):
-    """One nontrivial G-stable direct-sum split of the full space, or None."""
-    dim = acts.shape[1]
-    E = intertwiners(acts, acts, l)
-    if len(E) == 1:
-        return None
-    cands = [e.copy() for e in E]
-    for _ in range(25):
-        coef = rng.integers(0, l, size=len(E))
-        z = np.zeros((dim, dim), dtype=np.int64)
-        for c, e in zip(coef, E):
-            z = (z + int(c) * e) % l
-        cands.append(z)
-    for z in cands:
-        m = min_poly(z, l)
-        if len(m) < 2:
-            continue
-        fac = pfactor(m, l)
-        if len(fac) < 2:
-            continue
-        p0, mult0 = fac[0]
-        part = p0
-        for _ in range(mult0 - 1):
-            part = pmul(part, p0, l)
-        rest = pdivmod(m, part, l)[0]
-        k1 = nullspace_mod(_poly_at(part, z, l), l)
-        k2 = nullspace_mod(_poly_at(rest, z, l), l)
-        assert k1.shape[0] + k2.shape[0] == dim
-        assert k1.shape[0] and k2.shape[0]
-        return k1, k2
-    # idempotent sweep: sound fallback for matrix-algebra commutants
-    if l ** len(E) <= 2 * 10**5:
-        eye = np.eye(dim, dtype=np.int64)
-        for code in range(1, l ** len(E)):
-            e = np.zeros((dim, dim), dtype=np.int64)
-            for i in range(len(E)):
-                c = (code // l**i) % l
-                if c:
-                    e = (e + c * E[i]) % l
-            if not e.any() or np.array_equal(e, eye):
-                continue
-            if np.array_equal((e @ e) % l, e):
-                k1 = nullspace_mod(e, l)
-                k2 = nullspace_mod((eye - e) % l, l)
-                assert k1.shape[0] + k2.shape[0] == dim
-                return k1, k2
-        return None  # End is local: indecomposable
-    raise TooLarge("cannot decide decomposability")
-
-
-def _poly_at(p, M, l):
-    out = np.zeros_like(M)
-    P = np.eye(M.shape[0], dtype=np.int64)
-    for c in p:
-        out = (out + int(c) * P) % l
-        P = (P @ M) % l
-    return out
-
-
-def split_indecomposable(rep, seed=0):
-    """Bases (rows, ambient coords) of indecomposable summands of rep."""
-    rng = np.random.default_rng(seed)
-    done = []
-    todo = [np.eye(rep.dim, dtype=np.int64)]
-    while todo:
-        basis = todo.pop()
-        acts = (
-            rep.A
-            if basis.shape[0] == rep.dim and np.array_equal(basis, np.eye(rep.dim, dtype=np.int64))
-            else _action_on_subspace(rep.A, basis, rep.l)
-        )
-        got = _split_once(acts, rep.l, rng)
-        if got is None:
-            done.append(basis)
-            continue
-        for sub in got:
-            todo.append((sub @ basis) % rep.l)
-    return done
-
-
-@dataclass
-class CoverResult:
-    module: RepModule
-    witness: np.ndarray  # idempotent on the regular module, image = the cover
-    multiplicity: int
+def _element_orders(G):
+    """Order of every element of the table, by repeated multiplication."""
+    orders = np.zeros(G.n, dtype=np.int64)
+    cur, idx = np.arange(G.n), np.arange(G.n)
+    for e in range(1, G.n + 1):
+        orders[(cur == 0) & (orders == 0)] = e
+        cur = G.MUL[cur, idx]
+    return orders
 
 
 def projective_cover(rep):
-    """Projective cover of an absolutely irreducible module, inside regular.
+    """Projective cover P(S) of an absolutely irreducible module S.
 
-    Splits the regular module into indecomposables, picks the summand
-    mapping onto rep, and returns it with a verified witness idempotent.
+    Every group irreducible_modules enumerates has a normal Sylow
+    l-subgroup L (its elements of l-power order) with a cyclic complement
+    H = <h>, h the first element of order |G : L|: the cyclic GL_1(q), and
+    GL_2(2) = S_3, where L = C_3 for l = 3.  l does not divide |H|, so S|_H
+    is projective and, by Frobenius reciprocity, P(S) = Ind_H^G(S|_H), of
+    dimension |L| dim S.  Its basis is x (x) s for x in L in index order:
+    writing g x = x' h' with x' in L and h' in H puts the block S(h') at
+    (x', x).  When L = 1 every module is projective and P(S) = S
+    (Maschke).  A group whose Sylow l-subgroup is not normal is TooLarge.
     """
     G, l = rep.G, rep.l
     if not is_absolutely_irreducible(rep):
         raise NotIrreducible(rep.name)
-    reg = regular_module(G, l)
-    pieces = split_indecomposable(reg)
-    stacked = np.concatenate(pieces, axis=0) % l
-    assert rank_mod(stacked, l) == G.n, "summands do not fill the regular module"
-    hits = []
-    for i, basis in enumerate(pieces):
-        acts = _action_on_subspace(reg.A, basis, l)
-        hom = intertwiners(acts, rep.A, l, generators=G.generators)
-        if hom:
-            hits.append((i, len(hom)))
-    assert hits, "no summand maps onto the module"
-    dims = {pieces[i].shape[0] for i, _ in hits}
-    assert len(dims) == 1, "candidate covers of different sizes: %s" % dims
-    assert len(hits) == rep.dim, "multiplicity %d != dim %d" % (len(hits), rep.dim)
-    pick = hits[0][0]
-    # witness idempotent: coordinate projection conjugated into ambient terms
-    Binv = matinv_mod(stacked.T, l)
-    sel = np.zeros(G.n, dtype=np.int64)
-    off = sum(p.shape[0] for p in pieces[:pick])
-    sel[off : off + pieces[pick].shape[0]] = 1
-    e = (stacked.T @ np.diag(sel) @ Binv) % l
-    assert np.array_equal((e @ e) % l, e)
-    for g in G.generators:
-        assert np.array_equal((e @ reg.A[g]) % l, (reg.A[g] @ e) % l)
-    acts = _action_on_subspace(reg.A, pieces[pick], l)
-    mod = RepModule(G, acts, l, name="P(%s)" % rep.name)
-    return CoverResult(module=mod, witness=e, multiplicity=len(hits))
+    orders = _element_orders(G)
+    L = np.flatnonzero([l_part(o, l) == o for o in orders.tolist()])
+    if L.size != l_part(G.n, l):
+        raise TooLarge("the Sylow %d-subgroup of a group of order %d is not normal"
+                       % (l, G.n))
+    if L.size == 1:
+        return rep
+    m = G.n // L.size
+    gens = np.flatnonzero(orders == m)
+    if not gens.size:
+        raise TooLarge("no cyclic complement of order %d to the Sylow %d-subgroup" % (m, l))
+    H = np.zeros(m, dtype=np.int64)
+    for j in range(1, m):
+        H[j] = G.MUL[H[j - 1], gens[0]]
+    xh = G.MUL[L[:, None], H]  # x h, one row per x in L
+    if np.unique(xh).size != G.n:
+        raise NotAGroup("L H does not cover the group of order %d exactly once" % G.n)
+    x_of, h_of = np.empty((2, G.n), dtype=np.int64)  # g = L[x_of[g]] H[h_of[g]]
+    x_of[xh], h_of[xh] = np.indices(xh.shape)
+    gx = G.MUL[:, L]
+    g, x = np.indices(gx.shape)
+    d = rep.dim
+    A = np.zeros((G.n, L.size, d, L.size, d), dtype=np.int64)
+    A[g, x_of[gx], :, x, :] = rep.A[H[h_of[gx]]]
+    return RepModule(G, A.reshape(G.n, L.size * d, L.size * d), l, name="P(%s)" % rep.name)
 
 
 # ---------------------------------------------------------------------------
@@ -639,15 +541,6 @@ class CoefficientSystem:
 _SYSTEM_CACHE = {}
 
 
-def l_part(n, l):
-    """The largest power of l dividing n > 0."""
-    part = 1
-    while n % l == 0:
-        n //= l
-        part *= l
-    return part
-
-
 def _refuse_large_v(dim_p):
     """TooLarge when V = P # P (+) its dual, of dimension 2 dim(P)^2, has
     more self-intertwiner unknowns than intertwiners solves; checked before
@@ -684,10 +577,10 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
     rho0 = irr[rho]
     if not is_cuspidal(rho0):
         raise NotCuspidal(rho)
-    if mode == "pp" and k == 1:
-        # GL_1(q) is cyclic, so the cover of a character has dimension the
-        # l-part of q - 1: refused here, before projective_cover splits anything
-        _refuse_large_v(l_part(q - 1, l))
+    if mode == "pp":
+        # the cover has dimension the l-part of |M| times dim(S), refused here,
+        # before projective_cover builds it
+        _refuse_large_v(l_part(M.n, l) * rho0.dim)
     MM = product_group(M, M)
     swap = swap_permutation(MM)
     if mode == "plain":
@@ -696,8 +589,7 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
         V = boxtimes(rho0, rho0, MM)
     elif mode == "pp":
         cov = projective_cover(rho0)
-        _refuse_large_v(cov.module.dim)
-        P = boxtimes(cov.module, cov.module, MM)
+        P = boxtimes(cov, cov, MM)
         V = direct_sum(P, contragredient(P))
     else:
         raise ValueError("mode must be 'plain' or 'pp'")

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCount, WrongModularCase
+from .errors import BadCount, TooLarge, WrongModularCase
 from .finhecke import fin_unit, fin_w, random_fin_element
 from .heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
 from .modrep import build_coefficient_system
-from .residue import oracle_product, p_eta_pattern, pair_count
+from .residue import _MAX_PAIRS, oracle_product, p_eta_pattern, pair_count
 from .twisted import (
     PolynomialPart,
     compare_iwahori,
@@ -176,15 +176,25 @@ def check_cases(k, q, l, rho="trivial", mode="plain", with_oracle=True):
     return out
 
 
+# coset pairs one oracle window may enumerate in all: (1, 4) at bound 2 is
+# 70,225 pairs and takes about 1.4 s; (1, 13) is 5.0M and (2, 2) at bound 2
+# 11.1M, over a minute, and both are refused
+_MAX_WINDOW_PAIRS = 64 * _MAX_PAIRS
+
+
 def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
-    """Engine vs the enumeration oracle on every supported pair in a window."""
+    """Engine vs the enumeration oracle on every supported pair in a window.
+    TooLarge before the first product when one product would enumerate more
+    than _MAX_PAIRS coset pairs, or the whole window more than
+    _MAX_WINDOW_PAIRS."""
     _at_least("bound", bound, 0)
     sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
     inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode, "bound": bound}
     window = [e for e in elements_in_window(bound) if oracle_supported(e)]
-    for eta in window:  # TooLarge before the first product, not during the run
-        for delta in window:
-            pair_count(k, q, eta, delta)
+    total = sum(pair_count(k, q, eta, delta) for eta in window for delta in window)
+    if total > _MAX_WINDOW_PAIRS:
+        raise TooLarge("the oracle window would enumerate %d coset pairs; at most %d"
+                       % (total, _MAX_WINDOW_PAIRS))
     checked = 0
     for eta in window:
         f = sys.basis(int(eta.flip))[0] % l

@@ -11,8 +11,20 @@ from itertools import product
 
 import numpy as np
 
-from heckekit.gfp import GF, fq_rank, fq_rref, rref_mod
-from heckekit.modrep import general_linear
+from heckekit.errors import TooLarge
+from heckekit.finhecke import min_poly
+from heckekit.gfp import (
+    GF,
+    fq_rank,
+    fq_rref,
+    nullspace_triplets,
+    pnormalize,
+    pscale,
+    rank_mod,
+    rref_mod,
+    solve_mod,
+)
+from heckekit.modrep import RepModule, general_linear, intertwiners
 from heckekit.weyl import word_of
 
 
@@ -130,3 +142,237 @@ def kronecker_intertwiners(A_arrs, B_arrs, l, generators=None):
     eye_b = np.eye(db, dtype=np.int64)
     blocks = [(np.kron(eye_b, A_arrs[g].T) - np.kron(B_arrs[g], eye_a)) % l for g in gens]
     return [v.reshape(db, da) for v in nullspace_rref(np.concatenate(blocks, axis=0), l)]
+
+
+def nullspace_mod(A, l):
+    """Rows spanning {x : A x = 0 mod l}, in reduced form: nullspace_triplets
+    on the nonzeros of the dense matrix A."""
+    A = np.asarray(A, dtype=np.int64) % l
+    if A.ndim != 2:
+        raise ValueError("need a 2d array")
+    r, c = np.nonzero(A)
+    return nullspace_triplets(r, c, A[r, c], A.shape[1], l)
+
+
+def matinv_mod(A, l):
+    A = np.asarray(A, dtype=np.int64)
+    n = A.shape[0]
+    assert A.shape == (n, n)
+    R, pivots = rref_mod(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1), l)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix not invertible mod %d" % l)
+    return R[:, n:]
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials mod l, little-endian coefficient tuples
+
+
+def pmul(a, b, l):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x % l == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % l
+    return pnormalize(out)
+
+
+def pdivmod(a, b, l):
+    a = list(pnormalize([x % l for x in a]))
+    b = pnormalize([x % l for x in b])
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    binv = pow(b[-1], -1, l)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        s = (a[-1] * binv) % l
+        d = len(a) - len(b)
+        q[d] = s
+        for i, x in enumerate(b):
+            a[d + i] = (a[d + i] - s * x) % l
+        while a and a[-1] == 0:
+            a.pop()
+    return pnormalize(q), pnormalize(a)
+
+
+def pmonic(a, l):
+    a = pnormalize([x % l for x in a])
+    if not a:
+        return a
+    return pscale(a, pow(a[-1], -1, l), l)
+
+
+def pfactor(a, l, cap=100000):
+    """Monic irreducible factors with multiplicity, by trial division;
+    TooLarge rather than grind through a huge candidate space."""
+    a = pnormalize([x % l for x in a])
+    if len(a) < 2:
+        raise ValueError("constant polynomial")
+    a = pmonic(a, l)
+    out = []
+    d = 1
+    n_cands = 0
+    while len(a) - 1 >= 2 * d:
+        n_cands += l ** d
+        if n_cands > cap:
+            raise TooLarge("factor search space too big")
+        for tail in product(range(l), repeat=d):
+            cand = pnormalize(list(tail) + [1])
+            if len(cand) != d + 1:
+                continue
+            m = 0
+            while True:
+                q, r = pdivmod(a, cand, l)
+                if r:
+                    break
+                a, m = q, m + 1
+            if m:
+                out.append((cand, m))
+            if len(a) - 1 < 2 * d:
+                break
+        d += 1
+    if len(a) > 1:
+        out.append((a, 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# projective covers by splitting the regular module into indecomposables
+
+
+def regular_module(G, l):
+    A = np.zeros((G.n, G.n, G.n), dtype=np.int64)
+    for g in range(G.n):
+        A[g, G.MUL[g, np.arange(G.n)], np.arange(G.n)] = 1
+    return RepModule(G, A, l, name="regular")
+
+
+def _action_on_subspace(A_arrs, basis, l):
+    """Restrict the ambient action to span(rows of basis); exact solve."""
+    s = basis.shape[0]
+    out = np.zeros((A_arrs.shape[0], s, s), dtype=np.int64)
+    Bt = basis.T % l
+    for g in range(A_arrs.shape[0]):
+        img = (A_arrs[g] @ Bt) % l
+        for col in range(s):
+            sol = solve_mod(Bt, img[:, col], l)
+            assert sol is not None, "subspace not stable"
+            out[g, :, col] = sol
+    return out
+
+
+def _poly_at(p, M, l):
+    out = np.zeros_like(M)
+    P = np.eye(M.shape[0], dtype=np.int64)
+    for c in p:
+        out = (out + int(c) * P) % l
+        P = (P @ M) % l
+    return out
+
+
+def _split_once(acts, l, rng):
+    """One nontrivial G-stable direct-sum split of the full space, or None:
+    min-poly factoring of End basis elements and of 25 random combinations,
+    then a sweep of up to 2*10^5 endomorphisms for an idempotent."""
+    dim = acts.shape[1]
+    E = intertwiners(acts, acts, l)
+    if len(E) == 1:
+        return None
+    cands = [e.copy() for e in E]
+    for _ in range(25):
+        coef = rng.integers(0, l, size=len(E))
+        z = np.zeros((dim, dim), dtype=np.int64)
+        for c, e in zip(coef, E):
+            z = (z + int(c) * e) % l
+        cands.append(z)
+    for z in cands:
+        m = min_poly(z, l)
+        if len(m) < 2:
+            continue
+        fac = pfactor(m, l)
+        if len(fac) < 2:
+            continue
+        p0, mult0 = fac[0]
+        part = p0
+        for _ in range(mult0 - 1):
+            part = pmul(part, p0, l)
+        rest = pdivmod(m, part, l)[0]
+        k1 = nullspace_mod(_poly_at(part, z, l), l)
+        k2 = nullspace_mod(_poly_at(rest, z, l), l)
+        assert k1.shape[0] + k2.shape[0] == dim
+        assert k1.shape[0] and k2.shape[0]
+        return k1, k2
+    if l ** len(E) <= 2 * 10**5:
+        eye = np.eye(dim, dtype=np.int64)
+        for code in range(1, l ** len(E)):
+            e = np.zeros((dim, dim), dtype=np.int64)
+            for i in range(len(E)):
+                c = (code // l**i) % l
+                if c:
+                    e = (e + c * E[i]) % l
+            if not e.any() or np.array_equal(e, eye):
+                continue
+            if np.array_equal((e @ e) % l, e):
+                k1 = nullspace_mod(e, l)
+                k2 = nullspace_mod((eye - e) % l, l)
+                assert k1.shape[0] + k2.shape[0] == dim
+                return k1, k2
+        return None  # End is local: indecomposable
+    raise TooLarge("cannot decide decomposability")
+
+
+def split_indecomposable(rep, seed=0):
+    """Bases (rows, ambient coords) of indecomposable summands of rep."""
+    rng = np.random.default_rng(seed)
+    done = []
+    todo = [np.eye(rep.dim, dtype=np.int64)]
+    while todo:
+        basis = todo.pop()
+        acts = (
+            rep.A
+            if basis.shape[0] == rep.dim and np.array_equal(basis, np.eye(rep.dim, dtype=np.int64))
+            else _action_on_subspace(rep.A, basis, rep.l)
+        )
+        got = _split_once(acts, rep.l, rng)
+        if got is None:
+            done.append(basis)
+            continue
+        for sub in got:
+            todo.append((sub @ basis) % rep.l)
+    return done
+
+
+def splitting_cover(rep):
+    """(cover, witness, multiplicity): the summand of the regular module that
+    maps onto rep, a witness idempotent on the regular module whose image
+    is that summand, and how many summands map onto rep."""
+    G, l = rep.G, rep.l
+    reg = regular_module(G, l)
+    pieces = split_indecomposable(reg)
+    stacked = np.concatenate(pieces, axis=0) % l
+    assert rank_mod(stacked, l) == G.n, "summands do not fill the regular module"
+    hits = []
+    for i, basis in enumerate(pieces):
+        acts = _action_on_subspace(reg.A, basis, l)
+        hom = intertwiners(acts, rep.A, l, generators=G.generators)
+        if hom:
+            hits.append((i, len(hom)))
+    assert hits, "no summand maps onto the module"
+    dims = {pieces[i].shape[0] for i, _ in hits}
+    assert len(dims) == 1, "candidate covers of different sizes: %s" % dims
+    assert len(hits) == rep.dim, "multiplicity %d != dim %d" % (len(hits), rep.dim)
+    pick = hits[0][0]
+    # witness idempotent: coordinate projection conjugated into ambient terms
+    Binv = matinv_mod(stacked.T, l)
+    sel = np.zeros(G.n, dtype=np.int64)
+    off = sum(p.shape[0] for p in pieces[:pick])
+    sel[off : off + pieces[pick].shape[0]] = 1
+    e = (stacked.T @ np.diag(sel) @ Binv) % l
+    assert np.array_equal((e @ e) % l, e)
+    for g in G.generators:
+        assert np.array_equal((e @ reg.A[g]) % l, (reg.A[g] @ e) % l)
+    acts = _action_on_subspace(reg.A, pieces[pick], l)
+    return RepModule(G, acts, l, name="P(%s)" % rep.name), e, len(hits)

@@ -283,6 +283,10 @@ BAD_INPUTS = [
     ("verify", "--suite", "cases", "-q", "4099", "-l", "3"),
     ("mul", "[w]", "[w]", "-q", "-3", "-l", "5"),
     ("verify", "--suite", "oracle", "-k", "1", "-q", "71", "-l", "2"),  # coset pairs
+    # window budget: 11.1M and 5.0M coset pairs over the window
+    ("verify", "--suite", "oracle", "-k", "2", "-q", "2", "-l", "3", "--rep", "sign",
+     "--mode", "pp"),
+    ("verify", "--suite", "oracle", "-k", "1", "-q", "13", "-l", "2"),
 ]
 
 
@@ -299,3 +303,16 @@ def test_bad_input_exits_2_under_optimize(argv):
     proc = run_process(*argv, optimize=True)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
+# pp systems whose covers splitting the regular module could not build, or
+# built in 10-14 s: l does not divide q - 1 (7, 17), or does (2, 3)
+COVER_OUTLIERS = [("23", "7"), ("31", "17"), ("23", "2"), ("31", "3")]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+@pytest.mark.parametrize("q,l", COVER_OUTLIERS, ids=["q%s.l%s" % c for c in COVER_OUTLIERS])
+def test_fpoly_pp_answers_where_splitting_failed(q, l, optimize):
+    proc = run_process("fpoly", "-k", "1", "-q", q, "-l", l, "--mode", "pp", optimize=optimize)
+    assert proc.returncode == 0, proc.stderr
+    assert len([ln for ln in proc.stdout.splitlines() if ln.startswith("F = ")]) == 1

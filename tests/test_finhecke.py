@@ -167,6 +167,9 @@ def test_formula_matches_convolution_k2():
 # sha256 prefixes of the oracle's output, every cell including the
 # partial-swap ones, over seeded pairs on each acceptance configuration in
 # both modes; one rng runs through the systems in this order
+# The (2,2,3,sign,pp) entry is re-recorded in the basis of the cover induced
+# from a complement C_2 in S_3, whose V differs from the split regular
+# module's by a change of basis.
 FIN_CONVOLVE_DIGESTS = {
     (1, 2, 3, "trivial", "plain"): "4d94612d973ebf15",
     (1, 2, 3, "trivial", "pp"): "0e8b51b753dd94a5",
@@ -181,7 +184,7 @@ FIN_CONVOLVE_DIGESTS = {
     (1, 5, 3, "trivial", "plain"): "c4bf0010854b63ce",
     (1, 5, 3, "trivial", "pp"): "fd8c4f9ca082f5ac",
     (2, 2, 3, "sign", "plain"): "ba4fa904f3de9752",
-    (2, 2, 3, "sign", "pp"): "c700b625d1b46070",
+    (2, 2, 3, "sign", "pp"): "ff567b2ddc47bb0a",
     (2, 2, 5, "sign", "plain"): "f2b632513dbe3439",
     (2, 2, 5, "sign", "pp"): "f2e86438d79a50e1",
     (2, 2, 7, "sign", "plain"): "8d497865ed83a1e0",
@@ -207,6 +210,17 @@ def test_fin_convolve_golden_digest():
                     digest.update(repr(d).encode() + h.tobytes())
             got[k, q, l, rho, mode] = digest.hexdigest()[:16]
     assert got == FIN_CONVOLVE_DIGESTS
+
+
+@pytest.mark.parametrize("q,l", [(23, 7), (31, 17), (23, 2), (31, 3)])
+def test_fin_convolve_matches_fin_mul_on_induced_covers(q, l):
+    # the k = 1 pp systems that splitting the regular module could not build
+    # (l | q - 1) or built slowly (l does not divide q - 1)
+    sys = _sys(1, q, l, "trivial", "pp")
+    rng = np.random.default_rng(100 * q + l)
+    for _ in range(8):
+        a, b = random_fin_element(sys, rng), random_fin_element(sys, rng)
+        assert fin_mul(a, b) == fin_convolve(a, b)
 
 
 def _convolve_by_cosets(a, b):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import nullspace_rref
+from reference import matinv_mod, nullspace_mod, nullspace_rref, pdivmod, pfactor, pmonic, pmul
 
 from heckekit import gfp
 from heckekit.errors import NoRelationWithinBound, RelationNotUnique, TooLarge
@@ -21,14 +21,8 @@ from heckekit.gfp import (
     fq_rank,
     fq_rref,
     kron_mod,
-    matinv_mod,
     matmul_mod,
-    nullspace_mod,
     nullspace_triplets,
-    pdivmod,
-    pfactor,
-    pmonic,
-    pmul,
     pnormalize,
     poly_str,
     rank_mod,

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from reference import kronecker_intertwiners
+from reference import kronecker_intertwiners, regular_module, split_indecomposable, splitting_cover
 from test_acceptance import FIN_CONFIGS
 
 import heckekit
@@ -17,6 +17,7 @@ from heckekit.errors import (
     BadCharacteristic,
     EmptyIntertwiners,
     NotACharacter,
+    NotAGroup,
     NotAHomomorphism,
     NotCuspidal,
     TooLarge,
@@ -38,8 +39,6 @@ from heckekit.modrep import (
     pair_index,
     product_group,
     projective_cover,
-    regular_module,
-    split_indecomposable,
     swap_permutation,
     unit_group,
 )
@@ -210,6 +209,80 @@ for what, G, A in _broken_stacks():
     assert proc.stdout.split() == ["identity", "False", "generator", "False"]
 
 
+def _tampered_s3():
+    """GL_2(2) = S_3 with one product of a 3-cycle by the first involution
+    redirected, so that the coset products x h of the cover miss an element;
+    element orders, read off powers only, are unchanged."""
+    G = general_linear(2, GF(2))
+    orders = modrep._element_orders(G)
+    x1, x2 = np.flatnonzero(orders == 3)
+    h = np.flatnonzero(orders == 2)[0]
+    G.MUL = G.MUL.copy()
+    G.MUL[x1, h] = G.MUL[x2, h]
+    return G
+
+
+def _singular_label_table():
+    G = general_linear(2, GF(2))
+    G.labels = list(G.labels)
+    G.labels[1] = ((1, 1), (1, 1))
+    return G
+
+
+# (what is wrong, error, call) on data that no group built here produces
+BAD_DATA = [
+    ("no identity", NotAGroup,
+     lambda: FiniteGroupTable([1, 2], lambda a, b: 2)),
+    ("no inverse", NotAGroup,
+     lambda: FiniteGroupTable([0, 1], lambda a, b: a * b % 2)),
+    ("no root of unity", BadCharacteristic,
+     lambda: irreducible_modules(unit_group(GF(5)), 8)),
+    ("singular label", NotAGroup,
+     lambda: irreducible_modules(_singular_label_table(), 5)),
+    ("no complement", NotAGroup,
+     lambda: projective_cover(trivial_module(_tampered_s3(), 3))),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BAD_DATA)), ids=[b[0] for b in BAD_DATA])
+def test_bad_group_data_raises_typed_error(case):
+    _, exc, call = BAD_DATA[case]
+    with pytest.raises(exc):
+        call()
+
+
+def test_bad_group_data_raises_under_optimize():
+    script = """
+import sys
+sys.path.insert(0, %r)
+from test_modrep import BAD_DATA
+for what, exc, call in BAD_DATA:
+    try:
+        call()
+    except exc:
+        print(what.replace(" ", "-"), __debug__)
+""" % os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [_sys_mod.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["no-identity", "False", "no-inverse", "False",
+                                   "no-root-of-unity", "False", "singular-label", "False",
+                                   "no-complement", "False"]
+
+
+def test_cover_refuses_without_a_normal_sylow_or_a_cyclic_complement():
+    # S_3 mod 2 has three Sylow 2-subgroups; C_2 x C_6 mod 3 has L = C_3 and
+    # the complement C_2 x C_2, which is not cyclic
+    with pytest.raises(TooLarge, match="not normal"):
+        projective_cover(trivial_module(general_linear(2, GF(2)), 2))
+    G = product_group(unit_group(GF(3)), unit_group(GF(7)))
+    with pytest.raises(TooLarge, match="no cyclic complement"):
+        projective_cover(trivial_module(G, 3))
+
+
 def test_unit_characters_counts():
     # gcd(q-1, l-1) characters with values in F_l
     assert len(irreducible_modules(unit_group(GF(5)), 3)) == 2
@@ -313,32 +386,31 @@ def test_pp_system_refused_before_its_action_stack(monkeypatch):
     assert peak < 1 << 20, peak
 
 
-# (q, l) with l | q - 1 where projective_cover gives up ("cannot decide
-# decomposability"), so that no pp system builds; ROADMAP item 5
-_UNDECIDED_COVERS = {(23, 2), (31, 3)}
-
-
 def test_cyclic_cover_dimension_is_the_l_part():
-    # the refusal above reads dim P(S) as the l-part of q - 1; it must be the
-    # dimension of the cover that is built, for every field q <= 32 that GF
-    # has and every l | q - 1 whose pp system builds.  Where l does not divide
-    # q - 1 the l-part is 1 and the cover is S itself (Maschke); building
-    # those covers takes minutes, so they are left out here.
-    checked = []
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 29, 31):
-        for l in (l for l in range(2, q) if is_prime(l) and (q - 1) % l == 0):
+    # the pp build refuses on dim P(S) read as the l-part of q - 1 (GL_1(q)
+    # is cyclic), where V would be too large; it must be the dimension of
+    # the cover, for every field q <= 31, every prime l <= 31 other than p
+    # and every character, l | q - 1 or not, and P(S) must map onto S
+    # alone: Hom(P(S), T) is F_l for T = S and 0 for every other enumerated
+    # T.  The whole census runs in about a second; 10 s is its budget.
+    start = time.monotonic()
+    covers = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 29, 31):  # every field GF has
+        G = unit_group(GF(q))
+        for l in (l for l in range(2, 32) if is_prime(l) and q % l):
             dim = modrep.l_part(q - 1, l)
             if (2 * dim**2) ** 2 > modrep._MAX_UNKNOWNS:
                 with pytest.raises(TooLarge, match="V would have dimension"):
                     build_coefficient_system(1, q, l, "trivial", "pp")
-                continue
-            if (q, l) in _UNDECIDED_COVERS:
-                continue
-            # every character of the cyclic group has a cover of one dimension
-            for name, rho in irreducible_modules(unit_group(GF(q)), l)[:2]:
-                assert projective_cover(rho).module.dim == dim, (q, l, name)
-            checked.append((q, l))
-    assert len(checked) == 11
+            mods = [rho for _, rho in irreducible_modules(G, l)]
+            for S in mods:
+                P = projective_cover(S)
+                assert P.dim == dim, (q, l, S.name)
+                homs = [len(intertwiners(P.A, T.A, l, generators=G.generators)) for T in mods]
+                assert homs == [int(T is S) for T in mods], (q, l, S.name)
+                covers += 1
+    assert covers == 353
+    assert time.monotonic() - start < 10
 
 
 def test_intertwiner_solve_stays_sparse_in_memory():
@@ -397,6 +469,9 @@ def test_intertwiners_match_the_kronecker_reference():
 
 # sha256 of I1, Iw, tstar and middle_hom_dims, recorded on the dense
 # Kronecker solver that the triplet solver replaced
+# The (2,2,3,sign,pp) entry is re-recorded in the basis of the cover induced
+# from a complement C_2 in S_3, whose V differs from the split regular
+# module's by a change of basis.
 SYSTEM_DIGESTS = {
     (1, 2, 3, "trivial", "plain"): "e0d0ff971d390eb4",
     (1, 2, 3, "trivial", "pp"): "f7cd2fc113e1cd87",
@@ -411,7 +486,7 @@ SYSTEM_DIGESTS = {
     (1, 5, 3, "trivial", "plain"): "e0d0ff971d390eb4",
     (1, 5, 3, "trivial", "pp"): "f7cd2fc113e1cd87",
     (2, 2, 3, "sign", "plain"): "71665de6c4a05db6",
-    (2, 2, 3, "sign", "pp"): "92c97f109f11f86f",
+    (2, 2, 3, "sign", "pp"): "8c884af978855ddc",
     (2, 2, 5, "sign", "plain"): "b7574ff47939790a",
     (2, 2, 5, "sign", "pp"): "88621d5901c71467",
     (2, 2, 7, "sign", "plain"): "8998193101f6478c",
@@ -498,28 +573,54 @@ def test_split_regular_modular():
     assert [p.shape[0] for p in pieces] == [3]
 
 
+def _isomorphic(a, b):
+    """True when some basis element of Hom(a, b) is invertible.  For
+    isomorphic indecomposable modules that is enough: End(a) is local, so
+    its non-units form a proper subspace that no basis lies in."""
+    hom = intertwiners(a.A, b.A, a.l, generators=a.G.generators)
+    return a.dim == b.dim and any(rank_mod(X, a.l) == a.dim for X in hom)
+
+
 @pytest.mark.parametrize(
     "q,l,dim", [(4, 3, 3), (5, 2, 4), (4, 5, 1), (3, 5, 1)]
 )
 def test_projective_cover_units(q, l, dim):
     G = unit_group(GF(q))
-    cov = projective_cover(trivial_module(G, l))
-    assert cov.module.dim == dim
-    e = cov.witness
-    assert np.array_equal((e @ e) % l, e)
+    S = trivial_module(G, l)
+    cov = projective_cover(S)
+    assert cov.dim == dim
+    assert len(intertwiners(cov.A, S.A, l)) == 1
+    ref, e, _ = splitting_cover(S)
     assert rank_mod(e, l) == dim
+    assert _isomorphic(cov, ref)
 
 
 def test_projective_cover_gl2():
     G = general_linear(2, GF(2))
     mods = dict(irreducible_modules(G, 3))
     cov = projective_cover(mods["sign"])
-    assert cov.module.dim == 3
-    assert cov.multiplicity == 1
+    assert cov.dim == 3  # induced from the sign of a complement C_2 to C_3
+    assert len(intertwiners(cov.A, mods["sign"].A, 3)) == 1
+    assert splitting_cover(mods["sign"])[2] == 1
     mods5 = dict(irreducible_modules(G, 5))
-    cov5 = projective_cover(mods5["std"])
-    assert cov5.module.dim == 2
-    assert cov5.multiplicity == 2
+    assert projective_cover(mods5["std"]) is mods5["std"]  # Maschke
+    assert splitting_cover(mods5["std"])[2] == 2
+
+
+IRREDUCIBLE = [p for p in SWEEPABLE if is_absolutely_irreducible(p.values[0])]
+
+
+@pytest.mark.parametrize("rep", IRREDUCIBLE)
+def test_cover_is_isomorphic_to_the_splitting_reference(rep):
+    try:
+        want = splitting_cover(rep)[0]
+    except TooLarge:
+        # the reference cannot decide F_7[C_7] (GL_1(8) mod 7): its sweep
+        # would take 7^7 endomorphisms.  The group algebra of an l-group is
+        # local, so there the cover is the whole regular module.
+        assert modrep.l_part(rep.G.n, rep.l) == rep.G.n
+        want = regular_module(rep.G, rep.l)
+    assert _isomorphic(projective_cover(rep), want)
 
 
 def test_system_char_mode():

@@ -361,6 +361,37 @@ def test_oracle_window_refuses_before_any_product(monkeypatch):
     assert products == []
 
 
+def test_oracle_window_budget_is_the_sum_over_the_window(monkeypatch):
+    # every product of these windows is under _MAX_PAIRS, but (1,13) at
+    # bound 2 sums to 5,040,025 coset pairs and (2,2) to 11,135,569, over
+    # the budget of 4,194,304; both are refused before any product
+    products = []
+    monkeypatch.setattr(verify, "oracle_product", lambda *args: products.append(args))
+    monkeypatch.setattr(verify.HeckeEngine, "mul", lambda *args: products.append(args))
+    assert verify._MAX_WINDOW_PAIRS == 64 * residue._MAX_PAIRS == 4194304
+    with pytest.raises(TooLarge, match="5040025 coset pairs"):
+        verify.check_oracle_window(1, 13, 2, bound=2)
+    with pytest.raises(TooLarge, match="11135569 coset pairs"):
+        verify.check_oracle_window(2, 2, 3, rho="sign", mode="pp", bound=2)
+    assert products == []
+
+    # the budget admits a window of exactly its size: (1,4) at bound 2 is
+    # 70,225 pairs, and reaching the first product means it was admitted
+    class FirstProduct(Exception):
+        pass
+
+    def first_product(*args):
+        raise FirstProduct
+
+    monkeypatch.setattr(verify.HeckeEngine, "mul", first_product)
+    monkeypatch.setattr(verify, "_MAX_WINDOW_PAIRS", 70225)
+    with pytest.raises(FirstProduct):
+        verify.check_oracle_window(1, 4, 3, bound=2)
+    monkeypatch.setattr(verify, "_MAX_WINDOW_PAIRS", 70224)
+    with pytest.raises(TooLarge, match="70225 coset pairs"):
+        verify.check_oracle_window(1, 4, 3, bound=2)
+
+
 def test_gap_cap():
     with pytest.raises(GapTooLarge):
         coset_reps(1, 3, diag(0, 3))
@@ -492,9 +523,12 @@ def _random_coeff(rng, sys, e):
 # congruence-gap class on both sides for (1,4,3,trivial,pp), and the gap
 # classes up to (1,1), (2,0) and (0,2) for (2,2,3,sign,pp); one rng runs
 # through both systems in this order
+# The (2,2,3,sign,pp) entry is re-recorded in the basis of the cover induced
+# from a complement C_2 in S_3, whose V differs from the split regular
+# module's by a change of basis.
 ORACLE_DIGESTS = {
     (1, 4, 3, "trivial", "pp"): "2498be9f44b0505a",
-    (2, 2, 3, "sign", "pp"): "9ad0398dc4f08121",
+    (2, 2, 3, "sign", "pp"): "2cd61a16103b3aac",
 }
 
 
