@@ -177,7 +177,7 @@ def check_cases(k, q, l, rho="trivial", mode="plain", with_oracle=True):
 
 
 # coset pairs one oracle window may enumerate in all: (1, 4) at bound 2 is
-# 70,225 pairs and takes about 1.4 s; (1, 13) is 5.0M and (2, 2) at bound 2
+# 70,225 pairs and takes about 1.2 s; (1, 13) is 5.0M and (2, 2) at bound 2
 # 11.1M, over a minute, and both are refused
 _MAX_WINDOW_PAIRS = 64 * _MAX_PAIRS
 
