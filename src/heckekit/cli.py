@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify as vf
@@ -141,9 +142,9 @@ def _fpoly_side(k, q, l, rep, mode):
     return sys_, compute_fpoly(sys_)
 
 
-def _images_json(sys_, count=4):
+def _images_json(sys_):
     out = []
-    for i in range(count):
+    for i in range(4):
         e = parameter_image(sys_, i)
         out.append(
             {
@@ -283,13 +284,17 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_config(p, mode_default="plain"):
+def _add_field(p):
     p.add_argument("-k", type=int, default=1, help="half the genus of the block")
     p.add_argument("-q", type=int, default=4, help="residue field size")
     p.add_argument("-l", type=int, default=5, help="coefficient characteristic")
+
+
+def _add_config(p):
+    _add_field(p)
     p.add_argument("--rep", default="trivial", help="cuspidal module name")
     p.add_argument(
-        "--mode", choices=("plain", "pp"), default=mode_default,
+        "--mode", choices=("plain", "pp"), default="plain",
         help="character coefficients or the projective-cover module",
     )
 
@@ -313,10 +318,15 @@ def build_parser():
     p = sub.add_parser("mul", help="multiply two bracket symbols")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    _add_config(p)
+    _add_field(p)
     p.set_defaults(func=cmd_mul)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser(
+        "verify", help="run a verification suite",
+        description="run a verification suite; iso and assoc run on fixed systems and "
+        "ignore -k/-q/-l/--rep/--mode: the free engine at l=5, tau=4, plus the "
+        "systems (1,4,5) for iso and (1,4,5) and (1,4,3,pp) for assoc",
+    )
     p.add_argument("--suite", choices=SUITES, required=True)
     _add_config(p)
     p.add_argument("--seed", type=int, default=0)
@@ -328,8 +338,19 @@ def build_parser():
     return top
 
 
+def _writable(path):
+    """Whether a report can be written at path, checked before any work."""
+    if os.path.exists(path):
+        return os.path.isfile(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return os.path.isdir(parent) and os.access(parent, os.W_OK)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if getattr(args, "json", None) and not _writable(args.json):
+        print("cannot write a JSON report to %s" % args.json, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ParseError as exc:

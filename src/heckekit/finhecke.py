@@ -175,11 +175,9 @@ class AmbientGL:
     def _mat_label(self, A):
         return tuple(tuple(int(v) for v in row) for row in A)
 
-    def swap_mat(self, d=None):
-        """The partial swap w_d; full swap by default."""
+    def swap_mat(self, d):
+        """The partial swap w_d; w_k is the full swap."""
         k, n = self.k, self.n
-        if d is None:
-            d = k
         m = np.zeros((n, n), dtype=np.int64)
         for i in range(d):
             m[i, k + i] = 1

@@ -12,7 +12,7 @@ component.  Everything is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
-from math import isqrt
+import math
 
 import numpy as np
 
@@ -30,18 +30,69 @@ _MODPOLY = {
 }
 
 
+# Miller-Rabin with these bases is exact for every n below 2^64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Exact primality; TooLarge for n >= 2^64 with no factor among the
+    witnesses, where no deterministic test is on file."""
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n >= 1 << 64:
+        raise TooLarge("no primality test for %d >= 2^64" % n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n, a):
+    """The integer part of the a-th root of n >= 1: Newton's method on
+    integers, from a float estimate just above the root where one exists,
+    which it then reaches in a few steps."""
+    x = math.log(n) / a
+    r = int(math.exp(x) * (1 + 1e-12)) + 1 if x < 700 else 1 << -(-n.bit_length() // a)
+    while True:
+        s = ((a - 1) * r + n // r ** (a - 1)) // a
+        if s >= r:
+            return r
+        r = s
+
+
 def _factor_prime_power(q):
+    """(p, a) with q = p^a; TooLarge if q is not a prime power, or if p is
+    beyond the range of is_prime."""
     if q < 2:
         raise TooLarge("bad q=%d" % q)
-    # the least prime factor is at most isqrt(q) unless q itself is prime
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    a, m = 0, q
-    while m % p == 0:
-        m //= p
-        a += 1
-    if m != 1:
-        raise TooLarge("q=%d is not a prime power" % q)
-    return p, a
+    p = next((p for p in _WITNESSES if q % p == 0), None)
+    if p is not None:
+        a, m = 0, q
+        while m % p == 0:
+            m, a = m // p, a + 1
+        if m == 1:
+            return p, a
+    else:
+        # every prime factor is at least 41; with the exponents tried from
+        # the largest down, the first exact root that is prime is p
+        for a in range(int(math.log(q, 41)) + 1, 0, -1):
+            p = _iroot(q, a)
+            if p**a == q and is_prime(p):
+                return p, a
+    raise TooLarge("q=%d is not a prime power" % q)
 
 
 def _digits(code, p, a):
@@ -232,17 +283,6 @@ def fq_inv_matrix(F, A):
 
 # ---------------------------------------------------------------------------
 # numpy linear algebra mod a prime l
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # integers of absolute value up to 2^53 are exact in IEEE double
@@ -437,7 +477,7 @@ def pscale(a, s, l):
     return pnormalize([(x * s) % l for x in a])
 
 
-def poly_str(a, var="T"):
+def poly_str(a):
     a = pnormalize(a)
     if not a:
         return "0"
@@ -449,7 +489,7 @@ def poly_str(a, var="T"):
         if i == 0:
             term = str(c)
         else:
-            pw = var if i == 1 else "%s^%d" % (var, i)
+            pw = "T" if i == 1 else "T^%d" % i
             term = pw if c == 1 else "%d*%s" % (c, pw)
         bits.append(term)
     return " + ".join(bits)

@@ -131,12 +131,11 @@ class FreeCoefficients:
     def one(self):
         return {((), 0): 1}
 
-    def word(self, *names, j=0, scalar=1):
+    def word(self, *names, j=0):
         for n in names:
             if n not in self.generators:
                 raise KeyError("unknown generator %r" % (n,))
-        s = scalar % self.l
-        return {(tuple(names), j): s} if s else {}
+        return {(tuple(names), j): 1}
 
     def compose(self, a, b):
         out = {}

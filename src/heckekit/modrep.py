@@ -1,10 +1,12 @@
 """Finite group tables, modular representations, and coefficient systems.
 
-The groups here are tiny (units of F_q, GL_2 of a tiny field, and products
-of two copies), so everything is done through dense multiplication tables
-on indices, with the identity always at index 0.  Representations are
-stored as stacks of matrices mod l, one per group index, and validated
-against the table on construction.
+The groups here are tiny (units of F_q and GL_2 of a tiny field), so
+everything is done through dense multiplication tables on indices, with the
+identity always at index 0.  The product M x M of two copies is not
+tabulated: its elements are pairs of indices, and the rows of its table
+that a check reads come from the two factor tables.  Representations are
+stored as stacks of matrices mod l, one per group index, and validated on
+construction.
 
 The end product is a CoefficientSystem: the module V over M x M together
 with its self-intertwiners I_1, its swap-intertwiners I_w, the central
@@ -56,7 +58,7 @@ from .gfp import (
 class FiniteGroupTable:
     """Dense multiplication table on indices 0..n-1, identity at 0."""
 
-    def __init__(self, labels, mul_fn, neg_fn=None, kind="", generators=None):
+    def __init__(self, labels, mul_fn, neg_fn=None, kind=""):
         labels = list(labels)
         ident = None
         for e in labels:
@@ -88,7 +90,11 @@ class FiniteGroupTable:
             self.NEG = np.array([self.index[neg_fn(a)] for a in labels], dtype=np.int64)
         else:
             self.NEG = None
-        self._generators = generators
+        self._generators = None  # found on first use, or set by unit_group
+
+    def row(self, g):
+        """The index of g h for every index h."""
+        return self.MUL[g]
 
     @property
     def generators(self):
@@ -161,30 +167,28 @@ def general_linear(k, F):
     return G
 
 
-# elements of the largest product table that product_group builds
+# elements of the largest product group built: the action stack of a module
+# over it holds one matrix per element
 _MAX_PRODUCT = 5000
 
 
-def product_group(G1, G2):
-    n1, n2 = G1.n, G2.n
-    if n1 * n2 > _MAX_PRODUCT:
-        raise TooLarge("product table would have %d elements" % (n1 * n2))
-    P = object.__new__(FiniteGroupTable)
-    P.labels = [(i, j) for i in range(n1) for j in range(n2)]
-    P.n = n1 * n2
-    P.index = {lab: i for i, lab in enumerate(P.labels)}
-    P.kind = "product"
-    P.MUL = (G1.MUL[:, None, :, None] * n2 + G2.MUL[None, :, None, :]).reshape(
-        P.n, P.n
-    )
-    P.INV = (G1.INV[:, None] * n2 + G2.INV[None, :]).reshape(P.n)
-    if G1.NEG is not None and G2.NEG is not None:
-        P.NEG = (G1.NEG[:, None] * n2 + G2.NEG[None, :]).reshape(P.n)
-    else:
-        P.NEG = None
-    P._generators = [i * n2 for i in G1.generators] + list(G2.generators)
-    P.factors = (G1, G2)
-    return P
+class ProductGroup:
+    """G1 x G2 on the indices i * n2 + j, without a multiplication table."""
+
+    def __init__(self, G1, G2):
+        n1, n2 = G1.n, G2.n
+        if n1 * n2 > _MAX_PRODUCT:
+            raise TooLarge("product table would have %d elements" % (n1 * n2))
+        self.factors = (G1, G2)
+        self.n = n1 * n2
+        self.INV = (G1.INV[:, None] * n2 + G2.INV[None, :]).reshape(self.n)
+        self.generators = [i * n2 for i in G1.generators] + list(G2.generators)
+
+    def row(self, g):
+        """The index of g h for every index h, from the two factor rows."""
+        G1, G2 = self.factors
+        i, j = divmod(g, G2.n)
+        return (G1.MUL[i][:, None] * G2.n + G2.MUL[j][None, :]).reshape(self.n)
 
 
 def pair_index(P, i, j):
@@ -221,7 +225,7 @@ class RepModule:
         if not np.array_equal(self.A[0], np.eye(self.dim, dtype=np.int64)):
             raise NotAHomomorphism("the identity does not act as 1 on %r" % self)
         for g in self.G.generators:
-            lhs = self.A[self.G.MUL[g]]
+            lhs = self.A[self.G.row(g)]
             rhs = np.matmul(self.A[g], self.A) % self.l
             if not np.array_equal(lhs, rhs):
                 raise NotAHomomorphism("%r is not a homomorphism at generator %d" % (self, g))
@@ -563,6 +567,8 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
         return _SYSTEM_CACHE[key]
     if not is_prime(l):
         raise BadCharacteristic("l=%d is not prime" % l)
+    if (l - 1) ** 2 >= 2**63:
+        raise TooLarge("l=%d: a product of two residues overflows int64" % l)
     if l == _factor_prime_power(q)[0]:
         raise BadCharacteristic("l=%d equals the residue characteristic" % l)
     # refused before GF(q) builds its q x q tables
@@ -581,7 +587,7 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
         # the cover has dimension the l-part of |M| times dim(S), refused here,
         # before projective_cover builds it
         _refuse_large_v(l_part(M.n, l) * rho0.dim)
-    MM = product_group(M, M)
+    MM = ProductGroup(M, M)
     swap = swap_permutation(MM)
     if mode == "plain":
         if rho0.dim != 1:

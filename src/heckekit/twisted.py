@@ -26,7 +26,7 @@ from .errors import NotMonic, WrongModularCase
 from .finhecke import FinElement, fin_mul
 from .gfp import pnormalize
 from .tpoly import tp_mul, tp_reduce
-from .weyl import W_ID, W_W, diag, length, t_power, word_of
+from .weyl import LETTER, W_ID, W_W, diag, elements_in_window, length, t_power, word_of
 
 
 class PolynomialPart:
@@ -246,8 +246,6 @@ def _iwahori_step(acc, s, qbar, l):
 
 def iwahori_mul(x, y, qbar, l):
     """T_x T_y in the generic one-parameter algebra on the same group."""
-    from .weyl import LETTER
-
     alpha, letters = word_of(y)
     acc = {x * t_power(alpha): 1}
     for name in letters:
@@ -255,20 +253,18 @@ def iwahori_mul(x, y, qbar, l):
     return {e: c % l for e, c in acc.items() if c % l}
 
 
-def compare_iwahori(sys, eng, bound=2, window=None):
+def compare_iwahori(sys, eng, bound=2):
     """Engine products against the one-parameter model, coefficientwise.
 
     Only sound for one-dimensional unit-module systems, where every
     basis function is a scalar multiple of the coset indicator; anything
     else is the wrong modular situation for this comparison.
     """
-    from .weyl import elements_in_window
-
     if sys.dim != 1 or sys.rho_name != "trivial" or sys.mode != "plain":
         raise WrongModularCase("the model only sees the unit module")
     qbar = sys.q % sys.l
     one = np.array([[1]], dtype=np.int64)
-    window = window if window is not None else elements_in_window(bound)
+    window = elements_in_window(bound)
     checked = 0
     for eta in window:
         for delta in window:
@@ -287,8 +283,6 @@ def group_algebra_comparison(sys, eng, bound=2):
     tnorm = int((sys.tstar % sys.l).any())
     if qbar != 1 or tnorm:
         raise WrongModularCase("needs q = 1 and a vanishing torus sum mod l")
-    from .weyl import elements_in_window
-
     one = np.array([[1]], dtype=np.int64)
     for eta in elements_in_window(bound):
         for delta in elements_in_window(bound):

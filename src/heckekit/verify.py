@@ -8,14 +8,14 @@ them directly, so both speak about the same computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import BadCount, TooLarge, WrongModularCase
 from .finhecke import fin_unit, fin_w, random_fin_element
 from .heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
-from .modrep import build_coefficient_system
+from .modrep import _gl_order, build_coefficient_system
 from .residue import _MAX_PAIRS, oracle_product, p_eta_pattern, pair_count
 from .twisted import (
     PolynomialPart,
@@ -55,13 +55,7 @@ class CheckResult:
         return self.status != "fail"
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "inputs": self.inputs,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _result(name, anchor, inputs, ok, detail=""):
@@ -128,11 +122,11 @@ EIGHT_CASES = (
 )
 
 
-def check_cases(k, q, l, rho="trivial", mode="plain", with_oracle=True):
+def check_cases(k, q, l, rho="trivial", mode="plain"):
     """The eight shortening case products, three ways per case.
 
     Structure constants, the elementwise product with concrete basis
-    coefficients, and (optionally) the enumeration oracle must agree.
+    coefficients, and the enumeration oracle must agree.
     """
     sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
     tau = sys.tau % l
@@ -143,36 +137,22 @@ def check_cases(k, q, l, rho="trivial", mode="plain", with_oracle=True):
         got = eng.symbol_product(eta, delta)
         want = ((drop, tau, 0), (keep, 1, 1))
         if got != want:
-            out.append(
-                _result(name, name, inputs, False, "constants %r != %r" % (got, want))
-            )
+            out.append(_result(name, name, inputs, False, "constants %r != %r" % (got, want)))
             continue
         f = sys.basis(int(eta.flip))[0] % l
         g = sys.basis(int(delta.flip))[-1] % l
         prod = eng.mul(eng.symbol(eta, f), eng.symbol(delta, g))
         fg = (f @ g) % l
-        want_elem = eng.add(
-            eng.scale(eng.symbol(drop, fg), tau), eng.symbol(keep, fg, j=1)
-        )
+        want_elem = eng.add(eng.scale(eng.symbol(drop, fg), tau), eng.symbol(keep, fg, j=1))
         if not eng.eq(prod, want_elem):
             out.append(_result(name, name, inputs, False, "elementwise mismatch"))
             continue
-        if with_oracle:
-            ora = oracle_product(sys, eta, f, delta, g)
-            if not elem_eq(prod, ora, l):
-                out.append(
-                    _result(
-                        name,
-                        name,
-                        inputs,
-                        False,
-                        "oracle disagrees at %s * %s" % (render(eta), render(delta)),
-                    )
-                )
-                continue
-        out.append(
-            _result(name, name, inputs, True, "tau=%d drop=%s" % (tau, render(drop)))
-        )
+        ora = oracle_product(sys, eta, f, delta, g)
+        if not elem_eq(prod, ora, l):
+            out.append(_result(name, name, inputs, False,
+                               "oracle disagrees at %s * %s" % (render(eta), render(delta))))
+            continue
+        out.append(_result(name, name, inputs, True, "tau=%d drop=%s" % (tau, render(drop))))
     return out
 
 
@@ -184,17 +164,18 @@ _MAX_WINDOW_PAIRS = 64 * _MAX_PAIRS
 
 def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
     """Engine vs the enumeration oracle on every supported pair in a window.
-    TooLarge before the first product when one product would enumerate more
-    than _MAX_PAIRS coset pairs, or the whole window more than
-    _MAX_WINDOW_PAIRS."""
+    TooLarge when one product would enumerate more than _MAX_PAIRS coset
+    pairs, or the whole window more than _MAX_WINDOW_PAIRS; both need only
+    k and q, so they are checked before the system is built."""
     _at_least("bound", bound, 0)
-    sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
-    inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode, "bound": bound}
+    _gl_order(k, q)  # BadCount or TooLarge unless k is 1 or 2, before any q^(k^2)
     window = [e for e in elements_in_window(bound) if oracle_supported(e)]
     total = sum(pair_count(k, q, eta, delta) for eta in window for delta in window)
     if total > _MAX_WINDOW_PAIRS:
         raise TooLarge("the oracle window would enumerate %d coset pairs; at most %d"
                        % (total, _MAX_WINDOW_PAIRS))
+    sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
+    inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode, "bound": bound}
     checked = 0
     for eta in window:
         f = sys.basis(int(eta.flip))[0] % l
@@ -203,25 +184,11 @@ def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
             got = eng.mul(eng.symbol(eta, f), eng.symbol(delta, g))
             want = oracle_product(sys, eta, f, delta, g)
             if not elem_eq(got, want, l):
-                return [
-                    _result(
-                        "mul.oracle-window",
-                        "mul.oracle-window",
-                        inputs,
-                        False,
-                        "first mismatch at %s * %s" % (render(eta), render(delta)),
-                    )
-                ]
+                return [_result("mul.oracle-window", "mul.oracle-window", inputs, False,
+                                "first mismatch at %s * %s" % (render(eta), render(delta)))]
             checked += 1
-    return [
-        _result(
-            "mul.oracle-window",
-            "mul.oracle-window",
-            inputs,
-            True,
-            "%d products agree" % checked,
-        )
-    ]
+    return [_result("mul.oracle-window", "mul.oracle-window", inputs, True,
+                    "%d products agree" % checked)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +204,16 @@ def _random_tensor(rng, l, nterms, central=False):
     return X
 
 
-def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
+# the iso and assoc suites run on fixed systems, not on the configuration
+# verify is given: the free engine at l = 5, tau = 4, plus FIN_SYSTEM for iso
+# and ASSOC_SYSTEMS for assoc, whose supports have length at most 6
+FREE_L, FREE_TAU = 5, 4
+FIN_SYSTEM = (1, 4, 5)
+ASSOC_SYSTEMS = ((1, 4, 5, "trivial", "plain"), (1, 4, 3, "trivial", "pp"))
+ASSOC_MAX_LEN = 6
+
+
+def check_iso(seed=0, pairs=1000):
     """Round trips of both decompositions, then seeded multiplicativity.
 
     Random pairs keep one factor's translations central: a central
@@ -249,6 +225,7 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
     """
     _at_least("pairs", pairs, 1)
     _at_least("seed", seed, 0)
+    l, tau = FREE_L, FREE_TAU
     eng = free_engine(l, tau)
     inputs = {"l": l, "tau": tau, "seed": seed, "pairs": pairs}
     out = []
@@ -265,17 +242,11 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
             elem = eng.symbol(e, j=a)
             if not eng.eq(tensor_eval(eng, hecke_to_tensor(eng, elem)), elem):
                 bad = ("symbol", (render(e), a))
-    out.append(
-        _result(
-            "iso.round-trip",
-            "iso.round-trip",
-            inputs,
-            bad is None,
-            "exhaustive window 3, shifts 0..3" if bad is None else repr(bad),
-        )
-    )
+    out.append(_result("iso.round-trip", "iso.round-trip", inputs, bad is None,
+                       "exhaustive window 3, shifts 0..3" if bad is None else repr(bad)))
 
-    sysf, engf = matrix_engine(*fin_cfg)
+    sysf, engf = matrix_engine(*FIN_SYSTEM)
+    fin_inputs = dict(inputs, system="k%d.q%d.l%d" % FIN_SYSTEM)
     rng = np.random.default_rng(seed + 1)
     bad = None
     fins = [fin_unit(sysf), fin_w(sysf), random_fin_element(sysf, rng)]
@@ -293,15 +264,8 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
             back = fin_tensor_eval(engf, hecke_to_fin_tensor(sysf, engf, elem))
             if not engf.eq(back, elem):
                 bad = ("fin symbol", render(e))
-    out.append(
-        _result(
-            "iso.fin-round-trip",
-            "iso.fin-round-trip",
-            dict(inputs, system="k%d.q%d.l%d" % fin_cfg),
-            bad is None,
-            "exhaustive window 3" if bad is None else repr(bad),
-        )
-    )
+    out.append(_result("iso.fin-round-trip", "iso.fin-round-trip", fin_inputs, bad is None,
+                       "exhaustive window 3" if bad is None else repr(bad)))
 
     S = PolynomialPart(l, tau)
     rng = np.random.default_rng(seed)
@@ -315,16 +279,8 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
         if not eng.eq(got, want):
             bad = (X, Y)
             break
-    out.append(
-        _sampled(
-            "iso.multiplicative",
-            "iso.multiplicative",
-            inputs,
-            half,
-            bad is None,
-            "%d aligned pairs" % half if bad is None else repr(bad),
-        )
-    )
+    out.append(_sampled("iso.multiplicative", "iso.multiplicative", inputs, half, bad is None,
+                        "%d aligned pairs" % half if bad is None else repr(bad)))
 
     nfin = pairs // 3
     bad = None
@@ -339,35 +295,18 @@ def check_iso(seed=0, pairs=1000, l=5, tau=4, fin_cfg=(1, 4, 5)):
         if not engf.eq(got, want):
             bad = (Xp, Yp)
             break
-    out.append(
-        _sampled(
-            "iso.fin-multiplicative",
-            "iso.fin-multiplicative",
-            dict(inputs, system="k%d.q%d.l%d" % fin_cfg),
-            nfin,
-            bad is None,
-            "%d aligned pairs" % nfin if bad is None else repr(bad),
-        )
-    )
+    out.append(_sampled("iso.fin-multiplicative", "iso.fin-multiplicative", fin_inputs, nfin,
+                        bad is None, "%d aligned pairs" % nfin if bad is None else repr(bad)))
 
     # the boundary: translations from opposite chambers shorten, so the
     # algebra product carries a correction term the plain tensor misses
     X, Y = {(0, 1, 0): 1}, {(1, 0, 0): 1}
     true = eng.mul(tensor_eval(eng, X), tensor_eval(eng, Y))
-    want = eng.add(
-        eng.scale(eng.symbol(diag(1, 1)), tau), eng.symbol(W(0, 2, True), j=1)
-    )
+    want = eng.add(eng.scale(eng.symbol(diag(1, 1)), tau), eng.symbol(W(0, 2, True), j=1))
     naive = tensor_eval(eng, tt_mul(X, Y, S))
     ok = eng.eq(true, want) and not eng.eq(true, naive)
-    out.append(
-        _result(
-            "iso.chamber-boundary",
-            "iso.chamber-boundary",
-            inputs,
-            ok,
-            "opposite-chamber product = tau*[t^2] + [t^2 w']^1, not componentwise",
-        )
-    )
+    out.append(_result("iso.chamber-boundary", "iso.chamber-boundary", inputs, ok,
+                       "opposite-chamber product = tau*[t^2] + [t^2 w']^1, not componentwise"))
     return out
 
 
@@ -386,38 +325,16 @@ def check_iwahori(k=1, q=4, l=3, rho="trivial", mode="plain", bound=2):
     inputs = {"k": k, "q": q, "l": l, "rho": rho, "mode": mode, "bound": bound}
     out = []
     ok, detail = compare_iwahori(sys, eng, bound=bound)
-    out.append(
-        _result(
-            "iwahori.match",
-            "iwahori.match",
-            inputs,
-            ok,
-            "%s products agree (qbar=%d)" % (detail, q % l)
-            if ok
-            else "mismatch at %s * %s" % (render(detail[0]), render(detail[1])),
-        )
-    )
+    out.append(_result("iwahori.match", "iwahori.match", inputs, ok,
+                       "%s products agree (qbar=%d)" % (detail, q % l) if ok
+                       else "mismatch at %s * %s" % (render(detail[0]), render(detail[1]))))
     try:
         ok2, detail2 = group_algebra_comparison(sys, eng, bound=min(bound, 1))
-        out.append(
-            _result(
-                "iwahori.group-law",
-                "iwahori.group-law",
-                inputs,
-                ok2,
-                "degenerate case follows the group law" if ok2 else repr(detail2),
-            )
-        )
+        out.append(_result("iwahori.group-law", "iwahori.group-law", inputs, ok2,
+                           "degenerate case follows the group law" if ok2 else repr(detail2)))
     except WrongModularCase:
-        out.append(
-            CheckResult(
-                "iwahori.group-law",
-                "iwahori.group-law",
-                inputs,
-                "report",
-                "not a fully degenerate configuration; comparison skipped",
-            )
-        )
+        out.append(CheckResult("iwahori.group-law", "iwahori.group-law", inputs, "report",
+                               "not a fully degenerate configuration; comparison skipped"))
     return out
 
 
@@ -425,23 +342,19 @@ def check_iwahori(k=1, q=4, l=3, rho="trivial", mode="plain", bound=2):
 # associativity
 
 
-def _random_element_free(eng, rng, window, max_len):
+def _random_element_free(eng, rng, window):
     out = {}
     for _ in range(int(rng.integers(1, 3))):
         e = window[int(rng.integers(0, len(window)))]
-        if length(e) > max_len:
-            continue
         c = {((), int(rng.integers(0, 3))): int(rng.integers(1, eng.be.l))}
         out = eng.add(out, {e: c})
     return out
 
 
-def _random_element_matrix(sys, eng, rng, window, max_len):
+def _random_element_matrix(sys, eng, rng, window):
     out = {}
     for _ in range(int(rng.integers(1, 3))):
         e = window[int(rng.integers(0, len(window)))]
-        if length(e) > max_len:
-            continue
         bas = sys.basis(int(e.flip))
         c = np.zeros((sys.dim, sys.dim), dtype=np.int64)
         for s, m in zip(rng.integers(0, sys.l, size=len(bas)), bas):
@@ -451,11 +364,12 @@ def _random_element_matrix(sys, eng, rng, window, max_len):
     return out
 
 
-def check_assoc(seed=42, triples=1000, max_len=6, l=5, tau=4):
+def check_assoc(seed=42, triples=1000):
     """(a*b)*c == a*(b*c) on seeded random triples, three backends."""
     _at_least("triples", triples, 1)
     _at_least("seed", seed, 0)
-    window = [e for e in elements_in_window(3) if length(e) <= max_len]
+    l, tau = FREE_L, FREE_TAU
+    window = [e for e in elements_in_window(3) if length(e) <= ASSOC_MAX_LEN]
     out = []
 
     eng = free_engine(l, tau)
@@ -463,43 +377,27 @@ def check_assoc(seed=42, triples=1000, max_len=6, l=5, tau=4):
     n_free = triples - 2 * (triples // 4)
     bad = None
     for _ in range(n_free):
-        a, b, c = (_random_element_free(eng, rng, window, max_len) for _ in range(3))
+        a, b, c = (_random_element_free(eng, rng, window) for _ in range(3))
         if not eng.eq(eng.mul(eng.mul(a, b), c), eng.mul(a, eng.mul(b, c))):
             bad = (a, b, c)
             break
-    out.append(
-        _sampled(
-            "mul.assoc-free",
-            "mul.assoc",
-            {"seed": seed, "triples": n_free, "l": l, "tau": tau},
-            n_free,
-            bad is None,
-            "supports of length <= %d" % max_len if bad is None else repr(bad),
-        )
-    )
+    detail = "supports of length <= %d" % ASSOC_MAX_LEN
+    out.append(_sampled("mul.assoc-free", "mul.assoc",
+                        {"seed": seed, "triples": n_free, "l": l, "tau": tau},
+                        n_free, bad is None, detail if bad is None else repr(bad)))
 
-    for cfg in ((1, 4, 5, "trivial", "plain"), (1, 4, 3, "trivial", "pp")):
-        sys, eng = matrix_engine(*cfg[:3], rho=cfg[3], mode=cfg[4])
+    for cfg in ASSOC_SYSTEMS:
+        sys, eng = matrix_engine(*cfg)
         rng = np.random.default_rng(seed + 1)
         bad = None
         for _ in range(triples // 4):
-            a, b, c = (
-                _random_element_matrix(sys, eng, rng, window, max_len)
-                for _ in range(3)
-            )
+            a, b, c = (_random_element_matrix(sys, eng, rng, window) for _ in range(3))
             lhs = eng.mul(eng.mul(a, b), c)
             rhs = eng.mul(a, eng.mul(b, c))
             if not eng.eq(lhs, rhs):
                 bad = tuple(sorted(render(e) for e in a))
                 break
-        out.append(
-            _sampled(
-                "mul.assoc-%s" % cfg[4],
-                "mul.assoc",
-                {"seed": seed, "triples": triples // 4, "system": sys.name},
-                triples // 4,
-                bad is None,
-                "supports of length <= %d" % max_len if bad is None else repr(bad),
-            )
-        )
+        out.append(_sampled("mul.assoc-%s" % cfg[4], "mul.assoc",
+                            {"seed": seed, "triples": triples // 4, "system": sys.name},
+                            triples // 4, bad is None, detail if bad is None else repr(bad)))
     return out

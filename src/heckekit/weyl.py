@@ -102,14 +102,10 @@ def length(e):
     return abs(e.y - e.x - e.flip)
 
 
-def elements_in_window(bound, with_flip=True):
-    out = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            out.append(W(x, y, False))
-            if with_flip:
-                out.append(W(x, y, True))
-    return out
+def elements_in_window(bound):
+    """Every (x, y, flip) with |x|, |y| <= bound."""
+    r = range(-bound, bound + 1)
+    return [W(x, y, flip) for x in r for y in r for flip in (False, True)]
 
 
 def render(e):

@@ -196,7 +196,7 @@ def test_decomposition_round_trips_and_multiplicativity(capsys):
 
 def test_associativity_on_random_triples(capsys):
     start = time.monotonic()
-    rows = vf.check_assoc(seed=42, triples=1000, max_len=6)
+    rows = vf.check_assoc(seed=42, triples=1000)
     elapsed = time.monotonic() - start
     bad = [r for r in rows if not r.ok]
     ok = not bad and elapsed < 120.0

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -204,6 +205,15 @@ def test_verify_row_without_samples_is_info(capsys, argv, empty):
         assert tag == ("[INFO]" if name in empty else "[PASS]"), line
 
 
+@pytest.mark.parametrize("flag", [("--rep", "x"), ("--mode", "pp")])
+def test_mul_takes_no_module_flags(capsys, flag):
+    # mul multiplies formal words: a cuspidal module or a mode means nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "[w]", "[w]", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s %s" % flag in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # --suite is required
@@ -287,6 +297,15 @@ BAD_INPUTS = [
     ("verify", "--suite", "oracle", "-k", "2", "-q", "2", "-l", "3", "--rep", "sign",
      "--mode", "pp"),
     ("verify", "--suite", "oracle", "-k", "1", "-q", "13", "-l", "2"),
+    ("verify", "--suite", "oracle", "-k", "1000"),  # k checked before any q^(k^2)
+    # large primes: trial division ran past 20 s on each of these
+    ("fpoly", "-k", "1", "-q", "4", "-l", "1000000000000000003"),  # residues overflow int64
+    ("verify", "--suite", "cases", "-q", "1000000000000000003", "-l", "5"),
+    ("mul", "[w]", "[w]", "-q", "18446744073709551629", "-l", "5"),  # prime >= 2^64
+    ("mul", "[w]", "[w]", "-q", "4", "-l", "18446744073709551629"),
+    # a report that cannot be written is refused before any computation
+    ("fpoly", "--json", "/nonexistent/dir/x.json"),
+    ("verify", "--suite", "cases", "--json", "/nonexistent/dir/x.json"),
 ]
 
 
@@ -303,6 +322,22 @@ def test_bad_input_exits_2_under_optimize(argv):
     proc = run_process(*argv, optimize=True)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
+# (q, l, product): mul with a large prime as -q or -l, which trial division
+# took seconds or longer than 20 s to accept
+LARGE_PRIMES = [("1000000000000000003", "5", "3·[1] + [w]^1"),
+                ("4", "1000000000000000003", "4·[1] + [w]^1"),
+                ("1000000000039", "5", "4·[1] + [w]^1")]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+@pytest.mark.parametrize("q,l,want", LARGE_PRIMES, ids=["q%s.l%s" % c[:2] for c in LARGE_PRIMES])
+def test_mul_answers_at_once_for_large_primes(q, l, want, optimize):
+    start = time.monotonic()
+    proc = run_process("mul", "[w]", "[w]", "-q", q, "-l", l, optimize=optimize)
+    assert proc.returncode == 0 and proc.stdout.strip() == want, proc.stderr
+    assert time.monotonic() - start < 10
 
 
 # pp systems whose covers splitting the regular module could not build, or

@@ -106,7 +106,7 @@ def test_phi_biequivariance():
     rng = np.random.default_rng(3)
     e = random_fin_element(sys, rng)
     # phi(p g p') = sigma(p) phi(g) sigma(p')
-    g = amb.swap_mat()
+    g = amb.swap_mat(amb.k)
     for p in parabolic(1, 4)[:9]:
         pg = fq_matmul(amb.F, p, g)
         a1, a2 = amb.levi_indices(p)
@@ -489,7 +489,7 @@ def test_bruhat_failures_raise_typed_error(monkeypatch):
     amb = AmbientGL(1, 4)
     monkeypatch.setattr(AmbientGL, "in_parabolic", lambda self, g: False)
     with pytest.raises(BruhatMismatch):
-        phi_value(amb, sys, fin_w(sys), amb.swap_mat())
+        phi_value(amb, sys, fin_w(sys), amb.swap_mat(amb.k))
     monkeypatch.setattr(AmbientGL, "_cache", {})
     with pytest.raises(BruhatMismatch):
         AmbientGL(1, 3)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -99,8 +100,50 @@ def test_field_rejects_nonprimepower():
         Field(6)
 
 
+def _trial_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _trial_prime_power(q):
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    a, m = 0, q
+    while m % p == 0:
+        m, a = m // p, a + 1
+    return (p, a) if m == 1 else None
+
+
+def test_primality_and_prime_powers_match_trial_division():
+    for n in range(100_000):
+        assert gfp.is_prime(n) == _trial_is_prime(n), n
+    for q in range(2, 100_000):
+        try:
+            got = _factor_prime_power(q)
+        except TooLarge:
+            got = None
+        assert got == _trial_prime_power(q), q
+
+
+def test_large_primes_and_prime_powers():
+    # each of these took seconds to forever by trial division
+    for p in (1_000_000_000_039, 100_000_000_000_031, 10**18 + 3, 2**61 - 1):
+        assert gfp.is_prime(p)
+        assert _factor_prime_power(p) == (p, 1)
+        assert _factor_prime_power(p**3) == (p, 3)
+    assert not gfp.is_prime(1_000_000_007 * 1_000_000_009)
+    assert not gfp.is_prime(3825123056546413051)  # a strong pseudoprime to bases 2..23
+    assert _factor_prime_power(41**2600) == (41, 2600)
+    assert _factor_prime_power(2**3000) == (2, 3000)
+    # no deterministic test above 2^64, unless a witness divides n
+    assert not gfp.is_prime(3 * 2**64)
+    with pytest.raises(TooLarge, match="2\\^64"):
+        gfp.is_prime(2**64 + 13)
+    with pytest.raises(TooLarge, match="2\\^64"):
+        _factor_prime_power((2**64 + 13) ** 2)
+    with pytest.raises(TooLarge, match="not a prime power"):
+        _factor_prime_power(3 * 2**64)
+
+
 def test_factor_prime_power():
-    # trial division stops at isqrt(q): a prime near 10^9 factors at once
     assert _factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
     assert _factor_prime_power(2) == (2, 1)
     assert _factor_prime_power(4) == (2, 2)

@@ -26,6 +26,7 @@ from heckekit.errors import (
 from heckekit.gfp import GF, rank_mod
 from heckekit.modrep import (
     FiniteGroupTable,
+    ProductGroup,
     RepModule,
     boxtimes,
     build_coefficient_system,
@@ -37,7 +38,6 @@ from heckekit.modrep import (
     is_cuspidal,
     is_prime,
     pair_index,
-    product_group,
     projective_cover,
     swap_permutation,
     unit_group,
@@ -51,6 +51,12 @@ from heckekit.modrep import (
 
 def trivial_module(G, l):
     return RepModule(G, np.ones((G.n, 1, 1), dtype=np.int64), l, name="trivial")
+
+
+def product_table(G1, G2):
+    """G1 x G2 as a full table on the labels (i, j), so at index i * n2 + j."""
+    return FiniteGroupTable([(i, j) for i in range(G1.n) for j in range(G2.n)],
+                            lambda a, b: (int(G1.MUL[a[0], b[0]]), int(G2.MUL[a[1], b[1]])))
 
 
 def commutant(rep):
@@ -145,18 +151,38 @@ def test_generators_generate():
 
 def test_product_group_and_swap():
     G = unit_group(GF(4))
-    P = product_group(G, G)
+    P = ProductGroup(G, G)
     assert P.n == 9
     s = swap_permutation(P)
     ij = pair_index(P, 1, 2)
     assert s[ij] == pair_index(P, 2, 1)
-    assert P.MUL[ij, pair_index(P, 2, 1)] == P.MUL[pair_index(P, 2, 1), ij]
+    # the product is not tabulated; its rows and inverses are those of the
+    # full table on pairs
+    T = product_table(G, G)
+    assert T.MUL[ij, pair_index(P, 2, 1)] == T.MUL[pair_index(P, 2, 1), ij]
+    for g in range(P.n):
+        assert np.array_equal(P.row(g), T.MUL[g])
+    assert np.array_equal(P.INV, T.INV)
+
+
+def test_coefficient_system_does_not_tabulate_the_product():
+    # M x M at q = 71 has 4,900 elements; its dense table alone was 4,900^2
+    # int64, 183 MiB, for a one-dimensional V
+    with mock.patch.dict(modrep._SYSTEM_CACHE, clear=True):
+        tracemalloc.start()
+        try:
+            sys = build_coefficient_system(1, 71, 3, "trivial", "plain")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert sys.MM.n == 4900 and not hasattr(sys.MM, "MUL")
+    assert peak < 4 << 20, peak
 
 
 def test_product_too_large():
     G = general_linear(2, GF(4))
     with pytest.raises(TooLarge):
-        product_group(G, G)
+        ProductGroup(G, G)
 
 
 def test_regular_module_is_faithful_action():
@@ -278,7 +304,7 @@ def test_cover_refuses_without_a_normal_sylow_or_a_cyclic_complement():
     # the complement C_2 x C_2, which is not cyclic
     with pytest.raises(TooLarge, match="not normal"):
         projective_cover(trivial_module(general_linear(2, GF(2)), 2))
-    G = product_group(unit_group(GF(3)), unit_group(GF(7)))
+    G = product_table(unit_group(GF(3)), unit_group(GF(7)))
     with pytest.raises(TooLarge, match="no cyclic complement"):
         projective_cover(trivial_module(G, 3))
 
@@ -335,7 +361,7 @@ def test_contragredient_and_boxtimes():
     dual = contragredient(chi)
     for i in range(G.n):
         assert (chi.A[i] * dual.A[i]) % 3 == 1
-    P = product_group(G, G)
+    P = ProductGroup(G, G)
     VV = boxtimes(chi, dual, P)
     assert VV.dim == 1
 

@@ -349,16 +349,20 @@ def test_pair_bound_refuses_before_any_coset(monkeypatch):
 
 
 def test_oracle_window_refuses_before_any_product(monkeypatch):
-    products = []
+    # the pair counts need only k and q, so not even the system is built
+    products, builds = [], []
     monkeypatch.setattr(verify, "oracle_product", lambda *args: products.append(args))
     monkeypatch.setattr(verify.HeckeEngine, "mul", lambda *args: products.append(args))
+    monkeypatch.setattr(verify, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(verify, "build_coefficient_system",
+                        lambda *args, **kwargs: builds.append(args))
     with pytest.raises(TooLarge):
         verify.check_oracle_window(1, 71, 2, bound=2)
-    assert products == []
+    assert products == [] and builds == []
     monkeypatch.setattr(residue, "_MAX_PAIRS", 15)
     with pytest.raises(TooLarge):
         verify.check_oracle_window(1, 4, 3, bound=1)
-    assert products == []
+    assert products == [] and builds == []
 
 
 def test_oracle_window_budget_is_the_sum_over_the_window(monkeypatch):
