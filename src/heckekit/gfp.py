@@ -297,25 +297,38 @@ def _residues(A, l):
     return A.astype(np.float64)
 
 
+def _matmul_residues(X, Y, l):
+    """(X @ Y) mod l on float64 residues in [0, l), as float64 residues.
+
+    Every partial sum is an integer of at most n*(l-1)^2 for inner
+    dimension n.  Below 2^53 those are exact in double whatever the
+    summation order, FMA or thread split of the BLAS; at or above it this
+    raises TooLarge, never rounds.  For such an integer y, fl(y/l) misses
+    y/l by less than 1/l, which is the least distance from y/l to the next
+    integer when l does not divide y, so floor(fl(y/l)) is the true
+    quotient and y - l*quotient is exact.  The product is reduced in place,
+    through one scratch array.
+    """
+    n = X.shape[-1]
+    if n * (l - 1) ** 2 >= _EXACT:
+        raise TooLarge("inner dimension %d mod l=%d is not exact in float64" % (n, l))
+    Z = X @ Y
+    Q = np.divide(Z, l)
+    np.floor(Q, out=Q)
+    Q *= l
+    Z -= Q
+    return Z
+
+
 def matmul_mod(A, B, l):
     """(A @ B) mod l as int64, through float64 BLAS; 2-D or stacked.
 
-    Both operands are reduced into [0, l) first, so every partial sum is
-    an integer of at most n*(l-1)^2 for inner dimension n.  Below 2^53
-    those are exact in double whatever the summation order, FMA or thread
-    split of the BLAS; at or above it this raises TooLarge, never rounds.
-    For such an integer y, fl(y/l) misses y/l by less than 1/l, which is
-    the least distance from y/l to the next integer when l does not
-    divide y, so floor(fl(y/l)) is the true quotient and y - l*quotient is
-    exact.
+    Both operands are reduced into [0, l) first, then multiplied by
+    _matmul_residues, the one exact float64 product: TooLarge unless
+    n*(l-1)^2 < 2^53 for inner dimension n.  Callers that chain products
+    keep the float64 residues of _matmul_residues and convert once.
     """
-    A = np.asarray(A)
-    n = A.shape[-1]
-    if n * (l - 1) ** 2 >= _EXACT:
-        raise TooLarge("inner dimension %d mod l=%d is not exact in float64" % (n, l))
-    C = _residues(A, l) @ _residues(B, l)
-    C -= l * np.floor(C / l)
-    return C.astype(np.int64)
+    return _matmul_residues(_residues(A, l), _residues(B, l), l).astype(np.int64)
 
 
 def rref_mod(A, l):

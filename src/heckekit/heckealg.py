@@ -20,12 +20,15 @@ of the coefficients and get memoised per engine.
 
 `mul` gathers, for every pair of terms, the structure constants
 (eps, s, j), then hands the whole product to one backend call,
-`combine`.  The matrix backend does it with a few float64 gemms: all
-pairwise coefficient products as one, one T*^j per distinct shift j, and
-one scalar-by-matrix product summing into the outputs eps.  Each goes
-through gfp.matmul_mod, which reduces its operands into [0, l) so every
-partial sum is an integer of at most n*(l-1)^2 for inner dimension n,
-exact in double below 2^53; at or above that it raises TooLarge.
+`combine`.  The matrix backend does it in three stages of float64
+gemms: all pairwise coefficient products as one, one T*^j per distinct
+shift j, and one scalar-by-matrix product summing into the outputs eps.
+The inputs are reduced into [0, l) once; each gemm goes through gfp's
+exact product, which raises TooLarge unless every partial sum, at most
+n*(l-1)^2 for inner dimension n, is below 2^53, and reduces its result
+in place.  The stages hand float64 residues to each other, in the FFLAS
+manner (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008), and the outputs
+become int64 once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BadCharacteristic, ParityViolation
-from .gfp import is_prime, matmul_mod
+from .gfp import _matmul_residues, _residues, is_prime, matmul_mod
 from .weyl import W, W_ID, W_W, t_power, word_of
 
 
@@ -65,9 +68,10 @@ class MatrixCoefficients:
         Every product ca[i].cb[k] is one gemm (na.d x d) @ (d x nb.d); the
         columns (i, k, j) that some term uses are gathered per shift j and
         multiplied by T*^j as one gemm each; a (eps x column) scalar matrix
-        then sums them into the outputs with one more.
+        then sums them into the outputs with one more.  The three stages
+        pass float64 residues to each other; the outputs become int64 once.
         """
-        d = self.system.dim
+        d, l = self.system.dim, self.l
         cols, shifts, outs, entries = {}, {}, {}, []
         for i, k, terms in pairs:
             for eps, s, j in terms:
@@ -79,22 +83,25 @@ class MatrixCoefficients:
         if not entries:
             return {}
         na, nb = len(ca), len(cb)
-        P = self.compose(np.reshape(ca, (na * d, d)), np.concatenate(cb, axis=1))
+        A = _residues(np.reshape(ca, (na * d, d)), l)
+        P = _matmul_residues(A, _residues(np.concatenate(cb, axis=1), l), l)
         P = P.reshape(na, d, nb, d)
-        X = np.empty((len(cols), d, d), dtype=np.int64)
+        X = np.empty((len(cols), d, d))
         for j, rows in shifts.items():
             i, k, col = np.array(rows).T
             S = P[i, :, k, :]
             if j:
                 m = len(col)
-                S = self.tstar(S.transpose(1, 0, 2).reshape(d, m * d), j)
+                T = _residues(self.system.tstar_power(j), l)
+                S = _matmul_residues(T, S.transpose(1, 0, 2).reshape(d, m * d), l)
                 S = S.reshape(d, m, d).transpose(1, 0, 2)
             X[col] = S
         e, col, s = np.array(entries).T
-        C = np.zeros((len(outs), len(cols)), dtype=np.int64)
-        C[e, col] = s  # symbol_product lists each (eps, j) once per pair
-        Y = matmul_mod(C, X.reshape(len(cols), d * d), self.l)
+        C = np.zeros((len(outs), len(cols)))
+        C[e, col] = s  # symbol_product lists each (eps, j) once per pair, s in [1, l)
+        Y = _matmul_residues(C, X.reshape(len(cols), d * d), l)
         keep = Y.any(axis=1)
+        Y = Y.astype(np.int64)
         return {eps: Y[r].reshape(d, d) for eps, r in outs.items() if keep[r]}
 
     def add(self, a, b):
@@ -196,9 +203,9 @@ class HeckeEngine:
         tuples keyed to their scalar, and W objects are built only for the
         result.  Lengths are |y - x - flip| (see weyl.length).
         """
-        key = (eta, delta)
-        if key in self._memo:
-            return self._memo[key]
+        out = self._memo.get((eta, delta))
+        if out is not None:
+            return out
         l, tau = self.be.l, self.be.tau
         alpha, letters = word_of(delta)
         start = eta * t_power(alpha)
@@ -225,7 +232,7 @@ class HeckeEngine:
             for (x, y, flip, j), s in sorted(acc.items(), key=lambda kv: (kv[0][3], kv[0][:3]))
             if s
         )
-        self._memo[key] = out
+        self._memo[eta, delta] = out
         return out
 
     # -- elements ------------------------------------------------------

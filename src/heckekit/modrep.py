@@ -22,7 +22,7 @@ search; the size of V = P # P (+) dual is checked before it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -346,22 +346,24 @@ def irreducible_modules(G, l):
     raise TooLarge("no irreducible enumeration for this group")
 
 
+def _root_of_unity(m, l):
+    """(g, zeta): the m-th roots of unity mod a prime l are the cyclic group
+    of order g = gcd(m, l - 1), and zeta is its least element of order g.
+
+    z^((l-1)/g) generates the group for the first z whose power has no
+    smaller order, so nothing scans the residues mod l."""
+    if not is_prime(l):
+        raise BadCharacteristic("l=%d is not prime: no cyclic group of roots of unity" % l)
+    g = gcd(m, l - 1)
+    primes = [r for r in range(2, g + 1) if g % r == 0 and is_prime(r)]
+    gen = next(h for h in (pow(z, (l - 1) // g, l) for z in range(1, l))
+               if all(pow(h, g // r, l) != 1 for r in primes))
+    return g, min(pow(gen, i, l) for i in range(g) if gcd(i, g) == 1)
+
+
 def _unit_characters(G, l):
     m = G.n
-    roots = sorted(z for z in range(1, l) if pow(z, m, l) == 1)
-    want = len(roots)
-    zeta = None
-    for z in roots:
-        o, zz = 1, z
-        while zz != 1:
-            zz = (zz * z) % l
-            o += 1
-        if o == want:
-            zeta = z
-            break
-    if zeta is None:
-        raise BadCharacteristic("no element of order %d among the %d-th roots of unity mod %d"
-                                % (want, m, l))
+    want, zeta = _root_of_unity(m, l)
     if m == 1:
         logs = {0: 0}
     else:

@@ -166,9 +166,19 @@ def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
     """Engine vs the enumeration oracle on every supported pair in a window.
     TooLarge when one product would enumerate more than _MAX_PAIRS coset
     pairs, or the whole window more than _MAX_WINDOW_PAIRS; both need only
-    k and q, so they are checked before the system is built."""
+    k and q, so they are checked before the system is built, and a window
+    too large by its size alone is refused before it is listed."""
     _at_least("bound", bound, 0)
     _gl_order(k, q)  # BadCount or TooLarge unless k is 1 or 2, before any q^(k^2)
+    # every product enumerates at least one coset pair, so the window's size
+    # squared is at most its total; support depends on y - x and flip only,
+    # and the supported diagonals |y - x| <= 3 alone count from the bound
+    least = sum(max(0, 2 * bound + 1 - abs(d)) for d in range(-3, 4)
+                for flip in (False, True) if oracle_supported(W(0, d, flip)))
+    if least * least > _MAX_WINDOW_PAIRS:
+        raise TooLarge("the oracle window at bound %d holds at least %d elements, so at least"
+                       " %d coset pairs; at most %d" % (bound, least, least * least,
+                                                        _MAX_WINDOW_PAIRS))
     window = [e for e in elements_in_window(bound) if oracle_supported(e)]
     total = sum(pair_count(k, q, eta, delta) for eta in window for delta in window)
     if total > _MAX_WINDOW_PAIRS:
@@ -314,13 +324,23 @@ def check_iso(seed=0, pairs=1000):
 # the one-parameter model
 
 
+# products one iwahori window may form: every pair of its 2(2B+1)^2 elements,
+# so bound 4 is 26,244 products (about 4 s) and bound 5, 58,564, is refused
+_MAX_IWAHORI_PRODUCTS = 2**15
+
+
 def check_iwahori(k=1, q=4, l=3, rho="trivial", mode="plain", bound=2):
     """Engine structure constants against the one-parameter model.
 
     Where the parameter degenerates to 1 and the torus sum vanishes the
     same products are also compared with the plain group algebra.
+    TooLarge, from the bound alone, past _MAX_IWAHORI_PRODUCTS products.
     """
     _at_least("bound", bound, 0)
+    products = (2 * (2 * bound + 1) ** 2) ** 2
+    if products > _MAX_IWAHORI_PRODUCTS:
+        raise TooLarge("the iwahori window at bound %d is %d products; at most %d"
+                       % (bound, products, _MAX_IWAHORI_PRODUCTS))
     sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
     inputs = {"k": k, "q": q, "l": l, "rho": rho, "mode": mode, "bound": bound}
     out = []

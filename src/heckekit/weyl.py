@@ -15,12 +15,14 @@ letters alternating in {w, w'}; the length function counts letters only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class W:
+class W(NamedTuple):
+    """A tuple, so that hashing and comparison run in C; it hashes and
+    orders as (x, y, flip)."""
+
     x: int
     y: int
     flip: bool
@@ -31,6 +33,9 @@ class W:
         if self.flip:
             return W(self.x + other.y, self.y + other.x, not other.flip)
         return W(self.x + other.x, self.y + other.y, other.flip)
+
+    def __rmul__(self, other):
+        return NotImplemented  # not tuple repetition: 2 * W is a TypeError
 
     def inv(self):
         if self.flip:

@@ -17,6 +17,7 @@ from heckekit.gfp import (
     GF,
     fq_rank,
     fq_rref,
+    matmul_mod,
     nullspace_triplets,
     pnormalize,
     pscale,
@@ -376,3 +377,38 @@ def splitting_cover(rep):
         assert np.array_equal((e @ reg.A[g]) % l, (reg.A[g] @ e) % l)
     acts = _action_on_subspace(reg.A, pieces[pick], l)
     return RepModule(G, acts, l, name="P(%s)" % rep.name), e, len(hits)
+
+
+def int64_combine(be, ca, cb, pairs):
+    """MatrixCoefficients.combine as it was in int64: each of its three
+    products (the pairs ca[i].cb[k], T*^j on them, the scalar sum into the
+    outputs) is a separate gfp.matmul_mod, converted back to int64."""
+    d, l = be.system.dim, be.l
+    cols, shifts, outs, entries = {}, {}, {}, []
+    for i, k, terms in pairs:
+        for eps, s, j in terms:
+            col = cols.get((i, k, j))
+            if col is None:
+                col = cols[i, k, j] = len(cols)
+                shifts.setdefault(j, []).append((i, k, col))
+            entries.append((outs.setdefault(eps, len(outs)), col, s))
+    if not entries:
+        return {}
+    na, nb = len(ca), len(cb)
+    P = matmul_mod(np.reshape(ca, (na * d, d)), np.concatenate(cb, axis=1), l)
+    P = P.reshape(na, d, nb, d)
+    X = np.empty((len(cols), d, d), dtype=np.int64)
+    for j, rows in shifts.items():
+        i, k, col = np.array(rows).T
+        S = P[i, :, k, :]
+        if j:
+            m = len(col)
+            S = matmul_mod(be.system.tstar_power(j), S.transpose(1, 0, 2).reshape(d, m * d), l)
+            S = S.reshape(d, m, d).transpose(1, 0, 2)
+        X[col] = S
+    e, col, s = np.array(entries).T
+    C = np.zeros((len(outs), len(cols)), dtype=np.int64)
+    C[e, col] = s
+    Y = matmul_mod(C, X.reshape(len(cols), d * d), l)
+    keep = Y.any(axis=1)
+    return {eps: Y[r].reshape(d, d) for eps, r in outs.items() if keep[r]}

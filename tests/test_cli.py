@@ -298,6 +298,10 @@ BAD_INPUTS = [
      "--mode", "pp"),
     ("verify", "--suite", "oracle", "-k", "1", "-q", "13", "-l", "2"),
     ("verify", "--suite", "oracle", "-k", "1000"),  # k checked before any q^(k^2)
+    # bounds refused from the bound alone: the oracle window's size squared
+    # (21 s to refuse before), and the iwahori suite's 114,244 products
+    ("verify", "--suite", "oracle", "--bound", "160"),
+    ("verify", "--suite", "iwahori", "--bound", "6"),
     # large primes: trial division ran past 20 s on each of these
     ("fpoly", "-k", "1", "-q", "4", "-l", "1000000000000000003"),  # residues overflow int64
     ("verify", "--suite", "cases", "-q", "1000000000000000003", "-l", "5"),
@@ -338,6 +342,28 @@ def test_mul_answers_at_once_for_large_primes(q, l, want, optimize):
     proc = run_process("mul", "[w]", "[w]", "-q", q, "-l", l, optimize=optimize)
     assert proc.returncode == 0 and proc.stdout.strip() == want, proc.stderr
     assert time.monotonic() - start < 10
+
+
+def fpoly_constant(proc):
+    """c of the one line "F = T^2 + c"."""
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("F = ")]
+    assert proc.returncode == 0 and len(lines) == 1, proc.stderr
+    head, c = lines[0].rsplit(" + ", 1)
+    assert head == "F = T^2", lines
+    return int(c)
+
+
+@pytest.mark.parametrize("mode", ["plain", "pp"])
+def test_fpoly_answers_at_once_for_a_prime_near_10_9(mode):
+    # the roots of unity mod l come from one generator, not a scan of the
+    # residues (minutes at this l); F is T^2 - 9 as at l = 101, so no
+    # residue product on the way overflowed int64
+    big = 1000000007
+    start = time.monotonic()
+    proc = run_process("fpoly", "-k", "1", "-q", "4", "-l", str(big), "--mode", mode)
+    assert time.monotonic() - start < 2
+    small = run_process("fpoly", "-k", "1", "-q", "4", "-l", "101", "--mode", mode)
+    assert fpoly_constant(proc) - big == fpoly_constant(small) - 101 == -9
 
 
 # pp systems whose covers splitting the regular module could not build, or

@@ -1,12 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys as _sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import ends_on_w, grade, shape_class
+from reference import ends_on_w, grade, int64_combine, shape_class
+from test_acceptance import FIN_CONFIGS
 
-from heckekit.errors import BadCharacteristic, ParityViolation
+from heckekit import heckealg
+from heckekit.errors import BadCharacteristic, ParityViolation, TooLarge
 from heckekit.finhecke import FinElement, fin_mul, random_fin_element
 from heckekit.heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
 from heckekit.modrep import build_coefficient_system
@@ -486,3 +491,144 @@ def test_mul_matches_per_term_loop(cfg, seed, na, nb, raw):
     for eps, c in want.items():
         assert got[eps].dtype == np.int64 and got[eps].shape == (sys.dim, sys.dim)
         assert np.array_equal(got[eps], c)
+
+
+# ---------------------------------------------------------------------------
+# the float64 combine against the int64 one it replaced
+
+COMBINE_SYSTEMS = [(*cfg, mode) for cfg in FIN_CONFIGS for mode in ("plain", "pp")]
+
+
+def random_pairs(rng, na, nb, l, window):
+    """Pairs (i, k, terms) as mul builds them: some (i, k) absent, some
+    with no terms, each (eps, j) at most once per pair, s in [1, l)."""
+    pairs = []
+    for i in range(na):
+        for k in range(nb):
+            if rng.random() < 0.2:
+                continue
+            terms = {}
+            for _ in range(int(rng.integers(0, 4))):
+                eps = window[int(rng.integers(len(window)))]
+                terms[eps, int(rng.integers(0, 4))] = int(rng.integers(1, l))
+            pairs.append((i, k, tuple((eps, s, j) for (eps, j), s in terms.items())))
+    return pairs
+
+
+@given(
+    st.sampled_from(COMBINE_SYSTEMS),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from(["random", "zero", "cancel", "empty"]),
+)
+@example(COMBINE_SYSTEMS[0], 0, 2, 1, "cancel")
+@example(COMBINE_SYSTEMS[-1], 0, 0, 0, "empty")
+@example(COMBINE_SYSTEMS[-1], 1, 3, 2, "zero")
+@settings(max_examples=60, deadline=None)
+def test_float_combine_matches_int64_combine(cfg, seed, na, nb, shape):
+    sys, eng = matrix_engine(*cfg[:3], rho=cfg[3], mode=cfg[4])
+    be, l, d = eng.be, sys.l, sys.dim
+    rng = np.random.default_rng(seed)
+    window = elements_in_window(2)
+    ca = [rng.integers(-3 * l, 3 * l, size=(d, d)) for _ in range(na)]
+    cb = [rng.integers(-3 * l, 3 * l, size=(d, d)) for _ in range(nb)]
+    pairs = random_pairs(rng, na, nb, l, window)
+    if shape == "zero":
+        ca = [np.zeros((d, d), dtype=np.int64) for _ in ca]
+    elif shape == "cancel" and na and nb:
+        # ca[0] and a copy of it, onto the same output with s and l - s
+        ca = [ca[0], ca[0].copy()]
+        s = int(rng.integers(1, l))
+        pairs = [(0, 0, ((W_ID, s, 1),)), (1, 0, ((W_ID, l - s, 1),))]
+    elif shape == "empty":
+        pairs = []
+    got, want = be.combine(ca, cb, pairs), int64_combine(be, ca, cb, pairs)
+    assert list(got) == list(want)
+    if shape != "random":
+        assert got == {}
+    for eps, c in want.items():
+        assert got[eps].dtype == np.int64 and got[eps].shape == (d, d)
+        assert np.array_equal(got[eps], c)
+
+
+# l - 1 = 2^24: a product of residues with inner dimension n is exact in
+# float64 while n * 2^48 < 2^53, so 31 is the last exact inner dimension
+# and 32 the first past the bound
+BIG_L = 2**24 + 1
+
+
+class StubSystem:
+    """What MatrixCoefficients reads of a system: dim, l, tau, T* powers."""
+
+    def __init__(self, dim):
+        self.dim, self.l, self.tau = dim, BIG_L, 1
+
+    def tstar_power(self, j):
+        return np.eye(self.dim, dtype=np.int64)
+
+
+def combine_at_stage(stage, n, dims):
+    """combine on a stub system whose stage `stage` (1: the pair products,
+    2: T*^1, 3: the scalar sum; the stage-th product formed) has inner
+    dimension n.  The products before that stage skip the exactness check,
+    so a TooLarge comes from the stage itself; `dims` collects the inner
+    dimension of every product formed."""
+    if stage == 3:
+        # n columns (0, k, 1) at dimension 1
+        be = MatrixCoefficients(StubSystem(1))
+        one = np.ones((1, 1), dtype=np.int64)
+        ca, cb = [one], [one] * n
+        pairs = [(0, k, ((W_ID, 1, 1),)) for k in range(n)]
+    else:
+        be = MatrixCoefficients(StubSystem(n))
+        ca = cb = [np.full((n, n), BIG_L - 1, dtype=np.int64)]
+        pairs = [(0, 0, ((W_ID, 1, 1),))]
+    exact = heckealg._matmul_residues
+
+    def product(X, Y, l):
+        dims.append(X.shape[-1])
+        if len(dims) < stage:
+            Z = X @ Y
+            return Z - l * np.floor(Z / l)
+        return exact(X, Y, l)
+
+    heckealg._matmul_residues = product
+    try:
+        return be.combine(ca, cb, pairs)
+    finally:
+        heckealg._matmul_residues = exact
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_combine_stage_raises_at_the_first_inexact_dimension(stage):
+    dims = []
+    out = combine_at_stage(stage, 31, dims)
+    assert dims == ([1, 1, 31] if stage == 3 else [31, 31, 1])
+    assert list(out) == [W_ID]
+    dims = []
+    with pytest.raises(TooLarge, match="inner dimension 32"):
+        combine_at_stage(stage, 32, dims)
+    assert len(dims) == stage
+
+
+def test_combine_stages_raise_under_optimize():
+    script = """
+import sys
+sys.path.insert(0, %r)
+from heckekit.errors import TooLarge
+from test_heckealg import combine_at_stage
+for stage in (1, 2, 3):
+    combine_at_stage(stage, 31, [])
+    dims = []
+    try:
+        combine_at_stage(stage, 32, dims)
+    except TooLarge:
+        print(stage, len(dims), __debug__)
+""" % os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(heckealg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([_sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "False", "2", "2", "False", "3", "3", "False"]

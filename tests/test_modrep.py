@@ -318,6 +318,31 @@ def test_unit_characters_counts():
     assert len(irreducible_modules(unit_group(GF(3)), 5)) == 2
 
 
+def scanned_roots_of_unity(m, l):
+    """The m-th roots of unity mod l by scanning every residue, and the
+    least of full order: what _unit_characters did before."""
+    roots = sorted(z for z in range(1, l) if pow(z, m, l) == 1)
+    for z in roots:
+        o, zz = 1, z
+        while zz != 1:
+            zz, o = zz * z % l, o + 1
+        if o == len(roots):
+            return roots, z
+
+
+def test_roots_of_unity_match_the_scan():
+    for l in (l for l in range(2, 501) if is_prime(l)):
+        for m in range(1, 81):
+            g, zeta = modrep._root_of_unity(m, l)
+            assert (sorted(pow(zeta, i, l) for i in range(g)), zeta) == \
+                scanned_roots_of_unity(m, l), (m, l)
+    # a composite l has no cyclic group of roots to build characters from,
+    # even where the scan found one (l = 9, m = 2)
+    for l in (8, 9):
+        with pytest.raises(BadCharacteristic):
+            irreducible_modules(unit_group(GF(3)), l)
+
+
 def test_characters_are_multiplicative():
     G = unit_group(GF(5))
     for name, chi in irreducible_modules(G, 5):

@@ -396,6 +396,40 @@ def test_oracle_window_budget_is_the_sum_over_the_window(monkeypatch):
         verify.check_oracle_window(1, 4, 3, bound=2)
 
 
+class FirstProduct(Exception):
+    pass
+
+
+def test_oracle_window_refuses_from_the_bound_alone(monkeypatch):
+    # bound 160 holds at least 3,197 supported elements, so at least 3,197^2
+    # coset pairs: refused before the window is listed or a count summed
+    touched = []
+    monkeypatch.setattr(verify, "elements_in_window", lambda *args: touched.append(args))
+    monkeypatch.setattr(verify, "pair_count", lambda *args: touched.append(args))
+    with pytest.raises(TooLarge, match="at bound 160 holds at least 3197 elements"):
+        verify.check_oracle_window(1, 4, 3, bound=160)
+    assert touched == []
+
+
+@pytest.mark.parametrize("bound", range(0, 13))
+def test_oracle_window_floor_never_refuses_an_admissible_window(monkeypatch, bound):
+    # with one coset pair per product, a window of n supported elements is n^2
+    # pairs; under a budget of exactly that the first product must be reached
+    n = len([e for e in elements_in_window(bound) if verify.oracle_supported(e)])
+
+    def first_product(*args):
+        raise FirstProduct
+
+    monkeypatch.setattr(verify, "pair_count", lambda *args: 1)
+    monkeypatch.setattr(verify, "_MAX_WINDOW_PAIRS", n * n)
+    monkeypatch.setattr(verify.HeckeEngine, "mul", first_product)
+    with pytest.raises(FirstProduct):
+        verify.check_oracle_window(1, 4, 3, bound=bound)
+    monkeypatch.setattr(verify, "_MAX_WINDOW_PAIRS", n * n - 1)
+    with pytest.raises(TooLarge):
+        verify.check_oracle_window(1, 4, 3, bound=bound)
+
+
 def test_gap_cap():
     with pytest.raises(GapTooLarge):
         coset_reps(1, 3, diag(0, 3))

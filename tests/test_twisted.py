@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckekit.errors import DegenerateIdeal, NotMonic, WrongModularCase
+from heckekit import verify
+from heckekit.errors import DegenerateIdeal, NotMonic, TooLarge, WrongModularCase
 from heckekit.finhecke import FinElement, fin_mul, fin_unit, fin_w, random_fin_element
 from heckekit.gfp import pnormalize
 from heckekit.heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
@@ -510,6 +511,21 @@ def test_compare_model_unit_systems(k, q, l, bound):
     assert ok, detail
     n = len(elements_in_window(bound))
     assert detail == n * n
+
+
+def test_iwahori_suite_refuses_from_the_bound_alone(monkeypatch):
+    # 2 * 13^2 = 338 elements at bound 6 are 114,244 products; bound 4,
+    # 26,244, is the largest window under the budget of 32,768
+    compared = []
+    monkeypatch.setattr(verify, "compare_iwahori",
+                        lambda sys, eng, bound: compared.append(bound) or (True, 0))
+    with pytest.raises(TooLarge, match="114244 products"):
+        verify.check_iwahori(bound=6)
+    with pytest.raises(TooLarge, match="58564 products"):
+        verify.check_iwahori(bound=5)
+    assert compared == []
+    verify.check_iwahori(bound=4)
+    assert compared == [4]
 
 
 def test_compare_model_rejects_other_systems():

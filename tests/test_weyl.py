@@ -1,3 +1,6 @@
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import ends_on_w, grade, shape_class
@@ -117,3 +120,29 @@ def test_render():
     assert render(W_T) == "t"
     assert render(diag(0, 2)) == "t^2.w'.w"
     assert render(W(0, -1, False)) == "t^-1.w'"
+
+
+# sha256 over elements_in_window(3): (hash, repr) of each element, then
+# (==, <) against every element; recorded when W was a frozen, ordered
+# dataclass, whose hash was that of (x, y, flip)
+W_FACTS_DIGEST = "1a75b2a84e9f0e324d323199c4f8dca939bbcf84b2ebc4f1152ae0453b8a235a"
+
+
+def test_tuple_w_hashes_compares_and_prints_as_the_dataclass():
+    window = elements_in_window(3)
+    h = hashlib.sha256()
+    for a in window:
+        h.update(repr((hash(a), repr(a))).encode())
+        for b in window:
+            h.update(b"%d%d" % (a == b, a < b))
+    assert len(window) == 98 and h.hexdigest() == W_FACTS_DIGEST
+
+
+def test_w_is_no_sequence_under_arithmetic():
+    with pytest.raises(TypeError):
+        W_W * 2
+    with pytest.raises(TypeError):
+        2 * W_W
+    with pytest.raises(AttributeError):
+        W_W.x = 1
+    assert W_W * W_W == W_ID and repr(W_WP) == "W(-1,1,w)"
