@@ -11,6 +11,10 @@ Three subcommands:
 
 Exit codes: 0 all good, 1 a verification check failed, 2 bad usage,
 unparseable expression, or a configuration the engine rejects.
+
+`mul` runs on the free backend and needs no numpy; the numpy-backed
+modules (verify, finhecke, modrep) are imported inside the commands that
+use them, so a `mul` call never loads them.
 """
 
 from __future__ import annotations
@@ -20,12 +24,9 @@ import json
 import os
 import sys
 
-from . import verify as vf
 from .errors import BadCount, HeckeError
-from .finhecke import compute_fpoly, parameter_image
-from .gfp import _factor_prime_power
 from .heckealg import FreeCoefficients, HeckeEngine
-from .modrep import build_coefficient_system
+from .numth import _factor_prime_power
 from .weyl import from_word, render
 
 
@@ -136,6 +137,9 @@ def render_element(elem, l):
 
 
 def _fpoly_side(k, q, l, rep, mode):
+    from .finhecke import compute_fpoly
+    from .modrep import build_coefficient_system
+
     if (k, q) == (2, 2) and rep == "trivial":
         rep = "sign"  # the cuspidal module of GL_2(2)
     sys_ = build_coefficient_system(k, q, l, rho=rep, mode=mode)
@@ -143,6 +147,8 @@ def _fpoly_side(k, q, l, rep, mode):
 
 
 def _images_json(sys_):
+    from .finhecke import parameter_image
+
     out = []
     for i in range(4):
         e = parameter_image(sys_, i)
@@ -228,6 +234,8 @@ SUITES = ("cases", "oracle", "iso", "iwahori", "assoc", "all")
 
 
 def run_suite(args):
+    from . import verify as vf
+
     cfg = dict(k=args.k, q=args.q, l=args.l, rho=args.rep, mode=args.mode)
     rows = []
     wanted = (

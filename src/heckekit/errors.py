@@ -93,5 +93,9 @@ class BruhatMismatch(HeckeError):
     """A group element failed to decompose as p . w_d . p2 against the Bruhat data."""
 
 
+class UnsupportedGroup(HeckeError):
+    """A group-shape-specific routine was handed a group of another shape."""
+
+
 class NotCuspidal(HeckeError):
     """The supplied representation has nonzero coinvariants for a unipotent radical."""

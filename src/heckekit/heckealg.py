@@ -29,16 +29,18 @@ n*(l-1)^2 for inner dimension n, is below 2^53, and reduces its result
 in place.  The stages hand float64 residues to each other, in the FFLAS
 manner (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008), and the outputs
 become int64 once.
+
+Only the matrix backend loads numpy and gfp, inside its own methods; the
+free backend and the engine need neither, so `heckekit mul` starts
+without them.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from .errors import BadCharacteristic, ParityViolation
-from .gfp import _matmul_residues, _residues, is_prime, matmul_mod
+from .numth import is_prime
 from .weyl import W, W_ID, W_W, t_power, word_of
 
 
@@ -52,12 +54,18 @@ class MatrixCoefficients:
         self.tau_inv = pow(self.tau, -1, self.l)
 
     def one(self):
+        import numpy as np
+
         return np.eye(self.system.dim, dtype=np.int64)
 
     def compose(self, a, b):
+        from .gfp import matmul_mod
+
         return matmul_mod(a, b, self.l)
 
     def tstar(self, c, j):
+        from .gfp import matmul_mod
+
         if j == 0:
             return c % self.l
         return matmul_mod(self.system.tstar_power(j), c, self.l)
@@ -71,6 +79,10 @@ class MatrixCoefficients:
         then sums them into the outputs with one more.  The three stages
         pass float64 residues to each other; the outputs become int64 once.
         """
+        import numpy as np
+
+        from .gfp import _matmul_residues, _residues
+
         d, l = self.system.dim, self.l
         cols, shifts, outs, entries = {}, {}, {}, []
         for i, k, terms in pairs:

@@ -38,17 +38,10 @@ from .errors import (
     NotIrreducible,
     TooLarge,
     UnknownModule,
+    UnsupportedGroup,
 )
-from .gfp import (
-    GF,
-    _factor_prime_power,
-    fq_matmul,
-    is_prime,
-    kron_mod,
-    nullspace_triplets,
-    rank_mod,
-    solve_mod,
-)
+from .gfp import GF, fq_matmul, kron_mod, nullspace_triplets, rank_mod, solve_mod
+from .numth import _factor_prime_power, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +165,20 @@ def general_linear(k, F):
 _MAX_PRODUCT = 5000
 
 
+def _refuse_large_product(n):
+    """TooLarge for a product group of n > _MAX_PRODUCT elements, before a
+    module's action stack over it or boxtimes' loop is built."""
+    if n > _MAX_PRODUCT:
+        raise TooLarge("a product group of %d elements: a module over it stacks one matrix"
+                       " per element, and boxtimes forms each; at most %d" % (n, _MAX_PRODUCT))
+
+
 class ProductGroup:
     """G1 x G2 on the indices i * n2 + j, without a multiplication table."""
 
     def __init__(self, G1, G2):
         n1, n2 = G1.n, G2.n
-        if n1 * n2 > _MAX_PRODUCT:
-            raise TooLarge("product table would have %d elements" % (n1 * n2))
+        _refuse_large_product(n1 * n2)
         self.factors = (G1, G2)
         self.n = n1 * n2
         self.INV = (G1.INV[:, None] * n2 + G2.INV[None, :]).reshape(self.n)
@@ -313,9 +313,12 @@ def is_absolutely_irreducible(rep):
 def is_cuspidal(rep):
     """No coinvariants for the unipotent upper-triangular subgroup."""
     G = rep.G
-    if getattr(G, "kind", "") == "units":
+    kind = getattr(G, "kind", "")
+    if kind == "units":
         return True
-    assert getattr(G, "kind", "") == "gl" and G.k == 2
+    if kind != "gl" or G.k != 2:
+        raise UnsupportedGroup("cuspidality is tested on GL_1 and GL_2 only, not on a %s"
+                               " of kind %r" % (type(G).__name__, kind))
     F = G.F
     rows = []
     for x in F.elements():
@@ -573,10 +576,9 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
         raise TooLarge("l=%d: a product of two residues overflows int64" % l)
     if l == _factor_prime_power(q)[0]:
         raise BadCharacteristic("l=%d equals the residue characteristic" % l)
-    # refused before GF(q) builds its q x q tables
+    # M x M refused before GF(q) builds its q x q tables
     n = _gl_order(k, q)
-    if n * n > _MAX_PRODUCT:
-        raise TooLarge("product table would have %d elements" % (n * n))
+    _refuse_large_product(n * n)
     F = GF(q)
     M = general_linear(k, F)
     irr = dict(irreducible_modules(M, l))

@@ -180,7 +180,13 @@ def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
                        " %d coset pairs; at most %d" % (bound, least, least * least,
                                                         _MAX_WINDOW_PAIRS))
     window = [e for e in elements_in_window(bound) if oracle_supported(e)]
-    total = sum(pair_count(k, q, eta, delta) for eta in window for delta in window)
+    # a product's coset pairs are one factor per side, q^(k^2 gap), and the
+    # identity has one coset, so the window's total is the square of the
+    # factors' sum and its largest product is the largest factor squared
+    counts = [pair_count(k, q, eta, W_ID) for eta in window]
+    top = window[counts.index(max(counts))]
+    pair_count(k, q, top, top)  # TooLarge past _MAX_PAIRS
+    total = sum(counts) ** 2
     if total > _MAX_WINDOW_PAIRS:
         raise TooLarge("the oracle window would enumerate %d coset pairs; at most %d"
                        % (total, _MAX_WINDOW_PAIRS))

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-import heckekit.cli as cli
 from heckekit.cli import ParseError, main, parse_symbol
 from heckekit.twisted import iwahori_mul
 from heckekit.verify import CheckResult
@@ -172,7 +171,7 @@ def test_verify_cases_suite(tmp_path, capsys):
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
     rows = [CheckResult("mul.case1", "mul.case1", {}, "fail", "forced")]
-    monkeypatch.setattr(cli.vf, "check_cases", lambda **kw: rows)
+    monkeypatch.setattr("heckekit.verify.check_cases", lambda **kw: rows)
     code, out, err = run(capsys, "verify", "--suite", "cases")
     assert code == 1
     assert "[FAIL]" in out
@@ -229,10 +228,10 @@ def test_usage_error_exits_2(capsys):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_process(*argv, optimize=False):
+def run_process(*argv, optimize=False, entry=("-m", "heckekit.cli")):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    cmd = [sys.executable] + (["-O"] if optimize else []) + ["-m", "heckekit.cli"]
+    cmd = [sys.executable] + (["-O"] if optimize else []) + list(entry)
     return subprocess.run(cmd + list(argv), env=env, capture_output=True, text=True,
                           check=False)
 
@@ -289,7 +288,7 @@ BAD_INPUTS = [
     ("verify", "--suite", "iso", "--pairs", "-1"),
     ("verify", "--suite", "assoc", "--seed", "-1"),
     ("verify", "--suite", "oracle", "--bound", "-1"),
-    ("fpoly", "-q", "10007", "-l", "3"),  # product table refused before GF(q) is built
+    ("fpoly", "-q", "10007", "-l", "3"),  # M x M past _MAX_PRODUCT, before GF(q) is built
     ("verify", "--suite", "cases", "-q", "4099", "-l", "3"),
     ("mul", "[w]", "[w]", "-q", "-3", "-l", "5"),
     ("verify", "--suite", "oracle", "-k", "1", "-q", "71", "-l", "2"),  # coset pairs
@@ -342,6 +341,47 @@ def test_mul_answers_at_once_for_large_primes(q, l, want, optimize):
     proc = run_process("mul", "[w]", "[w]", "-q", q, "-l", l, optimize=optimize)
     assert proc.returncode == 0 and proc.stdout.strip() == want, proc.stderr
     assert time.monotonic() - start < 10
+
+
+# runs the CLI as `python -m heckekit.cli` does, then prints on a last line
+# whether numpy was imported on the way, and exits with the CLI's code
+NUMPY_PROBE = ("-c", """
+import runpy, sys
+code = 0
+try:
+    runpy.run_module("heckekit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("numpy loaded:", "numpy" in sys.modules)
+sys.exit(code)
+""")
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+def test_cold_mul_imports_no_numpy(optimize):
+    # mul runs on the free backend; fpoly, which needs numpy, shows the probe sees it
+    proc = run_process("mul", "[w]", "[w']_f", "-q", "4", "-l", "5",
+                       optimize=optimize, entry=NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[w w']_f", "numpy loaded: False"]
+    proc = run_process("fpoly", "-k", "1", "-q", "4", "-l", "3",
+                       optimize=optimize, entry=NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: True"
+
+
+# a q that is not a prime power, a q past the primality test, an l not prime
+MUL_REFUSALS = [("-q", "6", "-l", "5"), ("-q", "18446744073709551629", "-l", "5"),
+                ("-q", "4", "-l", "4")]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+@pytest.mark.parametrize("opts", MUL_REFUSALS, ids=[" ".join(o) for o in MUL_REFUSALS])
+def test_mul_refusals_import_no_numpy(opts, optimize):
+    proc = run_process("mul", "[w]", "[w]", *opts, optimize=optimize, entry=NUMPY_PROBE)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.splitlines() == ["numpy loaded: False"]
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
 
 def fpoly_constant(proc):

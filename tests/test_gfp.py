@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import matinv_mod, nullspace_mod, nullspace_rref, pdivmod, pfactor, pmonic, pmul
 
-from heckekit import gfp
+from heckekit import gfp, numth
 from heckekit.errors import NoRelationWithinBound, RelationNotUnique, TooLarge
 from heckekit.gfp import (
     GF,
     Field,
-    _factor_prime_power,
     first_monic_dependence,
     fq_inv_matrix,
     fq_matmul,
@@ -30,6 +29,7 @@ from heckekit.gfp import (
     rref_mod,
     solve_mod,
 )
+from heckekit.numth import _factor_prime_power
 
 
 def pgcd(a, b, l):
@@ -114,7 +114,7 @@ def _trial_prime_power(q):
 
 def test_primality_and_prime_powers_match_trial_division():
     for n in range(100_000):
-        assert gfp.is_prime(n) == _trial_is_prime(n), n
+        assert numth.is_prime(n) == _trial_is_prime(n), n
     for q in range(2, 100_000):
         try:
             got = _factor_prime_power(q)
@@ -126,17 +126,17 @@ def test_primality_and_prime_powers_match_trial_division():
 def test_large_primes_and_prime_powers():
     # each of these took seconds to forever by trial division
     for p in (1_000_000_000_039, 100_000_000_000_031, 10**18 + 3, 2**61 - 1):
-        assert gfp.is_prime(p)
+        assert numth.is_prime(p)
         assert _factor_prime_power(p) == (p, 1)
         assert _factor_prime_power(p**3) == (p, 3)
-    assert not gfp.is_prime(1_000_000_007 * 1_000_000_009)
-    assert not gfp.is_prime(3825123056546413051)  # a strong pseudoprime to bases 2..23
+    assert not numth.is_prime(1_000_000_007 * 1_000_000_009)
+    assert not numth.is_prime(3825123056546413051)  # a strong pseudoprime to bases 2..23
     assert _factor_prime_power(41**2600) == (41, 2600)
     assert _factor_prime_power(2**3000) == (2, 3000)
     # no deterministic test above 2^64, unless a witness divides n
-    assert not gfp.is_prime(3 * 2**64)
+    assert not numth.is_prime(3 * 2**64)
     with pytest.raises(TooLarge, match="2\\^64"):
-        gfp.is_prime(2**64 + 13)
+        numth.is_prime(2**64 + 13)
     with pytest.raises(TooLarge, match="2\\^64"):
         _factor_prime_power((2**64 + 13) ** 2)
     with pytest.raises(TooLarge, match="not a prime power"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from reference import ends_on_w, grade, int64_combine, shape_class
 from test_acceptance import FIN_CONFIGS
 
-from heckekit import heckealg
+from heckekit import gfp, heckealg
 from heckekit.errors import BadCharacteristic, ParityViolation, TooLarge
 from heckekit.finhecke import FinElement, fin_mul, random_fin_element
 from heckekit.heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
@@ -584,7 +584,7 @@ def combine_at_stage(stage, n, dims):
         be = MatrixCoefficients(StubSystem(n))
         ca = cb = [np.full((n, n), BIG_L - 1, dtype=np.int64)]
         pairs = [(0, 0, ((W_ID, 1, 1),))]
-    exact = heckealg._matmul_residues
+    exact = gfp._matmul_residues
 
     def product(X, Y, l):
         dims.append(X.shape[-1])
@@ -593,11 +593,11 @@ def combine_at_stage(stage, n, dims):
             return Z - l * np.floor(Z / l)
         return exact(X, Y, l)
 
-    heckealg._matmul_residues = product
+    gfp._matmul_residues = product
     try:
         return be.combine(ca, cb, pairs)
     finally:
-        heckealg._matmul_residues = exact
+        gfp._matmul_residues = exact
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])

@@ -22,6 +22,7 @@ from heckekit.errors import (
     NotCuspidal,
     TooLarge,
     UnknownModule,
+    UnsupportedGroup,
 )
 from heckekit.gfp import GF, rank_mod
 from heckekit.modrep import (
@@ -36,12 +37,12 @@ from heckekit.modrep import (
     irreducible_modules,
     is_absolutely_irreducible,
     is_cuspidal,
-    is_prime,
     pair_index,
     projective_cover,
     swap_permutation,
     unit_group,
 )
+from heckekit.numth import is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +371,16 @@ def test_cuspidality():
         if "std" in mods:
             assert not is_cuspidal(mods["std"])
     assert is_cuspidal(trivial_module(unit_group(GF(4)), 3))
+
+
+def test_cuspidality_refuses_other_groups():
+    # only GL_1 and GL_2 have a unipotent radical on file; anything else is a
+    # typed refusal, the same under python -O
+    G = unit_group(GF(4))
+    others = [trivial_module(product_table(G, G), 3), trivial_module(ProductGroup(G, G), 3)]
+    for rep in others:
+        with pytest.raises(UnsupportedGroup, match="GL_1 and GL_2 only"):
+            is_cuspidal(rep)
 
 
 def test_is_irreducible_catches_reducible():

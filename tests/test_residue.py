@@ -430,6 +430,47 @@ def test_oracle_window_floor_never_refuses_an_admissible_window(monkeypatch, bou
         verify.check_oracle_window(1, 4, 3, bound=bound)
 
 
+# (k, q, bound): windows admitted, over the budget by their sum, past the
+# per-product bound (71^4 pairs for the largest product), and the largest
+# bound that the bound-alone floor does not refuse
+BUDGET_WINDOWS = [(1, 4, 2), (1, 4, 12), (1, 13, 1), (1, 13, 2), (2, 2, 2), (1, 71, 2),
+                  (1, 4, 102)]
+
+
+@pytest.mark.parametrize("k,q,bound", BUDGET_WINDOWS)
+def test_oracle_window_budget_counts_once_per_element(monkeypatch, k, q, bound):
+    # the budget costs one count per element and one for the largest
+    # product, not one per pair; up to bound 12 its verdict is checked
+    # against the pairwise sum, and reaching the engine means admitted
+    window = [e for e in elements_in_window(bound) if verify.oracle_supported(e)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pair_count(*args)
+
+    def admitted(*args, **kwargs):
+        raise FirstProduct
+
+    monkeypatch.setattr(verify, "pair_count", counted)
+    monkeypatch.setattr(verify, "matrix_engine", admitted)
+    with pytest.raises((FirstProduct, TooLarge)) as got:
+        verify.check_oracle_window(k, q, 3, bound=bound)
+    assert len(calls) <= len(window) + 1
+    if bound > 12:
+        assert got.type is TooLarge
+        return
+    try:
+        total = sum(pair_count(k, q, a, b) for a in window for b in window)
+    except TooLarge:
+        assert got.type is TooLarge and "coset pairs for" in str(got.value)
+        return
+    if total <= verify._MAX_WINDOW_PAIRS:
+        assert got.type is FirstProduct
+    else:
+        assert got.type is TooLarge and "%d coset pairs" % total in str(got.value)
+
+
 def test_gap_cap():
     with pytest.raises(GapTooLarge):
         coset_reps(1, 3, diag(0, 3))
