@@ -12,10 +12,11 @@ product are implemented:
     the Bruhat cells and Levi indices of both factors) and, for each
     partial-swap cell, generators of its Levi pairs.  AmbientGL holds
     geometry only, no sigma products and nothing of fin_mul, so the
-    oracle stays independent.  Each pair costs a few float64 BLAS
-    products per cell, reduced mod l after every product: exact while
-    every partial sum stays below 2^53, and TooLarge beyond that (never
-    rounded).  The arithmetic is the oracle's own, not gfp.matmul_mod.
+    oracle stays independent.  Each pair costs three float64 products
+    stacked over all cells' rows and one BLAS product per cell, reduced
+    mod l only when an entry bound could reach 2^53 and once at the end;
+    TooLarge when even residues are not exact (never rounded).  The
+    arithmetic is the oracle's own, not gfp.matmul_mod.
     The partial-swap cells in between must come out zero, and the oracle
     checks that rather than assuming it.
 
@@ -38,7 +39,7 @@ from .gfp import (
     fq_rref,
     poly_str,
 )
-from .modrep import general_linear, intertwiners, pair_index
+from .modrep import general_linear, intertwiners
 
 # ---------------------------------------------------------------------------
 # elements and the closed product
@@ -131,10 +132,13 @@ class AmbientGL:
     `plan[d]` drives the convolution at w_d: for each coset y with neither
     y nor y^-1 w_d in a partial-swap cell, one row holding, for each of
     the two, 1 if it lies in the swap cell (else 0) and the Levi indices
-    of p and p2 in its decomposition.  `middle[d - 1]` holds, for each
-    partial-swap cell 0 < d < k, rows (a1, a2, b1, b2) of Levi indices that
-    generate the group of pairs (levi(p), levi(w_d^-1 p w_d)) over p in
-    P intersect w_d P w_d^-1.  Group geometry only.
+    of p and p2 in its decomposition.  All cells' rows are also kept flat
+    (`offsets` bound each cell's), as cells and M x M indices: `p_a` of
+    y's p, `p2_b` of y^-1 w_d's p2, and `mid` of y's p2 times y^-1 w_d's
+    p, folded by MUL as sigma is a homomorphism.  `middle[d - 1]` holds,
+    for each partial-swap cell 0 < d < k, rows (a1, a2, b1, b2) of Levi
+    indices that generate the group of pairs (levi(p), levi(w_d^-1 p w_d))
+    over p in P intersect w_d P w_d^-1.  Group geometry only.
     """
 
     _cache = {}
@@ -169,6 +173,11 @@ class AmbientGL:
                 if sy and sz:
                     rows.append((sy[0] > 0, *sy[1], *sy[2], sz[0] > 0, *sz[1], *sz[2]))
             self.plan.append(np.array(rows, dtype=np.int64).reshape(-1, 10))
+        ca, a1, a2, m1, m2, cb, b1, b2, n1, n2 = np.concatenate(self.plan).T
+        N, MUL = self.M.n, self.M.MUL
+        self.cell_a, self.p_a, self.cell_b, self.p2_b = ca, a1 * N + a2, cb, n1 * N + n2
+        self.mid = MUL[m1, b1] * N + MUL[m2, b2]
+        self.offsets = np.cumsum([0, *map(len, self.plan)])
 
     # -- bookkeeping helpers
 
@@ -324,47 +333,53 @@ def _exact_below(n, l):
         raise TooLarge("inner dimension %d mod l=%d is not exact in float64" % (n, l))
 
 
-def _mulmod(X, Y, l):
-    """(X @ Y) mod l on float64 arrays of residues in [0, l); 2-D or stacked.
+def _reduce(X, l):
+    """X mod l on float64 integers below 2^53, exact: fl(x/l) misses x/l by
+    less than 1/l, so its floor is the true quotient."""
+    return X - l * np.floor(X / l)
 
-    floor(fl(y/l)) is the true quotient of each exact y below 2^53, because
-    fl(y/l) misses y/l by less than 1/l; so y - l*floor(y/l) is exact."""
-    _exact_below(X.shape[-1], l)
-    Z = X @ Y
-    Z -= l * np.floor(Z / l)
-    return Z
+
+def _mulmod(X, xmax, Y, ymax, l):
+    """(X @ Y, its entry bound) on float64 integers in [0, xmax], [0, ymax],
+    2-D or stacked.  Partial sums reach at most n*xmax*ymax, n the inner
+    dimension; while that is not below 2^53, the operand with the larger
+    bound is reduced mod l, and TooLarge when both are residues."""
+    n = X.shape[-1]
+    while n * xmax * ymax >= 2**53:
+        if max(xmax, ymax) < l:
+            _exact_below(n, l)
+        if xmax >= ymax:
+            X, xmax = _reduce(X, l), l - 1
+        else:
+            Y, ymax = _reduce(Y, l), l - 1
+    return X @ Y, n * xmax * ymax
 
 
 def fin_convolve_cells(a, b):
     """(phi_a * phi_b)(w_d) for every cell d, as a dict keyed by d.
 
-    The values phi(y) of a cell's plan rows are batched triple products
-    sigma . f . sigma, and the sum over cosets of phi_a(y) phi_b(y^-1 w_d)
-    is one product with inner dimension rows*dim.  All of it runs in
-    float64 and is reduced mod l after each product; TooLarge is raised
-    before the first product unless every one is exact (below 2^53)."""
+    Over all cells' rows at once, phi_a(y) phi_b(y^-1 w_d) is the chain
+    sigma(p) f_a sigma(p2 p') times f_b sigma(p2'), the middle on the folded
+    index; a cell's sum over cosets is one product of inner dimension
+    rows*dim.  All in float64 with delayed reduction (_mulmod), the cells
+    reduced once; TooLarge before the first product unless every product
+    is exact on residues."""
     _same(a, b)
     sys = a.sys
     l, n = sys.l, sys.dim
-    plan = AmbientGL(sys.k, sys.q).plan
-    _exact_below(n * max(1, *map(len, plan)), l)
+    amb = AmbientGL(sys.k, sys.q)
+    _exact_below(n * max(1, *map(len, amb.plan)), l)
     A = sys.V.A.astype(np.float64)
-
-    def values(f, cell, m1, m2, n1, n2):
-        # phi at every row's point
-        left = _mulmod(A[pair_index(sys.MM, m1, m2)], f[cell], l)
-        return _mulmod(left, A[pair_index(sys.MM, n1, n2)], l)
-
-    fa = np.stack((a.f1, a.fw)).astype(np.float64)
-    fb = np.stack((b.f1, b.fw)).astype(np.float64)
-    out = {}
-    for d, rows in enumerate(plan):
-        va = values(fa, *rows[:, :5].T)
-        vb = values(fb, *rows[:, 5:].T)
-        r = len(rows)
-        out[d] = _mulmod(va.transpose(1, 0, 2).reshape(n, r * n), vb.reshape(r * n, n),
-                         l).astype(np.int64)
-    return out
+    fa = np.array((a.f1, a.fw), dtype=np.float64)
+    fb = np.array((b.f1, b.fw), dtype=np.float64)
+    left, lmax = _mulmod(A[amb.p_a], l - 1, fa[amb.cell_a], l - 1, l)
+    left, lmax = _mulmod(left, lmax, A[amb.mid], l - 1, l)
+    right, rmax = _mulmod(fb[amb.cell_b], l - 1, A[amb.p2_b], l - 1, l)
+    out = np.empty((amb.k + 1, n, n))
+    for d, (lo, hi) in enumerate(zip(amb.offsets, amb.offsets[1:])):
+        out[d] = _mulmod(left[lo:hi].transpose(1, 0, 2).reshape(n, -1), lmax,
+                         right[lo:hi].reshape(-1, n), rmax, l)[0]
+    return dict(enumerate(_reduce(out, l).astype(np.int64)))
 
 
 def fin_convolve(a, b):
@@ -461,13 +476,5 @@ def compute_fpoly(sys, max_deg=12):
 
     rel = first_monic_dependence(vecs(), sys.l, max_len=max_deg)
     tsmin = min_poly(sys.tstar, sys.l, bound=max_deg)
-    return CharPoly(
-        coeffs=rel,
-        k=sys.k,
-        q=sys.q,
-        l=sys.l,
-        rho=sys.rho_name,
-        mode=sys.mode,
-        tau=sys.tau,
-        tstar_minpoly=tsmin,
-    )
+    return CharPoly(coeffs=rel, k=sys.k, q=sys.q, l=sys.l, rho=sys.rho_name, mode=sys.mode,
+                    tau=sys.tau, tstar_minpoly=tsmin)

@@ -103,6 +103,14 @@ def oracle_supported(e):
     return max(ur, ll - 1) <= 2
 
 
+def oracle_window(bound):
+    """The elements of elements_in_window(bound) that oracle_supported
+    admits, in its order; only the diagonals |y - x| <= 3 are listed."""
+    r = range(-bound, bound + 1)
+    return [e for x in r for y in range(max(-bound, x - 3), min(bound, x + 3) + 1)
+            for e in (W(x, y, False), W(x, y, True)) if oracle_supported(e)]
+
+
 # ---------------------------------------------------------------------------
 # the eight shortening products
 
@@ -179,7 +187,7 @@ def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
         raise TooLarge("the oracle window at bound %d holds at least %d elements, so at least"
                        " %d coset pairs; at most %d" % (bound, least, least * least,
                                                         _MAX_WINDOW_PAIRS))
-    window = [e for e in elements_in_window(bound) if oracle_supported(e)]
+    window = oracle_window(bound)
     # a product's coset pairs are one factor per side, q^(k^2 gap), and the
     # identity has one coset, so the window's total is the square of the
     # factors' sum and its largest product is the largest factor squared

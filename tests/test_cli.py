@@ -187,6 +187,23 @@ def test_verify_iwahori_outside_scalar_case_exits_2(capsys):
     assert err
 
 
+def test_verify_all_reports_a_refused_oracle_window(tmp_path, capsys):
+    # the k = 2 window at bound 2 is past the coset-pair budget: under all it
+    # becomes a report row and the other suites still run; alone it exits 2
+    config = ("-k", "2", "-q", "2", "-l", "3", "--rep", "sign", "--mode", "plain")
+    path = tmp_path / "all.json"
+    code, _, _ = run(capsys, "verify", "--suite", "all", *config, "--json", str(path))
+    assert code == 0
+    rows = json.loads(path.read_text())["checks"]
+    assert all(r["status"] in ("pass", "report") for r in rows)
+    assert sum(r["status"] == "pass" for r in rows) == 16
+    oracle = [r for r in rows if r["name"] == "mul.oracle-window"]
+    assert len(oracle) == 1 and oracle[0]["status"] == "report"
+    assert "11135569 coset pairs" in oracle[0]["detail"]
+    code, _, err = run(capsys, "verify", "--suite", "oracle", *config)
+    assert code == 2 and err.startswith("TooLarge:")
+
+
 @pytest.mark.parametrize(
     "argv, empty",
     [

@@ -336,17 +336,58 @@ def test_float_cells_match_int64_reference(data):
 def test_float_product_exact_below_2_53():
     # (l-1)^2 = 2^50: inner dimension 7 reaches 7 * 2^50 < 2^53, 8 reaches 2^53
     l = 2**25 + 1
+    r = l - 1
     rng = np.random.default_rng(4)
     for n in (1, 7):
-        X = np.full((3, n), l - 1, dtype=np.int64)
+        X = np.full((3, n), r, dtype=np.int64)
         X[1:] = rng.integers(0, l, size=(2, n))
-        Y = np.full((n, 2), l - 1, dtype=np.int64)
-        got = finhecke._mulmod(X.astype(np.float64), Y.astype(np.float64), l)
-        want = np.array(X.astype(object) @ Y.astype(object) % l, dtype=np.int64)
+        Y = np.full((n, 2), r, dtype=np.int64)
+        got, bound = finhecke._mulmod(X.astype(np.float64), r, Y.astype(np.float64), r, l)
+        want = np.array(X.astype(object) @ Y.astype(object), dtype=np.int64)
+        assert bound == n * r * r
         assert np.array_equal(got.astype(np.int64), want)
-    assert 7 * (l - 1) ** 2 == 2**53 - 2**50
+        assert np.array_equal(finhecke._reduce(got, l).astype(np.int64), want % l)
+    assert 7 * r**2 == 2**53 - 2**50
     with pytest.raises(TooLarge):
-        finhecke._mulmod(np.ones((1, 8)), np.ones((8, 1)), l)
+        finhecke._mulmod(np.ones((1, 8)), r, np.ones((8, 1)), r, l)
+    # entries below 2^40, residues plus multiples of l: 7 * 2^40 * (l-1)
+    # passes 2^53, so that operand alone is reduced first, on either side
+    X = rng.integers(0, l, size=(3, 7)) + l * rng.integers(0, 2**14, size=(3, 7))
+    Y = rng.integers(0, l, size=(7, 2))
+    xmax = int(X.max())
+    assert 7 * xmax * r >= 2**53 > 7 * r * r
+    want = np.array(X.astype(object) @ Y.astype(object) % l, dtype=np.int64)
+    got, bound = finhecke._mulmod(X.astype(np.float64), xmax, Y.astype(np.float64), r, l)
+    assert bound == 7 * r * r
+    assert np.array_equal(finhecke._reduce(got, l).astype(np.int64), want)
+    got, bound = finhecke._mulmod(Y.T.astype(np.float64), r, X.T.astype(np.float64), xmax, l)
+    assert bound == 7 * r * r
+    assert np.array_equal(finhecke._reduce(got, l).astype(np.int64), want.T)
+
+
+def test_cells_reduce_on_demand(monkeypatch):
+    # dim 1 and 5 rows per cell: every product is exact on residues, but the
+    # unreduced chain's bound rows * dim^4 * (l-1)^5 is not, so the cell
+    # sums reduce an operand midway
+    sys = _sys(1, 4, 1201, "trivial", "plain")
+    rows = [len(p) for p in AmbientGL(1, 4).plan]
+    assert sys.dim == 1 and rows == [5, 5]
+    assert 5 * (sys.l - 1) ** 5 >= 2**53
+    reduced = []
+    reduce = finhecke._reduce
+    monkeypatch.setattr(finhecke, "_reduce",
+                        lambda X, l: reduced.append(X.shape) or reduce(X, l))
+    rng = np.random.default_rng(1201)
+    for _ in range(5):
+        a, b = random_fin_element(sys, rng), random_fin_element(sys, rng)
+        reduced.clear()
+        got = fin_convolve_cells(a, b)
+        assert len(reduced) == 3  # one operand per cell, then the cells
+        for want in (_convolve_by_cosets(a, b), _int64_convolve_cells(a, b)):
+            assert sorted(got) == sorted(want)
+            for d in want:
+                assert np.array_equal(got[d], want[d]), d
+        assert fin_mul(a, b) == fin_convolve(a, b)
 
 
 def test_cells_refuse_an_inexact_plan_before_any_product(monkeypatch):

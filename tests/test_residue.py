@@ -404,11 +404,19 @@ def test_oracle_window_refuses_from_the_bound_alone(monkeypatch):
     # bound 160 holds at least 3,197 supported elements, so at least 3,197^2
     # coset pairs: refused before the window is listed or a count summed
     touched = []
+    monkeypatch.setattr(verify, "oracle_window", lambda *args: touched.append(args))
     monkeypatch.setattr(verify, "elements_in_window", lambda *args: touched.append(args))
     monkeypatch.setattr(verify, "pair_count", lambda *args: touched.append(args))
     with pytest.raises(TooLarge, match="at bound 160 holds at least 3197 elements"):
         verify.check_oracle_window(1, 4, 3, bound=160)
     assert touched == []
+
+
+@pytest.mark.parametrize("bound", range(0, 13))
+def test_oracle_window_lists_the_supported_elements_in_order(bound):
+    # only the diagonals |y - x| <= 3 are listed, not the whole window
+    want = [e for e in elements_in_window(bound) if verify.oracle_supported(e)]
+    assert verify.oracle_window(bound) == want
 
 
 @pytest.mark.parametrize("bound", range(0, 13))
