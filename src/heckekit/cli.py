@@ -5,12 +5,13 @@ Three subcommands:
   fpoly    characteristic polynomial of the polynomial part, with an
            optional two-parameter comparison (reported, never asserted);
   mul      multiply two basis symbols written in the bracket grammar
-           "[t^a w w' ...]^j_name" and print the expansion;
+           "[t^a w w' ...]^j_name", numbers in ASCII digits, and print
+           the expansion;
   verify   run a named verification suite and emit text plus an optional
            JSON report.
 
-Exit codes: 0 all good, 1 a verification check failed, 2 bad usage,
-unparseable expression, or a configuration the engine rejects.
+Exit codes: 0 all good, 1 a verification check failed, 2 bad usage, a
+symbol that does not parse, or a configuration the engine rejects.
 
 `mul` runs on the free backend and needs no numpy; the numpy-backed
 modules (verify, finhecke, modrep) are imported inside the commands that
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import BadCount, HeckeError, TooLarge
@@ -37,82 +39,36 @@ class ParseError(HeckeError):
 
 
 # ---------------------------------------------------------------------------
-# the bracket grammar:  [ t^<int> (w|w')* ] ^<nat> _<name>
+# the bracket grammar:  [ t^<int> (w|w')* ] ^<nat> _<name>,  or [1] alone
+#
+# Every part after "[" is optional, so the pattern always matches a prefix
+# of the input and its end is where the input stops matching.  Whitespace
+# follows only tokens that cannot be empty: no two \s* are adjacent, so a
+# failing match takes linear time.  Digits are ASCII; \d would also take
+# other scripts' digits, which int() reads.
+
+_SYMBOL = re.compile(r"""
+    \s* (?: \[ \s*
+        (?P<t> t (?: \^ \s* (?P<alpha> -?[0-9]+ ) )? \s* )?
+        (?P<letters> (?: w'? \s* )* )
+        (?P<one> 1 \s* )?
+        (?P<close> \] (?: \^ \s* (?P<shift> [0-9]+ ) )? (?: _ (?P<name> \w+ ) )? \s* )?
+    )?
+    """, re.VERBOSE)
 
 
 def parse_symbol(text):
     """-> (weyl element, shift, coefficient name or None)."""
-    s = text
-    i = 0
-    n = len(s)
-
-    def skip():
-        nonlocal i
-        while i < n and s[i].isspace():
-            i += 1
-
-    def expect(ch):
-        nonlocal i
-        skip()
-        if i >= n or s[i] != ch:
-            raise ParseError("expected %r" % ch, i)
-        i += 1
-
-    def integer(signed):
-        nonlocal i
-        skip()
-        start = i
-        if signed and i < n and s[i] == "-":
-            i += 1
-        while i < n and s[i].isdigit():
-            i += 1
-        if i == start or s[start:i] == "-":
-            raise ParseError("expected a number", start)
-        return int(s[start:i])
-
-    expect("[")
-    alpha = 0
-    skip()
-    if i < n and s[i] == "t":
-        i += 1
-        if i < n and s[i] == "^":
-            i += 1
-            alpha = integer(signed=True)
-        else:
-            alpha = 1
-    letters = []
-    while True:
-        skip()
-        if i < n and s[i] == "w":
-            i += 1
-            if i < n and s[i] == "'":
-                i += 1
-                letters.append("w'")
-            else:
-                letters.append("w")
-        elif i < n and s[i] == "1" and not letters and alpha == 0:
-            i += 1  # allow [1] for the identity coset, with nothing after it
-            break
-        else:
-            break
-    expect("]")
-    shift = 0
-    if i < n and s[i] == "^":
-        i += 1
-        shift = integer(signed=False)
-    name = None
-    if i < n and s[i] == "_":
-        i += 1
-        start = i
-        while i < n and (s[i].isalnum() or s[i] == "_"):
-            i += 1
-        if i == start:
-            raise ParseError("expected a coefficient name", start)
-        name = s[start:i]
-    skip()
-    if i != n:
-        raise ParseError("trailing input %r" % s[i:], i)
-    return from_word(alpha, letters), shift, name
+    m = _SYMBOL.match(text)
+    if m["close"] is None or m.end() < len(text):
+        pos = m.end()
+        found = repr(text[pos:pos + 8]) if pos < len(text) else "end of input"
+        raise ParseError("unexpected %s" % found, pos)
+    alpha = int(m["alpha"]) if m["alpha"] else int(bool(m["t"]))  # a bare t is t^1
+    letters = re.findall("w'?", m["letters"])
+    if m["one"] and (alpha or letters):
+        raise ParseError("1 only stands alone", m.start("one"))
+    return from_word(alpha, letters), int(m["shift"] or 0), m["name"]
 
 
 def render_element(elem, l):

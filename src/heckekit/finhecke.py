@@ -26,6 +26,7 @@ Also here: the minimal monic relation of the parameter image (compute_fpoly).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -141,15 +142,11 @@ class AmbientGL:
     over p in P intersect w_d P w_d^-1.  Group geometry only.
     """
 
-    _cache = {}
-
+    @cache
     def __new__(cls, k, q):
-        key = (k, q)
-        if key not in cls._cache:
-            inst = super().__new__(cls)
-            inst._build(k, q)
-            cls._cache[key] = inst
-        return cls._cache[key]
+        inst = super().__new__(cls)
+        inst._build(k, q)
+        return inst
 
     def _build(self, k, q):
         self.k = k
@@ -303,9 +300,7 @@ def phi_value(amb, sys, elem, g):
     return (sys.sigma(*a) @ f @ sys.sigma(*b)) % sys.l
 
 
-_MIDDLE_DIMS = {}
-
-
+@cache
 def middle_hom_dims(sys):
     """Sizes of the intertwiner spaces over the partial-swap cells 1..k-1.
 
@@ -313,16 +308,14 @@ def middle_hom_dims(sys):
     sigma(p) X = X sigma(w_d^-1 p w_d) for every p in the parabolic that
     w_d conjugates back into it.  sigma is a homomorphism, so it is enough
     to solve on the generators of those Levi pairs that AmbientGL.middle
-    holds.  Solved once per system and cached.
+    holds.  Cached per system object, not per name, so a system that is
+    built again is solved again.
     """
-    key = sys.name
-    if key not in _MIDDLE_DIMS:
-        dims = []
-        for gens in AmbientGL(sys.k, sys.q).middle:
-            sigma_p, sigma_c = sys.sigma(*gens[:, :2].T), sys.sigma(*gens[:, 2:].T)
-            dims.append(len(intertwiners(sigma_c, sigma_p, sys.l)))
-        _MIDDLE_DIMS[key] = tuple(dims)
-    return _MIDDLE_DIMS[key]
+    dims = []
+    for gens in AmbientGL(sys.k, sys.q).middle:
+        sigma_p, sigma_c = sys.sigma(*gens[:, :2].T), sys.sigma(*gens[:, 2:].T)
+        dims.append(len(intertwiners(sigma_c, sigma_p, sys.l)))
+    return tuple(dims)
 
 
 def _exact_below(n, l):

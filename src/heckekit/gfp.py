@@ -12,6 +12,8 @@ component.  Everything is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import NoRelationWithinBound, RelationNotUnique, TooLarge
@@ -112,14 +114,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.q)
         return int(self.INV[x])
 
-    def pow(self, x, e):
-        if e < 0:
-            x, e = self.inv(x), -e
-        r = 1
-        for _ in range(e):
-            r = self.mul(r, x)
-        return r
-
     def elements(self):
         return range(self.q)
 
@@ -145,14 +139,10 @@ class Field:
         return "Field(%d)" % self.q
 
 
-_FIELD_CACHE = {}
-
-
+@cache
 def GF(q):
     """Memoized field constructor; fields are stateless so sharing is safe."""
-    if q not in _FIELD_CACHE:
-        _FIELD_CACHE[q] = Field(q)
-    return _FIELD_CACHE[q]
+    return Field(q)
 
 
 # ---------------------------------------------------------------------------

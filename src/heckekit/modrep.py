@@ -494,7 +494,7 @@ def projective_cover(rep):
 # coefficient systems
 
 
-@dataclass
+@dataclass(eq=False)
 class CoefficientSystem:
     k: int
     q: int

@@ -9,6 +9,7 @@ them directly, so both speak about the same computations.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -74,22 +75,17 @@ def _at_least(name, value, low):
         raise BadCount("%s=%d; need at least %d" % (name, value, low))
 
 
-_ENGINE_CACHE = {}
+# functools.cache keys a keyword call apart from a positional one, so every
+# call passes rho and mode, positionally
+@cache
+def matrix_engine(k, q, l, rho, mode):
+    sys = build_coefficient_system(k, q, l, rho=rho, mode=mode)
+    return sys, HeckeEngine(MatrixCoefficients(sys))
 
 
-def matrix_engine(k, q, l, rho="trivial", mode="plain"):
-    key = (k, q, l, rho, mode)
-    if key not in _ENGINE_CACHE:
-        sys = build_coefficient_system(k, q, l, rho=rho, mode=mode)
-        _ENGINE_CACHE[key] = (sys, HeckeEngine(MatrixCoefficients(sys)))
-    return _ENGINE_CACHE[key]
-
-
+@cache
 def free_engine(l, tau):
-    key = ("free", l, tau)
-    if key not in _ENGINE_CACHE:
-        _ENGINE_CACHE[key] = HeckeEngine(FreeCoefficients({}, l, tau))
-    return _ENGINE_CACHE[key]
+    return HeckeEngine(FreeCoefficients({}, l, tau))
 
 
 def elem_eq(a, b, l):
@@ -136,7 +132,7 @@ def check_cases(k, q, l, rho="trivial", mode="plain"):
     Structure constants, the elementwise product with concrete basis
     coefficients, and the enumeration oracle must agree.
     """
-    sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
+    sys, eng = matrix_engine(k, q, l, rho, mode)
     tau = sys.tau % l
     inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode}
     out = []
@@ -198,7 +194,7 @@ def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
     if total > _MAX_WINDOW_PAIRS:
         raise TooLarge("the oracle window would enumerate %d coset pairs; at most %d"
                        % (total, _MAX_WINDOW_PAIRS))
-    sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
+    sys, eng = matrix_engine(k, q, l, rho, mode)
     inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode, "bound": bound}
     checked = 0
     for eta in window:
@@ -232,7 +228,7 @@ def _random_tensor(rng, l, nterms, central=False):
 # verify is given: the free engine at l = 5, tau = 4, plus FIN_SYSTEM for iso
 # and ASSOC_SYSTEMS for assoc, whose supports have length at most 6
 FREE_L, FREE_TAU = 5, 4
-FIN_SYSTEM = (1, 4, 5)
+FIN_SYSTEM = (1, 4, 5, "trivial", "plain")
 ASSOC_SYSTEMS = ((1, 4, 5, "trivial", "plain"), (1, 4, 3, "trivial", "pp"))
 ASSOC_MAX_LEN = 6
 
@@ -270,7 +266,7 @@ def check_iso(seed=0, pairs=1000):
                        "exhaustive window 3, shifts 0..3" if bad is None else repr(bad)))
 
     sysf, engf = matrix_engine(*FIN_SYSTEM)
-    fin_inputs = dict(inputs, system="k%d.q%d.l%d" % FIN_SYSTEM)
+    fin_inputs = dict(inputs, system="k%d.q%d.l%d" % FIN_SYSTEM[:3])
     rng = np.random.default_rng(seed + 1)
     bad = None
     fins = [fin_unit(sysf), fin_w(sysf), random_fin_element(sysf, rng)]
@@ -355,7 +351,7 @@ def check_iwahori(k=1, q=4, l=3, rho="trivial", mode="plain", bound=2):
     if products > _MAX_IWAHORI_PRODUCTS:
         raise TooLarge("the iwahori window at bound %d is %d products; at most %d"
                        % (bound, products, _MAX_IWAHORI_PRODUCTS))
-    sys, eng = matrix_engine(k, q, l, rho=rho, mode=mode)
+    sys, eng = matrix_engine(k, q, l, rho, mode)
     inputs = {"k": k, "q": q, "l": l, "rho": rho, "mode": mode, "bound": bound}
     out = []
     ok, detail = compare_iwahori(sys, eng, bound=bound)

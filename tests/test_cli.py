@@ -8,11 +8,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckekit import verify
 from heckekit.cli import ParseError, main, parse_symbol
 from heckekit.twisted import iwahori_mul
 from heckekit.verify import CheckResult
-from heckekit.weyl import W, W_ID, W_T, W_W, word_of
+from heckekit.weyl import W, W_ID, W_T, W_W, from_word, word_of
 
 
 def test_parse_symbol_plain_letters():
@@ -48,6 +51,9 @@ def test_parse_symbol_whitespace_insensitive():
         "[w]^-1",
         "[w]_",
         "[1 w]",  # 1 only stands alone
+        "[t 1]",
+        "[t^²]",  # digits are ASCII: int() cannot read a superscript
+        "[w]^٣",  # and would read an Arabic-Indic three as 3
     ],
 )
 def test_parse_symbol_rejects(bad):
@@ -59,6 +65,60 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_symbol("[w]x")
     assert err.value.position == 3
+    with pytest.raises(ParseError) as err:
+        parse_symbol("[w 1]")
+    assert err.value.position == 3
+
+
+@st.composite
+def written_symbols(draw):
+    """A symbol's parts and one way to write them, with whitespace drawn at
+    every place the grammar allows it."""
+    ws = st.text(" \t\n\r", max_size=2)
+    alpha = draw(st.integers(-40, 40))
+    letters = draw(st.lists(st.sampled_from(["w", "w'"]), max_size=6))
+    shift = draw(st.integers(0, 40))
+    name = draw(st.none() | st.from_regex(r"\w+", fullmatch=True))
+    parts = [draw(ws), "[", draw(ws)]
+    if alpha or draw(st.booleans()):
+        parts += ["t"] if alpha == 1 and draw(st.booleans()) else ["t^", draw(ws), str(alpha)]
+        parts.append(draw(ws))
+    for letter in letters:
+        parts += [letter, draw(ws)]
+    if not alpha and not letters and draw(st.booleans()):
+        parts += [" " if "t^" in parts else "", "1", draw(ws)]  # t^0 1, not t^01
+    parts.append("]")
+    if shift or draw(st.booleans()):
+        parts += ["^", draw(ws), str(shift)]
+    if name is not None:
+        parts += ["_", name]
+    parts.append(draw(ws))
+    return "".join(parts), (from_word(alpha, letters), shift, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_symbols())
+def test_parse_symbol_round_trip(case):
+    text, want = case
+    assert parse_symbol(text) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("[]t^-w'_ 0123456789\t²٣", max_size=24))
+def test_parse_symbol_returns_a_symbol_or_a_parse_error(text):
+    try:
+        parse_symbol(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+
+
+@pytest.mark.parametrize("text", ["[" + " " * 120_000 + "x", "[" + "w " * 60_000 + "x"])
+def test_parse_symbol_rejects_a_long_symbol_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_symbol(text)
+    assert time.perf_counter() - start < 1
+    assert err.value.position == len(text) - 1
 
 
 # -- mul ------------------------------------------------------------------
@@ -101,9 +161,10 @@ def test_mul_respects_modulus(capsys):
 
 
 def test_mul_parse_failure_exits_2(capsys):
-    code, _, err = run(capsys, "mul", "[w", "[w]")
-    assert code == 2
-    assert "parse error" in err
+    for lhs in ("[w", "[t^²]", "[w]^٣"):
+        code, out, err = run(capsys, "mul", lhs, "[w]")
+        assert code == 2
+        assert out == "" and "parse error" in err
 
 
 def test_mul_conflicting_parity_exits_2(capsys):
@@ -185,6 +246,17 @@ def test_verify_iwahori_outside_scalar_case_exits_2(capsys):
     )
     assert code == 2
     assert err
+
+
+def test_verify_all_builds_two_matrix_engines_and_one_free_engine(capsys):
+    # iso's and assoc's plain system is the default configuration's, and iso
+    # and assoc share the free engine
+    verify.matrix_engine.cache_clear()
+    verify.free_engine.cache_clear()
+    code, _, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert verify.matrix_engine.cache_info().misses == 2
+    assert verify.free_engine.cache_info().misses == 1
 
 
 def test_verify_all_reports_a_refused_oracle_window(tmp_path, capsys):

@@ -13,7 +13,7 @@ from reference import coset_count, parabolic, tstar_group_algebra_power
 from test_acceptance import FIN_CONFIGS
 
 import heckekit
-from heckekit import finhecke
+from heckekit import finhecke, modrep
 from heckekit.errors import BruhatMismatch, CellLeak, NotBiEquivariant, TooLarge
 from heckekit.finhecke import (
     AmbientGL,
@@ -79,10 +79,10 @@ def test_representatives_are_p_times_w_d(k, q):
         assert amb.col_label(rep) == lab
 
 
-def test_ambient_2_3_builds_quickly(monkeypatch):
+def test_ambient_2_3_builds_quickly():
     # enumerating P there (186,624 matrices) and searching it label by label
     # could take twenty minutes
-    monkeypatch.setattr(AmbientGL, "_cache", {})
+    AmbientGL.__new__.cache_clear()
     start = time.monotonic()
     amb = AmbientGL(2, 3)
     assert time.monotonic() - start < 5
@@ -470,11 +470,29 @@ MIDDLE_DIMS = {
 
 
 @pytest.mark.parametrize("l,mode", sorted(MIDDLE_DIMS))
-def test_middle_hom_dims_frozen(monkeypatch, l, mode):
+def test_middle_hom_dims_frozen(l, mode):
     # solved afresh, not read from the per-system cache
-    monkeypatch.setattr(finhecke, "_MIDDLE_DIMS", {})
+    finhecke.middle_hom_dims.cache_clear()
     sys = _sys(2, 2, l, "sign", mode)
     assert finhecke.middle_hom_dims(sys) == MIDDLE_DIMS[l, mode]
+
+
+def test_ambient_is_one_instance_per_field():
+    assert AmbientGL(1, 4) is AmbientGL(1, 4)
+
+
+def test_rebuilt_system_solves_its_middle_dims_again(monkeypatch):
+    # the dims are cached per system object, not per name
+    sys = _sys(2, 2, 3, "sign", "plain")
+    dims = finhecke.middle_hom_dims(sys)
+    misses = finhecke.middle_hom_dims.cache_info().misses
+    assert finhecke.middle_hom_dims(sys) == dims
+    assert finhecke.middle_hom_dims.cache_info().misses == misses
+    monkeypatch.setattr(modrep, "_SYSTEM_CACHE", {})
+    rebuilt = _sys(2, 2, 3, "sign", "plain")
+    assert rebuilt is not sys
+    assert finhecke.middle_hom_dims(rebuilt) == dims
+    assert finhecke.middle_hom_dims.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("l,mode", sorted(MIDDLE_DIMS))
@@ -531,7 +549,7 @@ def test_bruhat_failures_raise_typed_error(monkeypatch):
     monkeypatch.setattr(AmbientGL, "in_parabolic", lambda self, g: False)
     with pytest.raises(BruhatMismatch):
         phi_value(amb, sys, fin_w(sys), amb.swap_mat(amb.k))
-    monkeypatch.setattr(AmbientGL, "_cache", {})
+    AmbientGL.__new__.cache_clear()
     with pytest.raises(BruhatMismatch):
         AmbientGL(1, 3)
 

@@ -52,14 +52,13 @@ def test_prime_field_basics():
     assert F.mul(3, 4) == 2
     assert F.neg(2) == 3
     assert F.inv(3) == 2
-    assert F.pow(2, -1) == 3
 
 
 def test_f4_structure():
     F = GF(4)
+    assert GF(4) is F
     # code 2 is the residue of x; x^2 = x + 1, x^3 = 1, and -1 = 1 in char 2
     assert F.mul(2, 2) == 3
-    assert F.pow(2, 3) == 1
     assert F.neg(1) == 1
     assert F.inv(2) == 3
 

@@ -507,7 +507,6 @@ def _fresh_builds(record):
         return got
 
     with mock.patch.object(modrep, "_SYSTEM_CACHE", {}), \
-            mock.patch.object(finhecke, "_MIDDLE_DIMS", {}), \
             mock.patch.object(modrep, "intertwiners", recording), \
             mock.patch.object(finhecke, "intertwiners", recording):
         out = {}

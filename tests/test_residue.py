@@ -353,7 +353,7 @@ def test_oracle_window_refuses_before_any_product(monkeypatch):
     products, builds = [], []
     monkeypatch.setattr(verify, "oracle_product", lambda *args: products.append(args))
     monkeypatch.setattr(verify.HeckeEngine, "mul", lambda *args: products.append(args))
-    monkeypatch.setattr(verify, "_ENGINE_CACHE", {})
+    verify.matrix_engine.cache_clear()
     monkeypatch.setattr(verify, "build_coefficient_system",
                         lambda *args, **kwargs: builds.append(args))
     with pytest.raises(TooLarge):
