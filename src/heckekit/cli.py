@@ -45,7 +45,11 @@ class ParseError(HeckeError):
 # of the input and its end is where the input stops matching.  Whitespace
 # follows only tokens that cannot be empty: no two \s* are adjacent, so a
 # failing match takes linear time.  Digits are ASCII; \d would also take
-# other scripts' digits, which int() reads.
+# other scripts' digits, which int() reads.  A t-power or shift has at most
+# _MAX_DIGITS digits, so a product of two symbols has numbers of at most 601
+# digits, which print under any int-to-str limit Python allows (at least 640).
+
+_MAX_DIGITS = 600
 
 _SYMBOL = re.compile(r"""
     \s* (?: \[ \s*
@@ -64,6 +68,9 @@ def parse_symbol(text):
         pos = m.end()
         found = repr(text[pos:pos + 8]) if pos < len(text) else "end of input"
         raise ParseError("unexpected %s" % found, pos)
+    for part in ("alpha", "shift"):
+        if m[part] and len(m[part].lstrip("-")) > _MAX_DIGITS:
+            raise ParseError("more than %d digits" % _MAX_DIGITS, m.start(part))
     alpha = int(m["alpha"]) if m["alpha"] else int(bool(m["t"]))  # a bare t is t^1
     letters = re.findall("w'?", m["letters"])
     if m["one"] and (alpha or letters):

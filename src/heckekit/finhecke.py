@@ -5,18 +5,21 @@ G = GL_{2k}(q): the identity coset (value f1, a self-intertwiner of V) and
 the full-swap coset (value fw, a swap-intertwiner).  Two routes to the
 product are implemented:
 
-  * fin_mul: the closed two-term formulas in f1, fw, tau, T*, on int64 `@`;
+  * fin_mul: the closed two-term formulas in f1, fw, tau, T*, on gfp's
+    exact float64 product (two gemms, one reduction of the sums);
+    TooLarge unless dim (l-1)^2 < 2^53, as on the matrix backend;
   * fin_convolve: genuine convolution of V-valued bi-equivariant functions
     over G/P.  The group geometry depends only on (k, q), so AmbientGL
     builds it once: a convolution plan (for each target cell and coset,
-    the Bruhat cells and Levi indices of both factors) and, for each
-    partial-swap cell, generators of its Levi pairs.  AmbientGL holds
-    geometry only, no sigma products and nothing of fin_mul, so the
-    oracle stays independent.  Each pair costs three float64 products
-    stacked over all cells' rows and one BLAS product per cell, reduced
-    mod l only when an entry bound could reach 2^53 and once at the end;
-    TooLarge when even residues are not exact (never rounded).  The
-    arithmetic is the oracle's own, not gfp.matmul_mod.
+    the Bruhat cells and Levi indices of both factors, and the distinct
+    products the rows share) and, for each partial-swap cell, generators
+    of its Levi pairs.  AmbientGL holds geometry only, no sigma products
+    and nothing of fin_mul, so the oracle stays independent.  Each pair
+    forms each distinct product of the plan once, as three stacked
+    float64 products, gathers them onto all cells' rows, and takes one
+    BLAS product per cell, reduced mod l only when an entry bound could
+    reach 2^53 and once at the end; TooLarge when even residues are not
+    exact (never rounded).  The arithmetic is the oracle's own, not gfp's.
     The partial-swap cells in between must come out zero, and the oracle
     checks that rather than assuming it.
 
@@ -33,6 +36,8 @@ import numpy as np
 from .errors import BruhatMismatch, CellLeak, NotBiEquivariant, SystemMismatch, TooLarge
 from .gfp import (
     GF,
+    _matmul_residues,
+    _residues,
     first_monic_dependence,
     fq_inv_matrix,
     fq_matmul,
@@ -61,6 +66,13 @@ class FinElement:
         d = self.sys.dim
         self.f1 = np.asarray(self.f1, dtype=np.int64).reshape(d, d) % self.sys.l
         self.fw = np.asarray(self.fw, dtype=np.int64).reshape(d, d) % self.sys.l
+
+    @classmethod
+    def from_residues(cls, sys, f1, fw):
+        """From int64 (dim, dim) arrays already in [0, l), kept as they are."""
+        elem = object.__new__(cls)
+        elem.sys, elem.f1, elem.fw = sys, f1, fw
+        return elem
 
     def __eq__(self, other):
         return (
@@ -98,12 +110,20 @@ def fin_w(sys, power=0):
 
 
 def fin_mul(a, b):
+    """f1 g1 + tau fw gw on the identity cell, f1 gw + fw g1 + T* fw gw on
+    the swap cell, on gfp's exact float64 product: one gemm of [f1; fw] by
+    [g1 | gw] gives the four block products, a second T* (fw gw), and the
+    sums, integers below l (l-1) < 2^53, are reduced once, in int64.
+    TooLarge unless dim (l-1)^2 < 2^53."""
     _same(a, b)
     s = a.sys
-    l = s.l
-    f1 = (a.f1 @ b.f1 + s.tau * (a.fw @ b.fw)) % l
-    fw = (a.f1 @ b.fw + a.fw @ b.f1 + s.tstar @ a.fw @ b.fw) % l
-    return FinElement(s, f1, fw)
+    l, d = s.l, s.dim
+    P = _matmul_residues(np.concatenate((a.f1, a.fw), dtype=np.float64),
+                         np.concatenate((b.f1, b.fw), axis=1, dtype=np.float64), l)
+    ww = P[d:, d:]
+    f1 = P[:d, :d] + (s.tau % l) * ww
+    fw = P[:d, d:] + P[d:, :d] + _matmul_residues(_residues(s.tstar, l), ww, l)
+    return FinElement.from_residues(s, f1.astype(np.int64) % l, fw.astype(np.int64) % l)
 
 
 def random_fin_element(sys, rng):
@@ -136,7 +156,12 @@ class AmbientGL:
     of p and p2 in its decomposition.  All cells' rows are also kept flat
     (`offsets` bound each cell's), as cells and M x M indices: `p_a` of
     y's p, `p2_b` of y^-1 w_d's p2, and `mid` of y's p2 times y^-1 w_d's
-    p, folded by MUL as sigma is a homomorphism.  `middle[d - 1]` holds,
+    p, folded by MUL as sigma is a homomorphism.  Rows share products, so
+    the distinct ones are kept with each row's index among them (np.unique's
+    values and inverse): (u_pa, u_cella) of the left rows (p_a, cell_a),
+    (u_left, u_mid) of the middle rows (left row, mid), (u_cellb, u_p2b)
+    of the right rows (cell_b, p2_b), and inv_left, inv_right from the
+    plan's rows to the middle and right ones.  `middle[d - 1]` holds,
     for each partial-swap cell 0 < d < k, rows (a1, a2, b1, b2) of Levi
     indices that generate the group of pairs (levi(p), levi(w_d^-1 p w_d))
     over p in P intersect w_d P w_d^-1.  Group geometry only.
@@ -175,6 +200,9 @@ class AmbientGL:
         self.cell_a, self.p_a, self.cell_b, self.p2_b = ca, a1 * N + a2, cb, n1 * N + n2
         self.mid = MUL[m1, b1] * N + MUL[m2, b2]
         self.offsets = np.cumsum([0, *map(len, self.plan)])
+        (self.u_pa, self.u_cella), left = _distinct(self.p_a, self.cell_a)
+        (self.u_left, self.u_mid), self.inv_left = _distinct(left, self.mid)
+        (self.u_cellb, self.u_p2b), self.inv_right = _distinct(self.cell_b, self.p2_b)
 
     # -- bookkeeping helpers
 
@@ -289,6 +317,13 @@ class AmbientGL:
         return d, self.levi_indices(p), self.levi_indices(p2)
 
 
+def _distinct(*columns):
+    """The distinct rows of the columns, as columns, and each row's index
+    among them."""
+    rows, inverse = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    return rows.T, inverse.reshape(-1)
+
+
 def phi_value(amb, sys, elem, g):
     """Value at g of the bi-equivariant function with data (f1, fw); None
     in a partial-swap cell, where the element carries no value."""
@@ -353,21 +388,23 @@ def fin_convolve_cells(a, b):
 
     Over all cells' rows at once, phi_a(y) phi_b(y^-1 w_d) is the chain
     sigma(p) f_a sigma(p2 p') times f_b sigma(p2'), the middle on the folded
-    index; a cell's sum over cosets is one product of inner dimension
-    rows*dim.  All in float64 with delayed reduction (_mulmod), the cells
-    reduced once; TooLarge before the first product unless every product
-    is exact on residues."""
+    index, each distinct product formed once and gathered onto the rows; a
+    cell's sum over cosets is one product of inner dimension rows*dim.  All
+    in float64 with delayed reduction (_mulmod), the cells reduced once;
+    TooLarge before the first product unless every product is exact on
+    residues."""
     _same(a, b)
     sys = a.sys
     l, n = sys.l, sys.dim
     amb = AmbientGL(sys.k, sys.q)
     _exact_below(n * max(1, *map(len, amb.plan)), l)
-    A = sys.V.A.astype(np.float64)
+    A = sys.V.A
     fa = np.array((a.f1, a.fw), dtype=np.float64)
     fb = np.array((b.f1, b.fw), dtype=np.float64)
-    left, lmax = _mulmod(A[amb.p_a], l - 1, fa[amb.cell_a], l - 1, l)
-    left, lmax = _mulmod(left, lmax, A[amb.mid], l - 1, l)
-    right, rmax = _mulmod(fb[amb.cell_b], l - 1, A[amb.p2_b], l - 1, l)
+    left, lmax = _mulmod(A[amb.u_pa].astype(np.float64), l - 1, fa[amb.u_cella], l - 1, l)
+    left, lmax = _mulmod(left[amb.u_left], lmax, A[amb.u_mid].astype(np.float64), l - 1, l)
+    right, rmax = _mulmod(fb[amb.u_cellb], l - 1, A[amb.u_p2b].astype(np.float64), l - 1, l)
+    left, right = left[amb.inv_left], right[amb.inv_right]
     out = np.empty((amb.k + 1, n, n))
     for d, (lo, hi) in enumerate(zip(amb.offsets, amb.offsets[1:])):
         out[d] = _mulmod(left[lo:hi].transpose(1, 0, 2).reshape(n, -1), lmax,
@@ -394,7 +431,7 @@ def fin_convolve(a, b):
         for d in leaked:
             if dims[d - 1] == 0:
                 raise CellLeak("support leaked into partial-swap cell %d" % d)
-    return FinElement(sys, out[0], out[k])
+    return FinElement.from_residues(sys, out[0], out[k])
 
 
 # ---------------------------------------------------------------------------

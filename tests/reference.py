@@ -412,3 +412,11 @@ def int64_combine(be, ca, cb, pairs):
     Y = matmul_mod(C, X.reshape(len(cols), d * d), l)
     keep = Y.any(axis=1)
     return {eps: Y[r].reshape(d, d) for eps, r in outs.items() if keep[r]}
+
+
+def int_fin_mul(a, b):
+    """finhecke.fin_mul's closed formulas as they were on int64, here on
+    Python ints: (f1 g1 + tau fw gw, f1 gw + fw g1 + T* fw gw) mod l."""
+    s = a.sys
+    f1, fw, g1, gw, ts = (np.asarray(x).astype(object) for x in (a.f1, a.fw, b.f1, b.fw, s.tstar))
+    return (f1 @ g1 + s.tau * (fw @ gw)) % s.l, (f1 @ gw + fw @ g1 + ts @ fw @ gw) % s.l

@@ -121,6 +121,27 @@ def test_parse_symbol_rejects_a_long_symbol_in_linear_time(text):
     assert err.value.position == len(text) - 1
 
 
+NINES = "9" * 600  # a t-power or shift of the most digits the grammar takes
+
+
+def test_parse_symbol_takes_the_most_digits():
+    n = int(NINES)
+    assert parse_symbol("[t^%s]^%s" % (NINES, NINES)) == (from_word(n, ()), n, None)
+    assert parse_symbol("[t^-%s w]_f" % NINES) == (from_word(-n, ("w",)), 0, "f")
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [("[t^9%s]" % NINES, 3), ("[t^-9%s w]" % NINES, 3), ("[t^0%s]" % NINES, 3),
+     ("[w]^9%s" % NINES, 4), ("[t^%s]^0%s" % (NINES, NINES), 605)],
+    ids=["t-power", "negative t-power", "leading zero", "shift", "shift after a long t-power"],
+)
+def test_parse_symbol_bounds_the_digits(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_symbol(text)
+    assert err.value.position == position
+
+
 # -- mul ------------------------------------------------------------------
 
 def run(capsys, *argv):
@@ -165,6 +186,28 @@ def test_mul_parse_failure_exits_2(capsys):
         code, out, err = run(capsys, "mul", lhs, "[w]")
         assert code == 2
         assert out == "" and "parse error" in err
+
+
+@pytest.fixture
+def least_int_str_limit():
+    # the least limit on int-to-str digits that Python allows
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_mul_prints_products_at_the_digit_bound(capsys, least_int_str_limit):
+    n = int(NINES)
+    for lhs, rhs, want in [
+        ("[t^%s]" % NINES, "[t^%s]" % NINES, "[t^%d]" % (2 * n)),
+        ("[t^-%s]" % NINES, "[t^-%s]" % NINES, "[t^%d]" % (-2 * n)),
+        ("[w]^%s" % NINES, "[w]^%s" % NINES, "4·[1]^%d + [w]^%d" % (2 * n, 2 * n + 1)),
+    ]:
+        assert run(capsys, "mul", lhs, rhs) == (0, want, "")
 
 
 def test_mul_conflicting_parity_exits_2(capsys):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import os
 import subprocess
 import sys as _sys_mod
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import coset_count, parabolic, tstar_group_algebra_power
+from reference import coset_count, int_fin_mul, parabolic, tstar_group_algebra_power
 from test_acceptance import FIN_CONFIGS
 
 import heckekit
@@ -593,6 +594,112 @@ def test_fin_w_refuses_a_non_bi_equivariant_element(k, q, l):
         fin_w(sys)
     assert sys.in_parity_span(fin_w(sys, 1).fw, 1)
     assert fin_w(_sys(k, q, l, rho, "plain")).fw.any()
+
+
+def _equals_int_formula(a, b):
+    got, (f1, fw) = fin_mul(a, b), int_fin_mul(a, b)
+    assert got.f1.dtype == got.fw.dtype == np.int64
+    return np.array_equal(got.f1, f1.astype(np.int64)) and np.array_equal(got.fw, fw.astype(np.int64))
+
+
+@pytest.mark.parametrize("mode", ["plain", "pp"])
+@pytest.mark.parametrize("cfg", FIN_CONFIGS, ids=["k%d.q%d.l%d" % c[:3] for c in FIN_CONFIGS])
+def test_fin_mul_matches_the_int_formula(cfg, mode):
+    sys = _sys(*cfg, mode)
+    rng = np.random.default_rng(sys.dim * sys.l)
+    pairs = [(fin_w(sys, 1), fin_w(sys, 1)), (fin_unit(sys), fin_w(sys, 1))]
+    pairs += [(random_fin_element(sys, rng), random_fin_element(sys, rng)) for _ in range(10)]
+    for a, b in pairs:
+        assert _equals_int_formula(a, b)
+
+
+@pytest.mark.parametrize("mode", ["plain", "pp"])
+@pytest.mark.parametrize("cfg", FIN_CONFIGS, ids=["k%d.q%d.l%d" % c[:3] for c in FIN_CONFIGS])
+def test_fin_mul_exact_up_to_the_float64_bound(cfg, mode):
+    # the largest l with dim (l-1)^2 < 2^53, entries, tau and T* near l - 1;
+    # one more refuses.  The formulas need no prime l, so any l will do
+    sys = _sys(*cfg, mode)
+    d = sys.dim
+    big = copy.copy(sys)
+    big.l = l = math.isqrt((2**53 - 1) // d) + 1
+    assert d * (l - 1) ** 2 < 2**53 <= d * l**2
+    rng = np.random.default_rng(d)
+    big.tau, big.tstar = l - 1, l - 1 - rng.integers(0, 3, size=(d, d))
+
+    def element():
+        return FinElement(big, l - 1 - rng.integers(0, 3, size=(d, d)),
+                          l - 1 - rng.integers(0, 3, size=(d, d)))
+
+    for _ in range(5):
+        assert _equals_int_formula(element(), element())
+    a, b = element(), element()
+    big.l = l + 1
+    with pytest.raises(TooLarge):
+        fin_mul(a, b)
+
+
+def test_fin_mul_refuses_where_int64_overflowed():
+    # tau (fw gw) = 4 (l-1)^2 passes 2^63: the int64 products gave (1, 1)
+    sys = _sys(1, 4, 2147483647)
+    l = sys.l
+    assert sys.dim * (l - 1) ** 2 >= 2**53
+    a = FinElement(sys, [[l - 1]], [[l - 1]])
+    assert [int(x[0, 0]) for x in int_fin_mul(a, a)] == [5, 5]
+    with pytest.raises(TooLarge):
+        fin_mul(a, a)
+
+
+def test_products_keep_their_residues_as_they_are(monkeypatch):
+    # fin_mul and fin_convolve hand their int64 residues to FinElement as
+    # they are; a user's arrays are still reduced
+    sys = _sys(1, 4, 5, "trivial", "pp")
+    rng = np.random.default_rng(9)
+    a, b = random_fin_element(sys, rng), random_fin_element(sys, rng)
+    built = []
+    init = FinElement.__post_init__
+    monkeypatch.setattr(FinElement, "__post_init__", lambda e: built.append(e) or init(e))
+    assert fin_mul(a, b) == fin_convolve(a, b)
+    assert built == []
+    assert FinElement(sys, a.f1 + sys.l, -a.fw) == FinElement(sys, a.f1, (-a.fw) % sys.l)
+
+
+@pytest.mark.parametrize("kq,distinct,rows", [((1, 5), 22, 36), ((2, 2), 46, 99)])
+def test_plan_forms_each_distinct_product_once(kq, distinct, rows):
+    amb = AmbientGL(*kq)
+    left = np.stack((amb.u_pa, amb.u_cella), axis=1)
+    middle = np.stack((amb.u_left, amb.u_mid), axis=1)
+    right = np.stack((amb.u_cellb, amb.u_p2b), axis=1)
+    assert 3 * len(amb.p_a) == rows
+    assert len(left) + len(middle) + len(right) == distinct
+    for u in (left, middle, right):
+        assert len(np.unique(u, axis=0)) == len(u)
+    assert np.array_equal(left[middle[amb.inv_left, 0]], np.stack((amb.p_a, amb.cell_a), axis=1))
+    assert np.array_equal(middle[amb.inv_left, 1], amb.mid)
+    assert np.array_equal(right[amb.inv_right], np.stack((amb.cell_b, amb.p2_b), axis=1))
+
+
+def _per_row_cells(a, b):
+    """Reference: the flat rows' chains A[p_a] f[cell_a] A[mid] and
+    f[cell_b] A[p2_b], one per row, in int64, summed by each cell's rows."""
+    sys, l = a.sys, a.sys.l
+    amb, A = AmbientGL(sys.k, sys.q), sys.V.A
+    fa, fb = np.stack((a.f1, a.fw)), np.stack((b.f1, b.fw))
+    left = (A[amb.p_a] @ fa[amb.cell_a] % l) @ A[amb.mid] % l
+    right = fb[amb.cell_b] @ A[amb.p2_b] % l
+    return {d: np.einsum("rij,rjk->ik", left[lo:hi], right[lo:hi]) % l
+            for d, (lo, hi) in enumerate(zip(amb.offsets, amb.offsets[1:]))}
+
+
+@pytest.mark.parametrize("cfg", PLAN_SYSTEMS, ids=["k%d.q%d.l%d.%s" % (c[:3] + c[4:]) for c in PLAN_SYSTEMS])
+def test_distinct_products_give_the_per_row_cells(cfg):
+    sys = _sys(*cfg)
+    rng = np.random.default_rng(sys.dim)
+    for _ in range(5):
+        a, b = random_fin_element(sys, rng), random_fin_element(sys, rng)
+        got, want = fin_convolve_cells(a, b), _per_row_cells(a, b)
+        assert sorted(got) == sorted(want)
+        for d in want:
+            assert np.array_equal(got[d], want[d]), d
 
 
 def test_associativity_formula():
