@@ -47,18 +47,19 @@ class ParseError(HeckeError):
 # failing match takes linear time.  Digits are ASCII; \d would also take
 # other scripts' digits, which int() reads.  A t-power or shift has at most
 # _MAX_DIGITS digits, so a product of two symbols has numbers of at most 601
-# digits, which print under any int-to-str limit Python allows (at least 640).
+# digits, which print under any int-to-str limit Python allows (at least 640);
+# the input stops matching at a longer number's next digit.
 
 _MAX_DIGITS = 600
 
 _SYMBOL = re.compile(r"""
     \s* (?: \[ \s*
-        (?P<t> t (?: \^ \s* (?P<alpha> -?[0-9]+ ) )? \s* )?
+        (?P<t> t (?: \^ \s* (?P<alpha> -?[0-9]{1,%(digits)d} ) )? \s* )?
         (?P<letters> (?: w'? \s* )* )
         (?P<one> 1 \s* )?
-        (?P<close> \] (?: \^ \s* (?P<shift> [0-9]+ ) )? (?: _ (?P<name> \w+ ) )? \s* )?
+        (?P<close> \] (?: \^ \s* (?P<shift> [0-9]{1,%(digits)d} ) )? (?: _ (?P<name> \w+ ) )? \s* )?
     )?
-    """, re.VERBOSE)
+    """ % {"digits": _MAX_DIGITS}, re.VERBOSE)
 
 
 def parse_symbol(text):
@@ -68,9 +69,6 @@ def parse_symbol(text):
         pos = m.end()
         found = repr(text[pos:pos + 8]) if pos < len(text) else "end of input"
         raise ParseError("unexpected %s" % found, pos)
-    for part in ("alpha", "shift"):
-        if m[part] and len(m[part].lstrip("-")) > _MAX_DIGITS:
-            raise ParseError("more than %d digits" % _MAX_DIGITS, m.start(part))
     alpha = int(m["alpha"]) if m["alpha"] else int(bool(m["t"]))  # a bare t is t^1
     letters = re.findall("w'?", m["letters"])
     if m["one"] and (alpha or letters):

@@ -67,13 +67,6 @@ class FinElement:
         self.f1 = np.asarray(self.f1, dtype=np.int64).reshape(d, d) % self.sys.l
         self.fw = np.asarray(self.fw, dtype=np.int64).reshape(d, d) % self.sys.l
 
-    @classmethod
-    def from_residues(cls, sys, f1, fw):
-        """From int64 (dim, dim) arrays already in [0, l), kept as they are."""
-        elem = object.__new__(cls)
-        elem.sys, elem.f1, elem.fw = sys, f1, fw
-        return elem
-
     def __eq__(self, other):
         return (
             self.sys is other.sys
@@ -113,8 +106,8 @@ def fin_mul(a, b):
     """f1 g1 + tau fw gw on the identity cell, f1 gw + fw g1 + T* fw gw on
     the swap cell, on gfp's exact float64 product: one gemm of [f1; fw] by
     [g1 | gw] gives the four block products, a second T* (fw gw), and the
-    sums, integers below l (l-1) < 2^53, are reduced once, in int64.
-    TooLarge unless dim (l-1)^2 < 2^53."""
+    sums, integers below l (l-1) < 2^53, are reduced once, in int64, by
+    FinElement.  TooLarge unless dim (l-1)^2 < 2^53."""
     _same(a, b)
     s = a.sys
     l, d = s.l, s.dim
@@ -123,7 +116,7 @@ def fin_mul(a, b):
     ww = P[d:, d:]
     f1 = P[:d, :d] + (s.tau % l) * ww
     fw = P[:d, d:] + P[d:, :d] + _matmul_residues(_residues(s.tstar, l), ww, l)
-    return FinElement.from_residues(s, f1.astype(np.int64) % l, fw.astype(np.int64) % l)
+    return FinElement(s, f1.astype(np.int64), fw.astype(np.int64))
 
 
 def random_fin_element(sys, rng):
@@ -153,18 +146,19 @@ class AmbientGL:
     `plan[d]` drives the convolution at w_d: for each coset y with neither
     y nor y^-1 w_d in a partial-swap cell, one row holding, for each of
     the two, 1 if it lies in the swap cell (else 0) and the Levi indices
-    of p and p2 in its decomposition.  All cells' rows are also kept flat
-    (`offsets` bound each cell's), as cells and M x M indices: `p_a` of
-    y's p, `p2_b` of y^-1 w_d's p2, and `mid` of y's p2 times y^-1 w_d's
-    p, folded by MUL as sigma is a homomorphism.  Rows share products, so
-    the distinct ones are kept with each row's index among them (np.unique's
-    values and inverse): (u_pa, u_cella) of the left rows (p_a, cell_a),
-    (u_left, u_mid) of the middle rows (left row, mid), (u_cellb, u_p2b)
-    of the right rows (cell_b, p2_b), and inv_left, inv_right from the
-    plan's rows to the middle and right ones.  `middle[d - 1]` holds,
-    for each partial-swap cell 0 < d < k, rows (a1, a2, b1, b2) of Levi
-    indices that generate the group of pairs (levi(p), levi(w_d^-1 p w_d))
-    over p in P intersect w_d P w_d^-1.  Group geometry only.
+    of p and p2 in its decomposition.  Over all cells' rows, flat
+    (`offsets` bound each cell's), a row's chain needs a left product
+    (p_a, cell_a), a middle one (left, mid) and a right one (cell_b, p2_b),
+    in cells and M x M indices: `p_a` of y's p, `p2_b` of y^-1 w_d's p2,
+    and `mid` of y's p2 times y^-1 w_d's p, folded by MUL as sigma is a
+    homomorphism.  Rows share products, so only the distinct ones are kept
+    (np.unique's values, as columns): (u_pa, u_cella), (u_left, u_mid)
+    with u_left indexing the left ones, and (u_cellb, u_p2b); inv_left and
+    inv_right take each flat row to its middle and right ones.
+    `middle[d - 1]` holds, for each partial-swap cell 0 < d < k, rows
+    (a1, a2, b1, b2) of Levi indices that generate the group of pairs
+    (levi(p), levi(w_d^-1 p w_d)) over p in P intersect w_d P w_d^-1.
+    Group geometry only.
     """
 
     @cache
@@ -197,12 +191,10 @@ class AmbientGL:
             self.plan.append(np.array(rows, dtype=np.int64).reshape(-1, 10))
         ca, a1, a2, m1, m2, cb, b1, b2, n1, n2 = np.concatenate(self.plan).T
         N, MUL = self.M.n, self.M.MUL
-        self.cell_a, self.p_a, self.cell_b, self.p2_b = ca, a1 * N + a2, cb, n1 * N + n2
-        self.mid = MUL[m1, b1] * N + MUL[m2, b2]
         self.offsets = np.cumsum([0, *map(len, self.plan)])
-        (self.u_pa, self.u_cella), left = _distinct(self.p_a, self.cell_a)
-        (self.u_left, self.u_mid), self.inv_left = _distinct(left, self.mid)
-        (self.u_cellb, self.u_p2b), self.inv_right = _distinct(self.cell_b, self.p2_b)
+        (self.u_pa, self.u_cella), left = _distinct(a1 * N + a2, ca)
+        (self.u_left, self.u_mid), self.inv_left = _distinct(left, MUL[m1, b1] * N + MUL[m2, b2])
+        (self.u_cellb, self.u_p2b), self.inv_right = _distinct(cb, n1 * N + n2)
 
     # -- bookkeeping helpers
 
@@ -431,7 +423,7 @@ def fin_convolve(a, b):
         for d in leaked:
             if dims[d - 1] == 0:
                 raise CellLeak("support leaked into partial-swap cell %d" % d)
-    return FinElement.from_residues(sys, out[0], out[k])
+    return FinElement(sys, out[0], out[k])
 
 
 # ---------------------------------------------------------------------------

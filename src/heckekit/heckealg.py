@@ -168,18 +168,14 @@ class FreeCoefficients:
         return {(wrd, jj + j): s % self.l for (wrd, jj), s in c.items() if s % self.l}
 
     def combine(self, ca, cb, pairs):
-        """Sum of s * T*^j * ca[i] * cb[k]: each product ca[i].cb[k] once,
-        its words added s times, shifted by j, into one dict per eps."""
-        l, out = self.l, {}
+        """Sum of s * T*^j * ca[i] * cb[k], one term at a time."""
+        out = {}
         for i, k, terms in pairs:
             c = self.compose(ca[i], cb[k])
             for eps, s, j in terms:
-                acc = out.setdefault(eps, {})
-                for (wrd, jj), v in c.items():
-                    key = (wrd, jj + j)
-                    acc[key] = (acc.get(key, 0) + s * v) % l
-        out = {eps: {key: v for key, v in acc.items() if v} for eps, acc in out.items()}
-        return {eps: c for eps, c in out.items() if c}
+                term = self.scale(self.tstar(c, j), s)
+                out[eps] = self.add(out[eps], term) if eps in out else term
+        return {k: v for k, v in out.items() if not self.is_zero(v)}
 
     def add(self, a, b):
         out = dict(a)

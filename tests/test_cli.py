@@ -132,8 +132,8 @@ def test_parse_symbol_takes_the_most_digits():
 
 @pytest.mark.parametrize(
     "text,position",
-    [("[t^9%s]" % NINES, 3), ("[t^-9%s w]" % NINES, 3), ("[t^0%s]" % NINES, 3),
-     ("[w]^9%s" % NINES, 4), ("[t^%s]^0%s" % (NINES, NINES), 605)],
+    [("[t^9%s]" % NINES, 603), ("[t^-9%s w]" % NINES, 604), ("[t^0%s]" % NINES, 603),
+     ("[w]^9%s" % NINES, 604), ("[t^%s]^0%s" % (NINES, NINES), 1205)],
     ids=["t-power", "negative t-power", "leading zero", "shift", "shift after a long t-power"],
 )
 def test_parse_symbol_bounds_the_digits(text, position):

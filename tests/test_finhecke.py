@@ -649,33 +649,28 @@ def test_fin_mul_refuses_where_int64_overflowed():
         fin_mul(a, a)
 
 
-def test_products_keep_their_residues_as_they_are(monkeypatch):
-    # fin_mul and fin_convolve hand their int64 residues to FinElement as
-    # they are; a user's arrays are still reduced
-    sys = _sys(1, 4, 5, "trivial", "pp")
-    rng = np.random.default_rng(9)
-    a, b = random_fin_element(sys, rng), random_fin_element(sys, rng)
-    built = []
-    init = FinElement.__post_init__
-    monkeypatch.setattr(FinElement, "__post_init__", lambda e: built.append(e) or init(e))
-    assert fin_mul(a, b) == fin_convolve(a, b)
-    assert built == []
-    assert FinElement(sys, a.f1 + sys.l, -a.fw) == FinElement(sys, a.f1, (-a.fw) % sys.l)
+def _flat_rows(amb):
+    """Each plan row's (p_a, cell_a, mid, cell_b, p2_b), read off amb.plan:
+    Levi index pairs folded as M x M indices, the middle by MUL."""
+    ca, a1, a2, m1, m2, cb, b1, b2, n1, n2 = np.concatenate(amb.plan).T
+    N, MUL = amb.M.n, amb.M.MUL
+    return a1 * N + a2, ca, MUL[m1, b1] * N + MUL[m2, b2], cb, n1 * N + n2
 
 
 @pytest.mark.parametrize("kq,distinct,rows", [((1, 5), 22, 36), ((2, 2), 46, 99)])
 def test_plan_forms_each_distinct_product_once(kq, distinct, rows):
     amb = AmbientGL(*kq)
+    p_a, cell_a, mid, cell_b, p2_b = _flat_rows(amb)
     left = np.stack((amb.u_pa, amb.u_cella), axis=1)
     middle = np.stack((amb.u_left, amb.u_mid), axis=1)
     right = np.stack((amb.u_cellb, amb.u_p2b), axis=1)
-    assert 3 * len(amb.p_a) == rows
+    assert 3 * len(p_a) == rows
     assert len(left) + len(middle) + len(right) == distinct
     for u in (left, middle, right):
         assert len(np.unique(u, axis=0)) == len(u)
-    assert np.array_equal(left[middle[amb.inv_left, 0]], np.stack((amb.p_a, amb.cell_a), axis=1))
-    assert np.array_equal(middle[amb.inv_left, 1], amb.mid)
-    assert np.array_equal(right[amb.inv_right], np.stack((amb.cell_b, amb.p2_b), axis=1))
+    assert np.array_equal(left[middle[amb.inv_left, 0]], np.stack((p_a, cell_a), axis=1))
+    assert np.array_equal(middle[amb.inv_left, 1], mid)
+    assert np.array_equal(right[amb.inv_right], np.stack((cell_b, p2_b), axis=1))
 
 
 def _per_row_cells(a, b):
@@ -683,9 +678,10 @@ def _per_row_cells(a, b):
     f[cell_b] A[p2_b], one per row, in int64, summed by each cell's rows."""
     sys, l = a.sys, a.sys.l
     amb, A = AmbientGL(sys.k, sys.q), sys.V.A
+    p_a, cell_a, mid, cell_b, p2_b = _flat_rows(amb)
     fa, fb = np.stack((a.f1, a.fw)), np.stack((b.f1, b.fw))
-    left = (A[amb.p_a] @ fa[amb.cell_a] % l) @ A[amb.mid] % l
-    right = fb[amb.cell_b] @ A[amb.p2_b] % l
+    left = (A[p_a] @ fa[cell_a] % l) @ A[mid] % l
+    right = fb[cell_b] @ A[p2_b] % l
     return {d: np.einsum("rij,rjk->ik", left[lo:hi], right[lo:hi]) % l
             for d, (lo, hi) in enumerate(zip(amb.offsets, amb.offsets[1:]))}
 
