@@ -144,14 +144,14 @@ class AmbientGL:
     generate that intersection.
 
     `plan[d]` drives the convolution at w_d: for each coset y with neither
-    y nor y^-1 w_d in a partial-swap cell, one row holding, for each of
-    the two, 1 if it lies in the swap cell (else 0) and the Levi indices
-    of p and p2 in its decomposition.  Over all cells' rows, flat
-    (`offsets` bound each cell's), a row's chain needs a left product
-    (p_a, cell_a), a middle one (left, mid) and a right one (cell_b, p2_b),
-    in cells and M x M indices: `p_a` of y's p, `p2_b` of y^-1 w_d's p2,
-    and `mid` of y's p2 times y^-1 w_d's p, folded by MUL as sigma is a
-    homomorphism.  Rows share products, so only the distinct ones are kept
+    y nor z = y^-1 w_d in a partial-swap cell, one row holding 1 if y lies
+    in the swap cell (else 0), the Levi indices of y's p (its p2 is 1),
+    then 1 if z lies in the swap cell and the Levi indices of p and p2 in
+    z's decomposition.  Over all cells' rows, flat (`offsets` bound each
+    cell's), a row's chain needs a left product (p_a, cell_a), a middle
+    one (left, mid) and a right one (cell_b, p2_b), in cells and M x M
+    indices: `p_a` of y's p, `mid` of z's p and `p2_b` of z's p2.  Rows
+    share products, so only the distinct ones are kept
     (np.unique's values, as columns): (u_pa, u_cella), (u_left, u_mid)
     with u_left indexing the left ones, and (u_cellb, u_p2b); inv_left and
     inv_right take each flat row to its middle and right ones.
@@ -179,21 +179,24 @@ class AmbientGL:
             pairs = self._walk_cell(d, gens)
             if 0 < d < k:
                 self.middle.append(self._middle_generators(pairs))
+        perms = [self.swap_mat(d).argmax(axis=1) for d in range(k + 1)]
         self.plan = []
-        for d in range(k + 1):
-            x = self.swap_mat(d)
+        for e in range(k + 1):
             rows = []
-            for y in self.labels.values():
-                sy = self.split(y)
-                sz = self.split(fq_matmul(self.F, fq_inv_matrix(self.F, y), x))
-                if sy and sz:
-                    rows.append((sy[0] > 0, *sy[1], *sy[2], sz[0] > 0, *sz[1], *sz[2]))
-            self.plan.append(np.array(rows, dtype=np.int64).reshape(-1, 10))
-        ca, a1, a2, m1, m2, cb, b1, b2, n1, n2 = np.concatenate(self.plan).T
-        N, MUL = self.M.n, self.M.MUL
+            for pinv, p, d in self.bruhat.values():
+                if 0 < d < k:
+                    continue
+                # y = p w_d and w_d, w_e are permutation involutions, so
+                # y^-1 w_e = w_d p^-1 w_e permutes the rows and columns of p^-1
+                sz = self.split(pinv[np.ix_(perms[d], perms[e])])
+                if sz:
+                    rows.append((d > 0, *self.levi_indices(p), sz[0] > 0, *sz[1], *sz[2]))
+            self.plan.append(np.array(rows, dtype=np.int64).reshape(-1, 8))
+        ca, a1, a2, cb, b1, b2, n1, n2 = np.concatenate(self.plan).T
+        N = self.M.n
         self.offsets = np.cumsum([0, *map(len, self.plan)])
         (self.u_pa, self.u_cella), left = _distinct(a1 * N + a2, ca)
-        (self.u_left, self.u_mid), self.inv_left = _distinct(left, MUL[m1, b1] * N + MUL[m2, b2])
+        (self.u_left, self.u_mid), self.inv_left = _distinct(left, b1 * N + b2)
         (self.u_cellb, self.u_p2b), self.inv_right = _distinct(cb, n1 * N + n2)
 
     # -- bookkeeping helpers
@@ -379,12 +382,12 @@ def fin_convolve_cells(a, b):
     """(phi_a * phi_b)(w_d) for every cell d, as a dict keyed by d.
 
     Over all cells' rows at once, phi_a(y) phi_b(y^-1 w_d) is the chain
-    sigma(p) f_a sigma(p2 p') times f_b sigma(p2'), the middle on the folded
-    index, each distinct product formed once and gathered onto the rows; a
-    cell's sum over cosets is one product of inner dimension rows*dim.  All
-    in float64 with delayed reduction (_mulmod), the cells reduced once;
-    TooLarge before the first product unless every product is exact on
-    residues."""
+    sigma(p) f_a sigma(p') times f_b sigma(p2'), for y = p w_e and
+    y^-1 w_d = p' w_e' p2', each distinct product formed once and gathered
+    onto the rows; a cell's sum over cosets is one product of inner
+    dimension rows*dim.  All in float64 with delayed reduction (_mulmod),
+    the cells reduced once; TooLarge before the first product unless every
+    product is exact on residues."""
     _same(a, b)
     sys = a.sys
     l, n = sys.l, sys.dim

@@ -153,8 +153,7 @@ def fq_matmul(F, A, B):
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     n, m = A.shape
-    m2, r = B.shape
-    assert m == m2
+    r = B.shape[1]
     C = np.zeros((n, r), dtype=np.int64)
     for k in range(m):
         C = F.ADD[C, F.MUL[A[:, k][:, None], B[k, :][None, :]]]
@@ -197,7 +196,6 @@ def fq_rank(F, A):
 def fq_inv_matrix(F, A):
     A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
-    assert A.shape == (n, n)
     aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
     R, pivots = fq_rref(F, aug)
     if pivots[:n] != list(range(n)):
@@ -374,8 +372,7 @@ def solve_mod(A, b, l):
     """One solution x of A x = b mod l, or None if the system is inconsistent."""
     A = np.asarray(A, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
-    rows, cols = A.shape
-    assert b.shape == (rows,)
+    cols = A.shape[1]
     R, pivots = rref_mod(np.concatenate([A, b[:, None] % l], axis=1), l)
     if cols in pivots:
         return None
@@ -383,10 +380,6 @@ def solve_mod(A, b, l):
     for r, pc in enumerate(pivots):
         x[pc] = R[r, cols]
     return x
-
-
-def kron_mod(A, B, l):
-    return np.kron(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)) % l
 
 
 # ---------------------------------------------------------------------------

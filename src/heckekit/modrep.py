@@ -40,7 +40,7 @@ from .errors import (
     UnknownModule,
     UnsupportedGroup,
 )
-from .gfp import GF, fq_matmul, kron_mod, nullspace_triplets, rank_mod, solve_mod
+from .gfp import GF, fq_matmul, nullspace_triplets, rank_mod, solve_mod
 from .numth import _factor_prime_power, is_prime
 
 
@@ -197,9 +197,8 @@ def pair_index(P, i, j):
 
 def swap_permutation(P):
     """Index permutation (i, j) -> (j, i) on a product of equal-size factors."""
-    n1, n2 = P.factors[0].n, P.factors[1].n
-    assert n1 == n2
-    return (np.arange(P.n) % n2) * n2 + np.arange(P.n) // n2
+    n = P.factors[1].n
+    return (np.arange(P.n) % n) * n + np.arange(P.n) // n
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +213,10 @@ class RepModule:
         self.A = np.asarray(A, dtype=np.int64) % l
         self.l = l
         self.name = name
-        self.dim = self.A.shape[1]
-        assert self.A.shape == (G.n, self.dim, self.dim)
+        self.dim = self.A.shape[-1]
+        if self.A.shape != (G.n, self.dim, self.dim):
+            raise NotAHomomorphism("a stack of shape %s cannot act for a group of order %d"
+                                   % (self.A.shape, G.n))
         if validate:
             self.validate()
 
@@ -240,7 +241,6 @@ def contragredient(rep):
 
 
 def direct_sum(r1, r2):
-    assert r1.G is r2.G and r1.l == r2.l
     d1, d2 = r1.dim, r2.dim
     A = np.zeros((r1.G.n, d1 + d2, d1 + d2), dtype=np.int64)
     A[:, :d1, :d1] = r1.A
@@ -250,12 +250,11 @@ def direct_sum(r1, r2):
 
 def boxtimes(r1, r2, P):
     """Outer tensor product over the product table P of the two groups."""
-    assert P.factors[0].n == r1.G.n and P.factors[1].n == r2.G.n
     d = r1.dim * r2.dim
     A = np.zeros((P.n, d, d), dtype=np.int64)
     for i in range(r1.G.n):
         for j in range(r2.G.n):
-            A[pair_index(P, i, j)] = kron_mod(r1.A[i], r2.A[j], r1.l)
+            A[pair_index(P, i, j)] = np.kron(r1.A[i], r2.A[j]) % r1.l
     return RepModule(P, A, r1.l, name="%s#%s" % (r1.name, r2.name))
 
 
@@ -534,7 +533,11 @@ class CoefficientSystem:
         """Coordinates of X in the I_1 (even) or I_w (odd) basis; exact."""
         bas = self.basis(parity)
         A = np.stack([b.reshape(-1) for b in bas], axis=1)
-        sol = solve_mod(A, np.asarray(X, dtype=np.int64).reshape(-1), self.l)
+        X = np.asarray(X, dtype=np.int64).reshape(-1)
+        if X.size != len(A):
+            raise NotBiEquivariant("%d entries for a %d x %d coefficient"
+                                   % (X.size, self.dim, self.dim))
+        sol = solve_mod(A, X, self.l)
         if sol is None:
             raise NotBiEquivariant("matrix not in the parity-%d span" % (parity % 2))
         return sol

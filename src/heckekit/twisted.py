@@ -150,7 +150,7 @@ def fin_as_element(eng, b):
     return out
 
 
-def _tensor_fin_add(sys, out, pair, fin):
+def _tensor_fin_add(out, pair, fin):
     if pair in out:
         out[pair] = out[pair] + fin
     else:
@@ -171,15 +171,15 @@ def zeta_cross(sys, b, pair):
     out = {}
     zero = np.zeros_like(b.f1)
     if b.f1.any():
-        _tensor_fin_add(sys, out, (alpha, beta), FinElement(sys, b.f1, zero))
+        _tensor_fin_add(out, (alpha, beta), FinElement(sys, b.f1, zero))
     if b.fw.any():
         f = b.fw % l
         tf = (sys.tstar @ f) % l
         if alpha <= beta:
-            _tensor_fin_add(sys, out, (beta, alpha), FinElement(sys, zero, f))
+            _tensor_fin_add(out, (beta, alpha), FinElement(sys, zero, f))
         else:
-            _tensor_fin_add(sys, out, (alpha, beta), FinElement(sys, tf, zero))
-            _tensor_fin_add(sys, out, (beta, alpha), FinElement(sys, (-tf) % l, f))
+            _tensor_fin_add(out, (alpha, beta), FinElement(sys, tf, zero))
+            _tensor_fin_add(out, (beta, alpha), FinElement(sys, (-tf) % l, f))
     return out
 
 
@@ -189,7 +189,7 @@ def tt_fin_mul(sys, X, Y):
     for (a, b), fb in X.items():
         for (c, d), gb in Y.items():
             for (c2, d2), crossed in zeta_cross(sys, fb, (c, d)).items():
-                _tensor_fin_add(sys, out, (a + c2, b + d2), fin_mul(crossed, gb))
+                _tensor_fin_add(out, (a + c2, b + d2), fin_mul(crossed, gb))
     return out
 
 
@@ -201,22 +201,21 @@ def fin_tensor_eval(eng, X):
     return out
 
 
-def hecke_to_fin_tensor(sys, eng, elem):
+def hecke_to_fin_tensor(eng, elem):
     """Inverse of fin_tensor_eval on matrix-mode elements."""
-    l = sys.l
-    tinv = pow(sys.tau % l, -1, l)
+    sys, l, tinv = eng.be.system, eng.be.l, eng.be.tau_inv
     out = {}
     for eta, c in elem.items():
         c = c % l
         zero = np.zeros_like(c)
         if not eta.flip:
-            _tensor_fin_add(sys, out, (eta.x, eta.y), FinElement(sys, c, zero))
+            _tensor_fin_add(out, (eta.x, eta.y), FinElement(sys, c, zero))
         elif eta.x >= eta.y:
-            _tensor_fin_add(sys, out, (eta.x, eta.y), FinElement(sys, zero, c))
+            _tensor_fin_add(out, (eta.x, eta.y), FinElement(sys, zero, c))
         else:
             tc = (sys.tstar @ c) % l
             fin = FinElement(sys, (-tinv * tc) % l, (tinv * c) % l)
-            _tensor_fin_add(sys, out, (eta.x, eta.y), fin)
+            _tensor_fin_add(out, (eta.x, eta.y), fin)
     return out
 
 

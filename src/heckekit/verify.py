@@ -274,14 +274,14 @@ def check_iso(seed=0, pairs=1000):
         for beta in range(-3, 4):
             for b in fins:
                 X = {(alpha, beta): b}
-                back = hecke_to_fin_tensor(sysf, engf, fin_tensor_eval(engf, X))
+                back = hecke_to_fin_tensor(engf, fin_tensor_eval(engf, X))
                 if back != X:
                     bad = ("fin tensor basis", (alpha, beta))
     for e in elements_in_window(3):
         bas = sysf.basis(int(e.flip))
         for c in (bas[0], bas[-1]):
             elem = {e: c % sysf.l}
-            back = fin_tensor_eval(engf, hecke_to_fin_tensor(sysf, engf, elem))
+            back = fin_tensor_eval(engf, hecke_to_fin_tensor(engf, elem))
             if not engf.eq(back, elem):
                 bad = ("fin symbol", render(e))
     out.append(_result("iso.fin-round-trip", "iso.fin-round-trip", fin_inputs, bad is None,

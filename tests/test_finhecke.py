@@ -59,7 +59,11 @@ def _gauss_binomial(k, d, q):
     return num // den
 
 
-@pytest.mark.parametrize("k,q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 2), (2, 3)])
+# every ambient group the tests build
+AMBIENT_KQ = [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("k,q", AMBIENT_KQ)
 def test_cell_sizes(k, q):
     # the cell of w_d holds [k choose d]_q^2 q^(d^2) cosets
     cells = {}
@@ -78,6 +82,17 @@ def test_representatives_are_p_times_w_d(k, q):
         assert np.array_equal(fq_matmul(amb.F, pinv, p), eye)
         assert np.array_equal(rep, fq_matmul(amb.F, p, amb.swap_mat(d)))
         assert amb.col_label(rep) == lab
+
+
+@pytest.mark.parametrize("k,q", AMBIENT_KQ)
+def test_representatives_split_with_p2_one(k, q):
+    # the plan reads each coset's cell and p off bruhat, without split
+    amb = AmbientGL(k, q)
+    one = amb.levi_indices(np.eye(2 * k, dtype=np.int64))
+    for lab, rep in amb.labels.items():
+        _, p, d = amb.bruhat[lab]
+        want = None if 0 < d < k else (d, amb.levi_indices(p), one)
+        assert amb.split(rep) == want
 
 
 def test_ambient_2_3_builds_quickly():
@@ -301,19 +316,16 @@ def test_random_fin_element_matches_loop():
 
 
 def _int64_convolve_cells(a, b):
-    """Reference: the plan's cells in int64, one einsum per cell sum."""
+    """Reference: the plan's cells in int64, one einsum per cell sum;
+    phi_a(y) is sigma(p) f_a, as y = p w_d has p2 = 1."""
     sys = a.sys
-    A, l = sys.V.A, sys.l
-
-    def values(f, cell, m1, m2, n1, n2):
-        left = A[pair_index(sys.MM, m1, m2)]
-        return (left @ f[cell] @ A[pair_index(sys.MM, n1, n2)]) % l
-
+    A, l, MM = sys.V.A, sys.l, sys.MM
     fa, fb = np.stack((a.f1, a.fw)), np.stack((b.f1, b.fw))
     out = {}
     for d, rows in enumerate(AmbientGL(sys.k, sys.q).plan):
-        va = values(fa, *rows[:, :5].T)
-        vb = values(fb, *rows[:, 5:].T)
+        ca, a1, a2, cb, b1, b2, n1, n2 = rows.T
+        va = (A[pair_index(MM, a1, a2)] @ fa[ca]) % l
+        vb = (A[pair_index(MM, b1, b2)] @ fb[cb] @ A[pair_index(MM, n1, n2)]) % l
         out[d] = np.einsum("rij,rjk->ik", va, vb) % l
     return out
 
@@ -651,10 +663,10 @@ def test_fin_mul_refuses_where_int64_overflowed():
 
 def _flat_rows(amb):
     """Each plan row's (p_a, cell_a, mid, cell_b, p2_b), read off amb.plan:
-    Levi index pairs folded as M x M indices, the middle by MUL."""
-    ca, a1, a2, m1, m2, cb, b1, b2, n1, n2 = np.concatenate(amb.plan).T
-    N, MUL = amb.M.n, amb.M.MUL
-    return a1 * N + a2, ca, MUL[m1, b1] * N + MUL[m2, b2], cb, n1 * N + n2
+    Levi index pairs as M x M indices."""
+    ca, a1, a2, cb, b1, b2, n1, n2 = np.concatenate(amb.plan).T
+    N = amb.M.n
+    return a1 * N + a2, ca, b1 * N + b2, cb, n1 * N + n2
 
 
 @pytest.mark.parametrize("kq,distinct,rows", [((1, 5), 22, 36), ((2, 2), 46, 99)])

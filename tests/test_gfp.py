@@ -20,7 +20,6 @@ from heckekit.gfp import (
     fq_matmul,
     fq_rank,
     fq_rref,
-    kron_mod,
     matmul_mod,
     nullspace_triplets,
     pnormalize,
@@ -209,15 +208,6 @@ def test_matinv_mod():
     A = np.array([[1, 2], [3, 4]])
     Ainv = matinv_mod(A, 5)
     assert np.array_equal((A @ Ainv) % 5, np.eye(2, dtype=np.int64))
-
-
-def test_kron_mod_mixed_product():
-    l = 7
-    rng = np.random.default_rng(0)
-    A, B, C, D = (rng.integers(0, l, size=(3, 3)).astype(np.int64) for _ in range(4))
-    lhs = kron_mod((A @ C) % l, (B @ D) % l, l)
-    rhs = (kron_mod(A, B, l) @ kron_mod(C, D, l)) % l
-    assert np.array_equal(lhs, rhs)
 
 
 def test_poly_frozen():

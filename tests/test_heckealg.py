@@ -632,3 +632,26 @@ for stage in (1, 2, 3):
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "False", "2", "2", "False", "3", "3", "False"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_wrongly_shaped_coefficient_raises_parity_violation(flags):
+    # a 2 x 2 coefficient on a dimension-1 system
+    script = """
+import numpy as np
+from heckekit.errors import ParityViolation
+from heckekit.heckealg import HeckeEngine, MatrixCoefficients
+from heckekit.modrep import build_coefficient_system
+from heckekit.weyl import W_W
+sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
+try:
+    HeckeEngine(MatrixCoefficients(sys_)).validate({W_W: np.eye(2, dtype=np.int64)})
+except ParityViolation:
+    print("ParityViolation", __debug__)
+"""
+    src = os.path.dirname(os.path.dirname(heckealg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([_sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ParityViolation", str(not flags)]

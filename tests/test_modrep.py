@@ -236,6 +236,29 @@ for what, G, A in _broken_stacks():
     assert proc.stdout.split() == ["identity", "False", "generator", "False"]
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_wrong_stack_shape_raises_typed_error(flags):
+    script = """
+import numpy as np
+from heckekit.errors import NotAHomomorphism
+from heckekit.gfp import GF
+from heckekit.modrep import RepModule, general_linear
+for A in (np.ones((2, 1, 1)), np.ones((3, 1)), np.ones(3)):
+    for validate in (True, False):
+        try:
+            RepModule(general_linear(1, GF(4)), A, 5, validate=validate)
+        except NotAHomomorphism:
+            print("NotAHomomorphism", __debug__)
+"""
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [_sys_mod.executable, *flags, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["NotAHomomorphism", str(not flags)] * 6
+
+
 def _tampered_s3():
     """GL_2(2) = S_3 with one product of a 3-cycle by the first involution
     redirected, so that the coset products x h of the cover miss an element;

@@ -315,7 +315,7 @@ def psi3_cross(sys, b, pair):
     out = {}
     zero = np.zeros_like(b.f1)
     if b.f1.any():
-        _tensor_fin_add(sys, out, (alpha, beta), FinElement(sys, b.f1 % l, zero))
+        _tensor_fin_add(out, (alpha, beta), FinElement(sys, b.f1 % l, zero))
     if b.fw.any():
         f = b.fw % l
         tpow, letters = word_of(diag(alpha, beta))
@@ -335,7 +335,7 @@ def psi3_cross(sys, b, pair):
                 ((alpha, beta), 0, FinElement(sys, tf, zero)),
             ]
         for pr, shift, fin in terms:
-            _tensor_fin_add(sys, out, pr, gamma_action(sys, shift, fin))
+            _tensor_fin_add(out, pr, gamma_action(sys, shift, fin))
     return out
 
 
@@ -390,7 +390,7 @@ def test_fin_round_trip_tensor_side(k, q, l, rho, mode):
         for alpha in range(-2, 3):
             for beta in range(-2, 3):
                 X = {(alpha, beta): b}
-                back = hecke_to_fin_tensor(sys, eng, fin_tensor_eval(eng, X))
+                back = hecke_to_fin_tensor(eng, fin_tensor_eval(eng, X))
                 assert back == X, (alpha, beta)
 
 
@@ -401,7 +401,7 @@ def test_fin_round_trip_element_side(k, q, l, rho, mode, bound):
         bas = sys.basis(int(e.flip))
         for c in (bas[0], bas[-1]):
             elem = {e: c % l}
-            back = fin_tensor_eval(eng, hecke_to_fin_tensor(sys, eng, elem))
+            back = fin_tensor_eval(eng, hecke_to_fin_tensor(eng, elem))
             assert eng.eq(back, elem), e
 
 
