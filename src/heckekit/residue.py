@@ -11,7 +11,9 @@ WindowExhausted, long before exactness could be threatened.
 The parahoric P is block upper triangular mod pi with invertible diagonal
 blocks.  For a Weyl element eta, P^(eta) = P intersect eta P eta^-1 deepens
 exactly one off-diagonal block, and P/P^(eta) has an explicit unipotent
-transversal.  The product of two basis functions is then literally summed:
+transversal.  The product of two basis functions is the convolution
+(f * g)(eps) = sum over y in G/P of f(y) g(y^-1 eps) (Bushnell and Kutzko,
+The admissible dual of GL(N) via compact open subgroups, section 4):
 
     ([eta]_f * [delta]_g)(eps)
         = sum over u in P/P^(eta), v in P/P^(delta)
@@ -22,23 +24,18 @@ result is pinned exactly: the determinant fixes x+y, and valuations bound
 x from both sides.  Weyl matrices are monomial, so eta^-1, delta^-1 and eps
 are applied as a permutation plus an exponent shift.
 
-The sum runs on stacks.  All v^-1 of the transversal of delta are stacked
-on a leading axis, and so are the eta^-1 u^-1 of a run of u: one u when
-the v alone are 256, the largest transversal, and as many u as keep the
-stack at 256 coset pairs otherwise.  v^-1 eta^-1 u^-1 for the whole stack
-is one batched product, each digit of the one off-diagonal block of v^-1
-an exponent shift plus a table multiply.  Every coset pair is still tested
-against every eps of the support: a valuation prefilter, one boolean mask
-over (pairs x eps) from the least occupied slot of each block, rejects
-most eps before p2 is built.  The pairs an eps admits are tested in one
-pass: their p2 are one stack, the valuation test is one mask, and each
-residue diagonal block is read through the Levi index of GL_k(q), where a
-singular block has none.  Hits are counted by (cell, Levi(u), Levi(v),
-Levi(p2)), and each distinct key forms its one term
-rho(u) f rho(v) g rho(p2), times its count; by distributivity the sum is
-the same.  Keys with the same Levi(u) and Levi(v) share rho(u) f rho(v) g.
-The transversals depend only on (k, q, deepened block, gap) and are built
-once, into a bounded cache of read-only arrays.
+For fixed u and eps at most one v contributes, and it is solved for, not
+searched: its digits are the pi-adic truncation of Y Z^-1, where Z is the
+diagonal block of p2 in the rows v leaves alone and Y the block above or
+below it (see _solve).  p2 is then built, and a valuation mask plus a Levi
+lookup of its residue diagonal blocks judges membership in P.  Every
+transversal representative is unipotent, so rho(u) = rho(v) = 1, and the
+hits depend on the group geometry only: per cell, the count of each Levi
+factor of p2.  z = W(1, 1) is central and P^(eta z) = P^(eta), so the hits
+of (eta z^a, delta z^b) are those of the class representatives
+W(0, y - x, flip), every cell shifted by z^(a + b); they are computed once
+per (k, q, class of eta, class of delta), into a bounded cache.  A call
+then forms one product per cell: (f g) sum count rho(p2) mod l.
 """
 
 from __future__ import annotations
@@ -55,11 +52,12 @@ from .weyl import W
 
 _CAP = 16
 E = 2 * _CAP + 1
-_ROWS = 256  # coset pairs per stacked product: the largest transversal
-# coset pairs of one oracle_product: that transversal on both sides, at
-# (k, q) = (2, 2) with gap 2, is the most any test, verify run or benchmark
-# enumerates; a gap-2 by gap-1 product at k = 1, q = 71 would be 357,911
-_MAX_PAIRS = _ROWS * _ROWS
+_STACK = 1024  # matrices per stacked solve: u-cosets times cells
+# u-cosets times cells of one oracle_product: 256 x 18 = 4,608 at most for
+# (k, q) = (2, 2), and 5,041 x 18 = 90,738 for a gap-2 product at (1, 71);
+# a product the two-sided enumeration admitted (65,536 coset pairs, at most
+# 65,536 u-cosets against a gap-0 delta) is at most 65,536 x 14 = 917,504
+_MAX_PAIRS = 2**20
 
 # ---------------------------------------------------------------------------
 # dense Laurent matrices
@@ -123,11 +121,28 @@ def weyl_left(k, e, A):
 def weyl_right(k, A, e):
     """A @ (monomial matrix of e): the left k columns of A shifted by e.x,
     the right k by e.y; a flip swaps the two halves."""
-    out = np.zeros_like(A)
-    left, right = (slice(k), slice(k, 2 * k))[:: -1 if e.flip else 1]
-    _shift_into(out[..., left, :], A[..., :k, :], e.x)
-    _shift_into(out[..., right, :], A[..., k:, :], e.y)
-    return out
+    n = 2 * k
+    return weyl_right_cells(k, A.reshape(-1, n, n, E), [e])[:, 0].reshape(A.shape)
+
+
+def weyl_right_cells(k, A, cands):
+    """weyl_right(k, A, eps) for every eps of cands, A of shape
+    (N, 2k, 2k, E), stacked on a new axis 1: one gather from A padded along
+    its slots.  WindowExhausted where a nonzero coefficient would leave the
+    window."""
+    n = 2 * k
+    src = np.array([[(j + k) % n if e.flip else j for j in range(n)] for e in cands])
+    shift = np.where(src < k, [[e.x] for e in cands], [[e.y] for e in cands])
+    occupied = A.any(axis=(0, 1))  # (source column, slot)
+    for col, sh in zip(src.ravel().tolist(), shift.ravel().tolist()):
+        if _lost(occupied[col], sh).any():
+            raise WindowExhausted("exponents shifted by %+d leave the window" % sh)
+    shift = shift.clip(-E, E)  # past E a column is empty, and stays so
+    pad = int(np.abs(shift).max())
+    wide = np.zeros(A.shape[:-1] + (E + 2 * pad,), dtype=A.dtype)
+    wide[..., pad : pad + E] = A
+    slots = np.arange(E) - shift[:, :, None] + pad
+    return wide[:, :, src[:, :, None], slots].transpose(0, 2, 1, 3, 4)
 
 
 def in_parabolic(F, M, k):
@@ -161,29 +176,42 @@ def parabolic_levi(index, P, k):
             for off, (a, b) in zip(outside.tolist(), _levi_labels(P, k))]
 
 
-def prefilter(A, k, cands):
-    """The valuation half of in_parabolic on A[...] @ (monomial matrix of
-    eps) for every matrix of the stack A and every eps of cands, as a mask
-    of shape A's leading axes + (len(cands),); raises WindowExhausted where
-    one of those products would.
+# ---------------------------------------------------------------------------
+# k x k blocks over F_q, stacked
 
-    The left half of A[...] is shifted by eps.x and the right by eps.y; the
-    floor of 1 of the lower-left block falls on the left half, or on the
-    right half when eps flips."""
-    nz = A.reshape(A.shape[:-3] + (2, k, 2, k, E)).any(axis=(-4, -2))
-    xs, ys = [e.x for e in cands], [e.y for e in cands]
-    for row, sh in zip(nz.reshape(-1, 2, E).any(0).tolist(), (xs, ys)):
-        # the least and the greatest occupied slot of a column half, shifted
-        if True in row and (row.index(True) + min(sh) < 0 or row[::-1].index(True) < max(sh)):
-            raise WindowExhausted("exponents beyond the window for one of %r" % (cands,))
-    fl = [int(e.flip) for e in cands]
-    floor = np.array([[[0] * len(fl), [0] * len(fl)], [[1 - f for f in fl], fl]])
-    # the least occupied slot of each block, E where there is none; a block
-    # falls short of its floor iff that slot is below floor - shift + 16,
-    # capped at E so that an empty block always passes
-    least = np.concatenate([nz, np.ones(nz.shape[:-1] + (1,), dtype=bool)], -1).argmax(-1)
-    cut = np.minimum(floor - np.array([xs, ys]) + _CAP, E)
-    return (least[..., None] >= cut).all(axis=(-3, -2))
+
+def _block_mul(F, A, B):
+    """A[i] @ B[i] over F_q for every i, A of shape (N, k, k) and B of
+    shape (N, k, ...), through the MUL and ADD tables."""
+    T = F.MUL[A.reshape(A.shape + (1,) * (B.ndim - 2)), B[:, None]]
+    out = T[:, :, 0]
+    for t in range(1, A.shape[2]):
+        out = F.ADD[out, T[:, :, t]]
+    return out
+
+
+def _block_inverse(F, Z):
+    """(Z^-1, unit) for the stack Z of shape (N, k, k), k = 1 or 2: the
+    adjugate over the determinant, and whether the determinant is nonzero;
+    a singular Z gets a zero inverse."""
+    if Z.shape[1] == 1:
+        det, adj = Z[:, 0, 0], np.ones_like(Z)
+    else:
+        a, b, c, d = Z[:, 0, 0], Z[:, 0, 1], Z[:, 1, 0], Z[:, 1, 1]
+        det = F.ADD[F.MUL[a, d], F.NEG[F.MUL[b, c]]]
+        adj = np.stack([d, F.NEG[b], F.NEG[c], a], -1).reshape(Z.shape)
+    return F.MUL[F.INV[det][:, None, None], adj], det != 0
+
+
+def _gl_labels(F, k):
+    """GL_k(q) as a Levi index from label to label: every k x k matrix of
+    F_q codes with a nonzero determinant, labelled as _levi_labels labels
+    it."""
+    mats = np.array(list(iproduct(range(F.q), repeat=k * k)), dtype=np.int64)
+    mats = mats.reshape(-1, k, k)
+    units = mats[_block_inverse(F, mats)[1]].tolist()
+    labels = [m[0][0] for m in units] if k == 1 else [tuple(map(tuple, m)) for m in units]
+    return {lab: lab for lab in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +244,16 @@ def _deepened(eta):
 
 
 def pair_count(k, q, eta, delta):
-    """Coset pairs that oracle_product enumerates for [eta] * [delta];
-    TooLarge above _MAX_PAIRS."""
-    pairs = q ** (k * k * (_deepened(delta)[1] + _deepened(eta)[1]))
-    if pairs > _MAX_PAIRS:
-        raise TooLarge("%d coset pairs for %r * %r over q=%d; at most %d"
-                       % (pairs, eta, delta, q, _MAX_PAIRS))
-    return pairs
+    """u-cosets times cells that oracle_product solves for [eta] * [delta]
+    when their central classes are not cached: q^(k^2 gap eta) cosets
+    u, against every cell of the support; TooLarge above _MAX_PAIRS."""
+    _deepened(delta)  # GapTooLarge past gap 2
+    cells = 2 * (abs(eta.y - eta.x) + abs(delta.y - delta.x) + 3)  # len(support_window)
+    count = q ** (k * k * _deepened(eta)[1]) * cells
+    if count > _MAX_PAIRS:
+        raise TooLarge("%d u-cosets x cells for %r * %r over q=%d; at most %d"
+                       % (count, eta, delta, q, _MAX_PAIRS))
+    return count
 
 
 def coset_reps(k, q, eta):
@@ -239,18 +270,26 @@ def coset_reps(k, q, eta):
 # five transversals per (k, q): gap 0, and gaps 1 and 2 in either block
 @lru_cache(maxsize=16)
 def transversal(k, q, side, e):
-    F = GF(q)
-    n = 2 * k
-    digits = np.array(list(iproduct(range(q), repeat=k * k * e)), dtype=np.int64)
-    digits = digits.reshape(q ** (k * k * e), e, k, k)
-    reps = np.zeros((len(digits), 2, n, n, E), dtype=np.int64)
+    reps = _unipotents(GF(q), k, side, e, 0, q ** (k * k * e))
+    reps.flags.writeable = False
+    return reps
+
+
+def _unipotents(F, k, side, e, start, stop):
+    """Representatives start..stop-1 of the transversal for (side, e), in
+    its lexicographic order, each with its inverse: shape
+    (stop - start, 2, 2k, 2k, E)."""
+    n, m = 2 * k, k * k * e
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = idx[:, None] // F.q ** np.arange(m - 1, -1, -1, dtype=np.int64) % F.q
+    digits = digits.reshape(len(idx), e, k, k)
+    reps = np.zeros((len(idx), 2, n, n, E), dtype=np.int64)
     reps[:, :, range(n), range(n), _CAP] = 1
     rows, cols, base = (slice(k), slice(k, n), _CAP) if side == "ur" else (
         slice(k, n), slice(k), _CAP + 1)
     for d in range(e):
         reps[:, 0, rows, cols, base + d] = digits[:, d]
         reps[:, 1, rows, cols, base + d] = F.NEG[digits[:, d]]
-    reps.flags.writeable = False
     return reps
 
 
@@ -269,49 +308,109 @@ def support_window(eta, delta):
     return out
 
 
+def central_class(e):
+    """(representative, a) with e = z^a . representative, z = W(1, 1)
+    central and the representative W(0, y - x, flip)."""
+    return W(0, e.y - e.x, e.flip), e.x
+
+
+def _solve(F, k, delta, X):
+    """For the stack X of shape (N, 2k, 2k, E): the rows where some v of
+    P/P^(delta) can put p2 = delta^-1 v^-1 X in P, that one v's index in
+    the transversal for each, and its p2.
+
+    v^-1 = 1 - V with V the one deepened block of v, of e digits (from pi^0
+    in the upper right, from pi^1 in the lower left), so v^-1 changes only
+    the rows V sits in.  The other rows of X, scaled by pi^-delta.y (upper
+    right) or pi^-delta.x (lower left), give p2 a diagonal block Z, and in
+    the same column half the changed rows must reach the floor of P: that
+    fixes V = pi^-s Y Z^-1 truncated to V's digits, Y being those rows'
+    block of X.  Z's residue must be a unit, else no v puts p2 in P; the
+    digits are solved one by one against its inverse, and whether p2 is in
+    P is left to the caller."""
+    side, e = _deepened(delta)
+    n = 2 * k
+    if side == "ur":
+        changed, kept, s, base = slice(k), slice(k, n), delta.y, 0
+    else:
+        changed, kept, s, base = slice(k, n), slice(k), delta.x, 1
+    half = slice(k, n) if (side == "ur") != delta.flip else slice(k)
+    inv, unit = _block_inverse(F, X[:, kept, half, _CAP + s])
+    rows = np.flatnonzero(unit)
+    X, inv = X[rows], inv[rows]
+    Z = X[:, kept, half, _CAP + s : _CAP + s + e]
+    Y = X[:, changed, half, _CAP + s + base : _CAP + s + base + e]
+    digits = []
+    for d in range(e):
+        r = Y[..., d]
+        for d2 in range(d):
+            r = F.ADD[r, F.NEG[_block_mul(F, digits[d2], Z[..., d - d2])]]
+        digits.append(_block_mul(F, r, inv))
+    v = np.zeros(len(rows), dtype=np.int64)
+    for digit in digits:
+        for c in digit.reshape(len(rows), k * k).T:
+            v = v * F.q + c
+    p2 = X.copy()
+    for d, digit in enumerate(digits):
+        moved = np.zeros_like(p2[:, changed])
+        _shift_into(moved, _block_mul(F, digit, X[:, kept]), base + d)
+        p2[:, changed] = F.ADD[p2[:, changed], F.NEG[moved]]
+    return rows, v, weyl_left(k, delta.inv(), p2)
+
+
+# a (k, q) has 100 pairs of central classes of gap <= 2
+@lru_cache(maxsize=256)
+def class_hits(k, q, eta, delta):
+    """The hits of [eta] * [delta], for eta and delta class representatives
+    (see central_class): per cell eps of the support, in the order a loop
+    over (u, v) first meets it, the pairs (Levi labels of p2, count).
+
+    Group geometry only, so systems with the same (k, q) share it.  For
+    each u and cell, _solve gives the one candidate v; a (u, v) that lands
+    in two cells is a CellConflict, which is raised, not cached."""
+    F = GF(q)
+    side, e = _deepened(eta)
+    cands = support_window(eta, delta)
+    index = _gl_labels(F, k)
+    cosets, step = q ** (k * k * e), max(1, _STACK // len(cands))
+    hits = []  # (u, v, cell, Levi labels of p2)
+    for start in range(0, cosets, step):
+        U = _unipotents(F, k, side, e, start, min(start + step, cosets))
+        EU = weyl_left(k, eta.inv(), U[:, 1])
+        X = weyl_right_cells(k, EU, cands)
+        rows, vs, p2 = _solve(F, k, delta, X.reshape((-1,) + X.shape[2:]))
+        hits += [(start + r // len(cands), v, r % len(cands), lp)
+                 for r, v, lp in zip(rows.tolist(), vs.tolist(), parabolic_levi(index, p2, k))
+                 if lp is not None]
+    # (u, v) order: two hits of one pair sit side by side, and cells are
+    # listed in the order a loop over the pairs meets them
+    hits.sort(key=lambda h: h[:2])
+    for (u, v, a, _), (u2, v2, b, _) in zip(hits, hits[1:]):
+        if (u, v) == (u2, v2):
+            raise CellConflict("one coset pair fell into cells %r" % ([cands[a], cands[b]],))
+    cells = {}
+    for _, _, c, lp in hits:
+        cells.setdefault(cands[c], Counter())[lp] += 1
+    return tuple((eps, tuple(counts.items())) for eps, counts in cells.items())
+
+
 def oracle_product(sys, eta, f, delta, g):
     """{eps: h_eps} with [eta]_f * [delta]_g = sum [eps]_{h_eps}; brute force.
 
-    Every coset pair is tested against every eps of the support window, and
-    must land in at most one cell.  WindowExhausted is raised wherever a
-    loop over the pairs would raise it; within one run of u the window is
-    checked before the cells.  More than _MAX_PAIRS coset pairs raise
-    TooLarge before any is built."""
+    More than _MAX_PAIRS u-cosets times cells raise TooLarge before any is
+    built or the cache is read.  The hits come from class_hits at the
+    central class representatives, shifted back to eta and delta."""
     k, l = sys.k, sys.l
     pair_count(k, sys.q, eta, delta)
-    F = GF(sys.q)
-    f = np.asarray(f, dtype=np.int64) % l
-    g = np.asarray(g, dtype=np.int64) % l
-    V = coset_reps(k, sys.q, delta)
-    U = coset_reps(k, sys.q, eta)
+    (eta0, a), (delta0, b) = central_class(eta), central_class(delta)
+    fg = (np.asarray(f, dtype=np.int64) % l) @ (np.asarray(g, dtype=np.int64) % l) % l
     index = sys.M.index
-    levi_u = [(index[a], index[b]) for a, b in _levi_labels(U[:, 0], k)]
-    levi_v = [(index[a], index[b]) for a, b in _levi_labels(V[:, 0], k)]
-    EU = weyl_left(k, eta.inv(), U[:, 1])
-    cands = support_window(eta, delta)
-    step = max(1, _ROWS // len(V))
-    tally = Counter()  # hits by (cell, Levi(u), Levi(v), Levi(p2)), in the order met
-    for start in range(0, len(U), step):
-        # every coset pair (v, u) of this run of u
-        prefix = weyl_left(k, delta.inv(), lmat_mul(F, V[:, 1], EU[start : start + step]))
-        admit = prefilter(prefix, k, cands)
-        hits = []
-        for c in np.flatnonzero(admit.any(axis=(0, 1))):
-            vs, us = np.nonzero(admit[:, :, c])
-            levi = parabolic_levi(index, weyl_right(k, prefix[vs, us], cands[c]), k)
-            hits += [(start + u, v, cands[c], lp)
-                     for u, v, lp in zip(us.tolist(), vs.tolist(), levi) if lp is not None]
-        # (u, v) order: two hits of one pair sit side by side, and cells
-        # enter the tally in the order a loop over the pairs meets them
-        hits.sort(key=lambda h: h[:2])
-        for (u, v, a, _), (u2, v2, b, _) in zip(hits, hits[1:]):
-            if (u, v) == (u2, v2):
-                raise CellConflict("one coset pair fell into cells %r" % ([a, b],))
-        tally.update((eps, levi_u[u], levi_v[v], lp) for u, v, eps, lp in hits)
-    out, left = {}, {}  # left: rho(u) f rho(v) g, one per (Levi(u), Levi(v))
-    for (eps, lu, lv, lp), count in tally.items():
-        if (lu, lv) not in left:
-            left[lu, lv] = sys.sigma(*lu) @ f @ sys.sigma(*lv) @ g
-        term = (left[lu, lv] @ sys.sigma(*lp)) % l
-        out[eps] = (out.get(eps, 0) + count * term) % l
-    return {eps: h for eps, h in out.items() if h.any()}
+    out = {}
+    for eps, levis in class_hits(k, sys.q, eta0, delta0):
+        acc = 0
+        for (m1, m2), count in levis:
+            acc = (acc + count * sys.sigma(index[m1], index[m2])) % l
+        h = (fg @ acc) % l
+        if h.any():
+            out[W(eps.x + a + b, eps.y + a + b, eps.flip)] = h
+    return out

@@ -8,6 +8,7 @@ them directly, so both speak about the same computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache
 
@@ -17,7 +18,7 @@ from .errors import BadCount, TooLarge, WrongModularCase
 from .finhecke import fin_unit, fin_w, random_fin_element
 from .heckealg import FreeCoefficients, HeckeEngine, MatrixCoefficients
 from .modrep import _gl_order, build_coefficient_system
-from .residue import _MAX_PAIRS, oracle_product, p_eta_pattern, pair_count
+from .residue import central_class, oracle_product, p_eta_pattern, pair_count, support_window
 from .twisted import (
     PolynomialPart,
     compare_iwahori,
@@ -160,39 +161,50 @@ def check_cases(k, q, l, rho="trivial", mode="plain"):
     return out
 
 
-# coset pairs one oracle window may enumerate in all: (1, 4) at bound 2 is
-# 70,225 pairs and takes about 1.2 s; (1, 13) is 5.0M and (2, 2) at bound 2
-# 11.1M, over a minute, and both are refused
-_MAX_WINDOW_PAIRS = 64 * _MAX_PAIRS
+# u-cosets x cells one oracle window may cost in all: each distinct pair of
+# central classes solves its u-cosets against its cells once, and every
+# product then sums once per cell.  Wall times of `verify --suite oracle` on
+# a 2-vCPU Xeon VM: (1, 4) at bound 2 is 24,086 and takes 1.0 s in pp mode;
+# (2, 2) at bound 2 is 150,134, 2 s; bound 8, the largest bound the
+# two-sided enumeration ran before its exponents left the window, is at most
+# 285,894 at q <= 5 and takes 5-7 s; (1, 71) at bound 2, 2,585,094, is
+# refused
+_MAX_WINDOW_PAIRS = 300000
+_MIN_CELLS = 6  # the support of a product of two gap-0 classes
+
+
+def window_cost(k, q, window):
+    """The u-cosets x cells that oracle_product spends on every product of
+    window, with each pair of central classes solved once; TooLarge from
+    pair_count where one class pair is past _MAX_PAIRS."""
+    classes = Counter(central_class(e)[0] for e in window)
+    return sum(pair_count(k, q, a, b) + m * n * len(support_window(a, b))
+               for a, m in classes.items() for b, n in classes.items())
 
 
 def check_oracle_window(k, q, l, rho="trivial", mode="plain", bound=1):
     """Engine vs the enumeration oracle on every supported pair in a window.
-    TooLarge when one product would enumerate more than _MAX_PAIRS coset
-    pairs, or the whole window more than _MAX_WINDOW_PAIRS; both need only
-    k and q, so they are checked before the system is built, and a window
-    too large by its size alone is refused before it is listed."""
+    TooLarge when one pair of central classes would solve more than
+    _MAX_PAIRS u-cosets x cells, or the whole window cost more than
+    _MAX_WINDOW_PAIRS; both need only k, q and the bound, so they are
+    checked before the system is built or the oracle's cache is read, and
+    a window too large by its size alone is refused before it is listed."""
     _at_least("bound", bound, 0)
     _gl_order(k, q)  # BadCount or TooLarge unless k is 1 or 2, before any q^(k^2)
-    # every product enumerates at least one coset pair, so the window's size
-    # squared is at most its total; support depends on y - x and flip only,
-    # and the supported diagonals |y - x| <= 3 alone count from the bound
+    # every product sums over at least _MIN_CELLS cells, so _MIN_CELLS times
+    # the window's size squared is at most its cost; support depends on
+    # y - x and flip only, and the supported diagonals |y - x| <= 3 alone
+    # count from the bound
     least = sum(max(0, 2 * bound + 1 - abs(d)) for d in range(-3, 4)
                 for flip in (False, True) if oracle_supported(W(0, d, flip)))
-    if least * least > _MAX_WINDOW_PAIRS:
+    if _MIN_CELLS * least * least > _MAX_WINDOW_PAIRS:
         raise TooLarge("the oracle window at bound %d holds at least %d elements, so at least"
-                       " %d coset pairs; at most %d" % (bound, least, least * least,
-                                                        _MAX_WINDOW_PAIRS))
+                       " %d cell sums; at most %d" % (bound, least, _MIN_CELLS * least * least,
+                                                       _MAX_WINDOW_PAIRS))
     window = oracle_window(bound)
-    # a product's coset pairs are one factor per side, q^(k^2 gap), and the
-    # identity has one coset, so the window's total is the square of the
-    # factors' sum and its largest product is the largest factor squared
-    counts = [pair_count(k, q, eta, W_ID) for eta in window]
-    top = window[counts.index(max(counts))]
-    pair_count(k, q, top, top)  # TooLarge past _MAX_PAIRS
-    total = sum(counts) ** 2
+    total = window_cost(k, q, window)
     if total > _MAX_WINDOW_PAIRS:
-        raise TooLarge("the oracle window would enumerate %d coset pairs; at most %d"
+        raise TooLarge("the oracle window would cost %d u-cosets x cells; at most %d"
                        % (total, _MAX_WINDOW_PAIRS))
     sys, eng = matrix_engine(k, q, l, rho, mode)
     inputs = {"k": k, "q": q, "l": l, "module": rho, "mode": mode, "bound": bound}

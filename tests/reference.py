@@ -1,4 +1,4 @@
-"""Reference models that more than one test file reads.
+"""Reference models that the test files read.
 
 Nothing in heckekit calls these; they restate facts of the Weyl group, of
 the finite geometry and of the linear algebra in their own terms, so that
@@ -6,12 +6,13 @@ tests can check the package against them.  pytest does not collect this
 module.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from heckekit.errors import TooLarge
+from heckekit.errors import CellConflict, TooLarge, WindowExhausted
 from heckekit.finhecke import min_poly
 from heckekit.gfp import (
     GF,
@@ -26,6 +27,17 @@ from heckekit.gfp import (
     solve_mod,
 )
 from heckekit.modrep import RepModule, general_linear, intertwiners
+from heckekit.residue import (
+    _CAP,
+    E,
+    _levi_labels,
+    coset_reps,
+    lmat_mul,
+    parabolic_levi,
+    support_window,
+    weyl_left,
+    weyl_right,
+)
 from heckekit.weyl import word_of
 
 
@@ -420,3 +432,85 @@ def int_fin_mul(a, b):
     s = a.sys
     f1, fw, g1, gw, ts = (np.asarray(x).astype(object) for x in (a.f1, a.fw, b.f1, b.fw, s.tstar))
     return (f1 @ g1 + s.tau * (fw @ gw)) % s.l, (f1 @ gw + fw @ g1 + ts @ fw @ gw) % s.l
+
+
+# ---------------------------------------------------------------------------
+# the two-sided residue oracle: every coset pair (u, v) against every cell
+
+
+_ROWS = 256  # coset pairs per stacked product: the largest transversal
+
+
+def prefilter(A, k, cands):
+    """The valuation half of in_parabolic on A[...] @ (monomial matrix of
+    eps) for every matrix of the stack A and every eps of cands, as a mask
+    of shape A's leading axes + (len(cands),); raises WindowExhausted where
+    one of those products would.
+
+    The left half of A[...] is shifted by eps.x and the right by eps.y; the
+    floor of 1 of the lower-left block falls on the left half, or on the
+    right half when eps flips."""
+    nz = A.reshape(A.shape[:-3] + (2, k, 2, k, E)).any(axis=(-4, -2))
+    xs, ys = [e.x for e in cands], [e.y for e in cands]
+    for row, sh in zip(nz.reshape(-1, 2, E).any(0).tolist(), (xs, ys)):
+        # the least and the greatest occupied slot of a column half, shifted
+        if True in row and (row.index(True) + min(sh) < 0 or row[::-1].index(True) < max(sh)):
+            raise WindowExhausted("exponents beyond the window for one of %r" % (cands,))
+    fl = [int(e.flip) for e in cands]
+    floor = np.array([[[0] * len(fl), [0] * len(fl)], [[1 - f for f in fl], fl]])
+    # the least occupied slot of each block, E where there is none; a block
+    # falls short of its floor iff that slot is below floor - shift + 16,
+    # capped at E so that an empty block always passes
+    least = np.concatenate([nz, np.ones(nz.shape[:-1] + (1,), dtype=bool)], -1).argmax(-1)
+    cut = np.minimum(floor - np.array([xs, ys]) + _CAP, E)
+    return (least[..., None] >= cut).all(axis=(-3, -2))
+
+
+def two_sided_oracle_product(sys, eta, f, delta, g):
+    """residue.oracle_product as it was before it solved for v: every coset
+    pair (u, v), u in P/P^(eta) and v in P/P^(delta), is tested against
+    every eps of the support window at the actual eta and delta, on stacks
+    of up to _ROWS pairs, and must land in at most one cell.
+
+    v^-1 eta^-1 u^-1 for a run of u is one batched lmat_mul; a valuation
+    prefilter over (pairs x eps) rejects most eps before p2 is built, and
+    the pairs an eps admits are judged by parabolic_levi.  Hits are counted
+    by (cell, Levi(u), Levi(v), Levi(p2)), each distinct key forming its one
+    term rho(u) f rho(v) g rho(p2), times its count."""
+    k, l = sys.k, sys.l
+    F = GF(sys.q)
+    f = np.asarray(f, dtype=np.int64) % l
+    g = np.asarray(g, dtype=np.int64) % l
+    V = coset_reps(k, sys.q, delta)
+    U = coset_reps(k, sys.q, eta)
+    index = sys.M.index
+    levi_u = [(index[a], index[b]) for a, b in _levi_labels(U[:, 0], k)]
+    levi_v = [(index[a], index[b]) for a, b in _levi_labels(V[:, 0], k)]
+    EU = weyl_left(k, eta.inv(), U[:, 1])
+    cands = support_window(eta, delta)
+    step = max(1, _ROWS // len(V))
+    tally = Counter()  # hits by (cell, Levi(u), Levi(v), Levi(p2)), in the order met
+    for start in range(0, len(U), step):
+        # every coset pair (v, u) of this run of u
+        prefix = weyl_left(k, delta.inv(), lmat_mul(F, V[:, 1], EU[start : start + step]))
+        admit = prefilter(prefix, k, cands)
+        hits = []
+        for c in np.flatnonzero(admit.any(axis=(0, 1))):
+            vs, us = np.nonzero(admit[:, :, c])
+            levi = parabolic_levi(index, weyl_right(k, prefix[vs, us], cands[c]), k)
+            hits += [(start + u, v, cands[c], lp)
+                     for u, v, lp in zip(us.tolist(), vs.tolist(), levi) if lp is not None]
+        # (u, v) order: two hits of one pair sit side by side, and cells
+        # enter the tally in the order a loop over the pairs meets them
+        hits.sort(key=lambda h: h[:2])
+        for (u, v, a, _), (u2, v2, b, _) in zip(hits, hits[1:]):
+            if (u, v) == (u2, v2):
+                raise CellConflict("one coset pair fell into cells %r" % ([a, b],))
+        tally.update((eps, levi_u[u], levi_v[v], lp) for u, v, eps, lp in hits)
+    out, left = {}, {}  # left: rho(u) f rho(v) g, one per (Levi(u), Levi(v))
+    for (eps, lu, lv, lp), count in tally.items():
+        if (lu, lv) not in left:
+            left[lu, lv] = sys.sigma(*lu) @ f @ sys.sigma(*lv) @ g
+        term = (left[lu, lv] @ sys.sigma(*lp)) % l
+        out[eps] = (out.get(eps, 0) + count * term) % l
+    return {eps: h for eps, h in out.items() if h.any()}

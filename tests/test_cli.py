@@ -303,20 +303,34 @@ def test_verify_all_builds_two_matrix_engines_and_one_free_engine(capsys):
 
 
 def test_verify_all_reports_a_refused_oracle_window(tmp_path, capsys):
-    # the k = 2 window at bound 2 is past the coset-pair budget: under all it
+    # the (1, 71) window at bound 2 is past the window budget: under all it
     # becomes a report row and the other suites still run; alone it exits 2
+    config = ("-k", "1", "-q", "71", "-l", "2")
+    path = tmp_path / "all.json"
+    code, _, _ = run(capsys, "verify", "--suite", "all", *config, "--json", str(path))
+    assert code == 0
+    rows = json.loads(path.read_text())["checks"]
+    assert all(r["status"] in ("pass", "report") for r in rows)
+    assert sum(r["status"] == "pass" for r in rows) == 18
+    oracle = [r for r in rows if r["name"] == "mul.oracle-window"]
+    assert len(oracle) == 1 and oracle[0]["status"] == "report"
+    assert "2585094 u-cosets x cells" in oracle[0]["detail"]
+    code, _, err = run(capsys, "verify", "--suite", "oracle", *config)
+    assert code == 2 and err.startswith("TooLarge:")
+
+
+def test_verify_all_passes_the_k2_oracle_window(tmp_path, capsys):
+    # the k = 2 window at the default bound 2 is checked product by product
     config = ("-k", "2", "-q", "2", "-l", "3", "--rep", "sign", "--mode", "plain")
     path = tmp_path / "all.json"
     code, _, _ = run(capsys, "verify", "--suite", "all", *config, "--json", str(path))
     assert code == 0
     rows = json.loads(path.read_text())["checks"]
     assert all(r["status"] in ("pass", "report") for r in rows)
-    assert sum(r["status"] == "pass" for r in rows) == 16
+    assert sum(r["status"] == "pass" for r in rows) == 17
     oracle = [r for r in rows if r["name"] == "mul.oracle-window"]
-    assert len(oracle) == 1 and oracle[0]["status"] == "report"
-    assert "11135569 coset pairs" in oracle[0]["detail"]
-    code, _, err = run(capsys, "verify", "--suite", "oracle", *config)
-    assert code == 2 and err.startswith("TooLarge:")
+    assert len(oracle) == 1 and oracle[0]["status"] == "pass"
+    assert oracle[0]["detail"] == "1369 products agree"
 
 
 @pytest.mark.parametrize(
@@ -423,14 +437,15 @@ BAD_INPUTS = [
     ("fpoly", "-q", "10007", "-l", "3"),  # M x M past _MAX_PRODUCT, before GF(q) is built
     ("verify", "--suite", "cases", "-q", "4099", "-l", "3"),
     ("mul", "[w]", "[w]", "-q", "-3", "-l", "5"),
-    ("verify", "--suite", "oracle", "-k", "1", "-q", "71", "-l", "2"),  # coset pairs
-    # window budget: 11.1M and 5.0M coset pairs over the window
+    # window budget: 2.6M, 342K and 362K u-cosets x cells over the window
+    ("verify", "--suite", "oracle", "-k", "1", "-q", "71", "-l", "2"),
     ("verify", "--suite", "oracle", "-k", "2", "-q", "2", "-l", "3", "--rep", "sign",
-     "--mode", "pp"),
-    ("verify", "--suite", "oracle", "-k", "1", "-q", "13", "-l", "2"),
+     "--mode", "pp", "--bound", "7"),
+    ("verify", "--suite", "oracle", "-q", "13", "-l", "2", "--bound", "8"),
     ("verify", "--suite", "oracle", "-k", "1000"),  # k checked before any q^(k^2)
-    # bounds refused from the bound alone: the oracle window's size squared
-    # (21 s to refuse before), and the iwahori suite's 114,244 products
+    # bounds refused from the bound alone: the oracle window's size squared,
+    # 6 cell sums a product (21 s to refuse before that floor), and the
+    # iwahori suite's 114,244 products
     ("verify", "--suite", "oracle", "--bound", "160"),
     ("verify", "--suite", "iwahori", "--bound", "6"),
     # large primes: trial division ran past 20 s on each of these
