@@ -26,9 +26,9 @@ import os
 import re
 import sys
 
-from .errors import BadCount, HeckeError, TooLarge
+from .errors import BadCharacteristic, BadCount, HeckeError, TooLarge
 from .heckealg import FreeCoefficients, HeckeEngine
-from .numth import _factor_prime_power
+from .numth import _factor_prime_power, is_prime
 from .weyl import from_word, render
 
 
@@ -173,6 +173,8 @@ def cmd_mul(args):
     if args.k < 1:
         raise BadCount("k=%d; need at least 1" % args.k)
     _factor_prime_power(args.q)  # TooLarge unless q is a prime power
+    if not is_prime(args.l):  # before pow, which refuses l = 0
+        raise BadCharacteristic("l=%d is not prime" % args.l)
     tau = pow(args.q, args.k * args.k, args.l)
     eng = HeckeEngine(FreeCoefficients(gens, args.l, tau))
 

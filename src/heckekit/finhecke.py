@@ -39,9 +39,9 @@ from .gfp import (
     _matmul_residues,
     _residues,
     first_monic_dependence,
+    fq_code,
     fq_inv_matrix,
     fq_matmul,
-    fq_rank,
     fq_rref,
     poly_str,
 )
@@ -217,19 +217,13 @@ class AmbientGL:
         return m
 
     def in_parabolic(self, g):
-        F, k = self.F, self.k
-        if np.asarray(g)[k:, :k].any():
-            return False
-        return fq_rank(F, g[:k, :k]) == k and fq_rank(F, g[k:, k:]) == k
+        return not np.asarray(g)[self.k :, : self.k].any() and min(self.levi_indices(g)) >= 0
 
     def levi_indices(self, p):
-        k = self.k
-        if k == 1:
-            return self.M.index[int(p[0, 0])], self.M.index[int(p[1, 1])]
-        return (
-            self.M.index[self._mat_label(p[:k, :k])],
-            self.M.index[self._mat_label(p[k:, k:])],
-        )
+        """The Levi indices of the two diagonal blocks of p; -1 for a
+        singular block."""
+        k, p = self.k, np.asarray(p)
+        return tuple(self.M.of_code[fq_code(self.F, [p[:k, :k], p[k:, k:]])].tolist())
 
     def col_label(self, g):
         """Canonical label of the span of the first k columns."""

@@ -150,14 +150,26 @@ def GF(q):
 
 
 def fq_matmul(F, A, B):
+    """A @ B over F through the MUL and ADD tables; stacks broadcast as
+    in numpy.matmul, (..., n, m) @ (..., m, r)."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    n, m = A.shape
-    r = B.shape[1]
-    C = np.zeros((n, r), dtype=np.int64)
-    for k in range(m):
-        C = F.ADD[C, F.MUL[A[:, k][:, None], B[k, :][None, :]]]
+    T = F.MUL[A[..., :, :, None], B[..., None, :, :]]
+    C = T[..., 0, :]
+    for t in range(1, A.shape[-1]):
+        C = F.ADD[C, T[..., t, :]]
     return C
+
+
+def fq_code(F, B):
+    """The one integer code of a block of F_q codes, for every block of
+    the stack B of shape (..., m, n): its entries row by row as base-q
+    digits, the first the most significant; a 1 x 1 block's code is its
+    entry.  GL_k(q) is indexed by the codes of its k x k blocks, and the
+    transversals of residue enumerate their digit blocks in code order."""
+    B = np.asarray(B, dtype=np.int64)
+    m = B.shape[-2] * B.shape[-1]
+    return B.reshape(B.shape[:-2] + (m,)) @ F.q ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
 def fq_rref(F, A):

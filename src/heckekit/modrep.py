@@ -22,6 +22,7 @@ search; the size of V = P # P (+) dual is checked before it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 from math import gcd, prod
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     UnknownModule,
     UnsupportedGroup,
 )
-from .gfp import GF, fq_matmul, nullspace_triplets, rank_mod, solve_mod
+from .gfp import GF, fq_code, fq_matmul, nullspace_triplets, rank_mod, solve_mod
 from .numth import _factor_prime_power, is_prime
 
 
@@ -134,29 +135,27 @@ def _gl_order(k, q):
 
 
 def general_linear(k, F):
-    """GL_k(F) as a table; k = 1 or 2 only."""
+    """GL_k(F) as a table; k = 1 or 2 only.  of_code takes the code of a
+    k x k block (gfp.fq_code) to its index, and a singular block's to -1."""
     _gl_order(k, F.q)  # BadCount or TooLarge unless k is 1 or 2
     if k == 1:
-        return unit_group(F)
-    labels = []
-    for a in F.elements():
-        for b in F.elements():
-            for c in F.elements():
-                for d in F.elements():
-                    m = ((a, b), (c, d))
-                    if F.sub(F.mul(a, d), F.mul(b, c)) != 0:
-                        labels.append(m)
+        G = unit_group(F)
+    else:
+        labels = [((a, b), (c, d)) for a, b, c, d in iproduct(F.elements(), repeat=4)
+                  if F.sub(F.mul(a, d), F.mul(b, c)) != 0]
 
-    def mul(m1, m2):
-        prod = fq_matmul(F, np.array(m1), np.array(m2))
-        return tuple(tuple(int(v) for v in row) for row in prod)
+        def mul(m1, m2):
+            prod = fq_matmul(F, np.array(m1), np.array(m2))
+            return tuple(tuple(int(v) for v in row) for row in prod)
 
-    def neg(m):
-        return tuple(tuple(F.neg(v) for v in row) for row in m)
+        def neg(m):
+            return tuple(tuple(F.neg(v) for v in row) for row in m)
 
-    G = FiniteGroupTable(labels, mul, neg_fn=neg, kind="gl")
-    G.F = F
-    G.k = 2
+        G = FiniteGroupTable(labels, mul, neg_fn=neg, kind="gl")
+        G.F = F
+        G.k = 2
+    G.of_code = np.full(F.q ** (k * k), -1, dtype=np.int64)
+    G.of_code[fq_code(F, np.reshape(G.labels, (-1, k, k)))] = np.arange(G.n)
     return G
 
 

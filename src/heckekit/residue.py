@@ -27,27 +27,28 @@ are applied as a permutation plus an exponent shift.
 For fixed u and eps at most one v contributes, and it is solved for, not
 searched: its digits are the pi-adic truncation of Y Z^-1, where Z is the
 diagonal block of p2 in the rows v leaves alone and Y the block above or
-below it (see _solve).  p2 is then built, and a valuation mask plus a Levi
-lookup of its residue diagonal blocks judges membership in P.  Every
+below it (see _solve).  p2 is then built, and a valuation mask plus the
+determinants of its residue diagonal blocks judge membership in P.  Every
 transversal representative is unipotent, so rho(u) = rho(v) = 1, and the
 hits depend on the group geometry only: per cell, the count of each Levi
-factor of p2.  z = W(1, 1) is central and P^(eta z) = P^(eta), so the hits
-of (eta z^a, delta z^b) are those of the class representatives
-W(0, y - x, flip), every cell shifted by z^(a + b); they are computed once
-per (k, q, class of eta, class of delta), into a bounded cache.  A call
-then forms one product per cell: (f g) sum count rho(p2) mod l.
+factor of p2, as the codes of its two blocks (gfp.fq_code).  z = W(1, 1)
+is central and P^(eta z) = P^(eta), so the hits of (eta z^a, delta z^b)
+are those of the class representatives W(0, y - x, flip), every cell
+shifted by z^(a + b); they are computed once per (k, q, class of eta,
+class of delta), into a bounded cache.  A call then forms one product per
+cell, (f g) sum count rho(p2) mod l, one lookup in GL_k(q)'s of_code
+taking each code to its Levi index.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product as iproduct
 
 import numpy as np
 
 from .errors import CellConflict, GapTooLarge, TooLarge, WindowExhausted
-from .gfp import GF, fq_rank
+from .gfp import GF, fq_code, fq_matmul, fq_rank
 from .weyl import W
 
 _CAP = 16
@@ -154,40 +155,18 @@ def in_parabolic(F, M, k):
     return fq_rank(F, M[:k, :k, _CAP]) == k and fq_rank(F, M[k:, k:, _CAP]) == k
 
 
-def _levi_labels(P, k):
-    """For every matrix of the stack P, of shape (N, 2k, 2k, E), the pair
-    of its residue diagonal blocks, labelled as GL_k(q) labels them (the
-    code for k = 1, rows of codes for k = 2)."""
-    res = P[..., _CAP]
-    if k == 1:
-        return list(map(tuple, res[:, [0, 1], [0, 1]].tolist()))
-    blocks = np.stack([res[:, :k, :k], res[:, k:, k:]], 1).tolist()
-    return [tuple(tuple(map(tuple, b)) for b in m) for m in blocks]
-
-
-def parabolic_levi(index, P, k):
+def parabolic_levi(F, P, k):
     """in_parabolic for every matrix of the stack P, of shape
-    (N, 2k, 2k, E), with its Levi factor: per matrix, the Levi indices of
-    its two residue diagonal blocks (index maps a label to its Levi index),
-    or None where the matrix is not integral with a deep lower left, or
-    where a block is singular and so has no label."""
-    outside = P[:, :, :, :_CAP].any(axis=(1, 2, 3)) | P[:, k:, :k, _CAP].any(axis=(1, 2))
-    return [None if off or a not in index or b not in index else (index[a], index[b])
-            for off, (a, b) in zip(outside.tolist(), _levi_labels(P, k))]
-
-
-# ---------------------------------------------------------------------------
-# k x k blocks over F_q, stacked
-
-
-def _block_mul(F, A, B):
-    """A[i] @ B[i] over F_q for every i, A of shape (N, k, k) and B of
-    shape (N, k, ...), through the MUL and ADD tables."""
-    T = F.MUL[A.reshape(A.shape + (1,) * (B.ndim - 2)), B[:, None]]
-    out = T[:, :, 0]
-    for t in range(1, A.shape[2]):
-        out = F.ADD[out, T[:, :, t]]
-    return out
+    (N, 2k, 2k, E), with its Levi factor: per matrix, the codes
+    (gfp.fq_code) of its two residue diagonal blocks, or None where the
+    matrix is not integral with a deep lower left, or where a block is
+    singular."""
+    res = P[..., _CAP]
+    blocks = np.stack([res[:, :k, :k], res[:, k:, k:]], 1)
+    inside = ~(P[:, :, :, :_CAP].any(axis=(1, 2, 3)) | res[:, k:, :k].any(axis=(1, 2)))
+    inside &= _block_inverse(F, blocks.reshape(-1, k, k))[1].reshape(-1, 2).all(1)
+    codes = fq_code(F, blocks).tolist()
+    return [tuple(c) if ok else None for ok, c in zip(inside.tolist(), codes)]
 
 
 def _block_inverse(F, Z):
@@ -201,17 +180,6 @@ def _block_inverse(F, Z):
         det = F.ADD[F.MUL[a, d], F.NEG[F.MUL[b, c]]]
         adj = np.stack([d, F.NEG[b], F.NEG[c], a], -1).reshape(Z.shape)
     return F.MUL[F.INV[det][:, None, None], adj], det != 0
-
-
-def _gl_labels(F, k):
-    """GL_k(q) as a Levi index from label to label: every k x k matrix of
-    F_q codes with a nonzero determinant, labelled as _levi_labels labels
-    it."""
-    mats = np.array(list(iproduct(range(F.q), repeat=k * k)), dtype=np.int64)
-    mats = mats.reshape(-1, k, k)
-    units = mats[_block_inverse(F, mats)[1]].tolist()
-    labels = [m[0][0] for m in units] if k == 1 else [tuple(map(tuple, m)) for m in units]
-    return {lab: lab for lab in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +308,19 @@ def _solve(F, k, delta, X):
     X, inv = X[rows], inv[rows]
     Z = X[:, kept, half, _CAP + s : _CAP + s + e]
     Y = X[:, changed, half, _CAP + s + base : _CAP + s + base + e]
-    digits = []
+    digits = np.zeros((len(rows), e, k, k), dtype=np.int64)
     for d in range(e):
         r = Y[..., d]
         for d2 in range(d):
-            r = F.ADD[r, F.NEG[_block_mul(F, digits[d2], Z[..., d - d2])]]
-        digits.append(_block_mul(F, r, inv))
-    v = np.zeros(len(rows), dtype=np.int64)
-    for digit in digits:
-        for c in digit.reshape(len(rows), k * k).T:
-            v = v * F.q + c
-    p2 = X.copy()
-    for d, digit in enumerate(digits):
+            r = F.ADD[r, F.NEG[fq_matmul(F, digits[:, d2], Z[..., d - d2])]]
+        digits[:, d] = fq_matmul(F, r, inv)
+    p2, kept_rows = X.copy(), X[:, kept].reshape(len(rows), k, n * E)
+    for d in range(e):
         moved = np.zeros_like(p2[:, changed])
-        _shift_into(moved, _block_mul(F, digit, X[:, kept]), base + d)
+        _shift_into(moved, fq_matmul(F, digits[:, d], kept_rows).reshape(moved.shape), base + d)
         p2[:, changed] = F.ADD[p2[:, changed], F.NEG[moved]]
+    # v's index in the transversal is the code of its digits, read in order
+    v = fq_code(F, digits.reshape(len(rows), e * k, k))
     return rows, v, weyl_left(k, delta.inv(), p2)
 
 
@@ -363,7 +329,8 @@ def _solve(F, k, delta, X):
 def class_hits(k, q, eta, delta):
     """The hits of [eta] * [delta], for eta and delta class representatives
     (see central_class): per cell eps of the support, in the order a loop
-    over (u, v) first meets it, the pairs (Levi labels of p2, count).
+    over (u, v) first meets it, the pairs (codes of p2's residue diagonal
+    blocks, count).
 
     Group geometry only, so systems with the same (k, q) share it.  For
     each u and cell, _solve gives the one candidate v; a (u, v) that lands
@@ -371,16 +338,15 @@ def class_hits(k, q, eta, delta):
     F = GF(q)
     side, e = _deepened(eta)
     cands = support_window(eta, delta)
-    index = _gl_labels(F, k)
     cosets, step = q ** (k * k * e), max(1, _STACK // len(cands))
-    hits = []  # (u, v, cell, Levi labels of p2)
+    hits = []  # (u, v, cell, codes of p2's diagonal blocks)
     for start in range(0, cosets, step):
         U = _unipotents(F, k, side, e, start, min(start + step, cosets))
         EU = weyl_left(k, eta.inv(), U[:, 1])
         X = weyl_right_cells(k, EU, cands)
         rows, vs, p2 = _solve(F, k, delta, X.reshape((-1,) + X.shape[2:]))
         hits += [(start + r // len(cands), v, r % len(cands), lp)
-                 for r, v, lp in zip(rows.tolist(), vs.tolist(), parabolic_levi(index, p2, k))
+                 for r, v, lp in zip(rows.tolist(), vs.tolist(), parabolic_levi(F, p2, k))
                  if lp is not None]
     # (u, v) order: two hits of one pair sit side by side, and cells are
     # listed in the order a loop over the pairs meets them
@@ -404,12 +370,12 @@ def oracle_product(sys, eta, f, delta, g):
     pair_count(k, sys.q, eta, delta)
     (eta0, a), (delta0, b) = central_class(eta), central_class(delta)
     fg = (np.asarray(f, dtype=np.int64) % l) @ (np.asarray(g, dtype=np.int64) % l) % l
-    index = sys.M.index
+    of_code = sys.M.of_code
     out = {}
     for eps, levis in class_hits(k, sys.q, eta0, delta0):
         acc = 0
-        for (m1, m2), count in levis:
-            acc = (acc + count * sys.sigma(index[m1], index[m2])) % l
+        for (c1, c2), count in levis:
+            acc = (acc + count * sys.sigma(of_code[c1], of_code[c2])) % l
         h = (fg @ acc) % l
         if h.any():
             out[W(eps.x + a + b, eps.y + a + b, eps.flip)] = h

@@ -30,7 +30,6 @@ from heckekit.modrep import RepModule, general_linear, intertwiners
 from heckekit.residue import (
     _CAP,
     E,
-    _levi_labels,
     coset_reps,
     lmat_mul,
     parabolic_levi,
@@ -106,6 +105,27 @@ def coset_count(k, q):
             labels.add(tuple(map(tuple, R)))
     swap = sum(1 for lab in labels if fq_rank(F, np.array(lab)[:, k:]) == k)
     return swap, len(labels)
+
+
+def ambient_in_parabolic(amb, g):
+    """AmbientGL.in_parabolic as it was before GL_k(q) was indexed by block
+    codes: a zero lower-left block, and both diagonal blocks of full rank
+    by row reduction."""
+    F, k = amb.F, amb.k
+    if np.asarray(g)[k:, :k].any():
+        return False
+    return fq_rank(F, g[:k, :k]) == k and fq_rank(F, g[k:, k:]) == k
+
+
+def block_mul(F, A, B):
+    """A[i] @ B[i] over F_q for every i, A of shape (N, k, k) and B of
+    shape (N, k, ...), through the MUL and ADD tables: the stacked product
+    residue used before gfp.fq_matmul took stacks."""
+    T = F.MUL[A.reshape(A.shape + (1,) * (B.ndim - 2)), B[:, None]]
+    out = T[:, :, 0]
+    for t in range(1, A.shape[2]):
+        out = F.ADD[out, T[:, :, t]]
+    return out
 
 
 def tstar_group_algebra_power(k, q, l, m):
@@ -476,16 +496,17 @@ def two_sided_oracle_product(sys, eta, f, delta, g):
     prefilter over (pairs x eps) rejects most eps before p2 is built, and
     the pairs an eps admits are judged by parabolic_levi.  Hits are counted
     by (cell, Levi(u), Levi(v), Levi(p2)), each distinct key forming its one
-    term rho(u) f rho(v) g rho(p2), times its count."""
+    term rho(u) f rho(v) g rho(p2), times its count; Levi(p2) is held as
+    parabolic_levi's codes and looked up in sys.M.of_code per term."""
     k, l = sys.k, sys.l
     F = GF(sys.q)
     f = np.asarray(f, dtype=np.int64) % l
     g = np.asarray(g, dtype=np.int64) % l
     V = coset_reps(k, sys.q, delta)
     U = coset_reps(k, sys.q, eta)
-    index = sys.M.index
-    levi_u = [(index[a], index[b]) for a, b in _levi_labels(U[:, 0], k)]
-    levi_v = [(index[a], index[b]) for a, b in _levi_labels(V[:, 0], k)]
+    of_code = sys.M.of_code
+    levi_u = [tuple(of_code[list(c)].tolist()) for c in parabolic_levi(F, U[:, 0], k)]
+    levi_v = [tuple(of_code[list(c)].tolist()) for c in parabolic_levi(F, V[:, 0], k)]
     EU = weyl_left(k, eta.inv(), U[:, 1])
     cands = support_window(eta, delta)
     step = max(1, _ROWS // len(V))
@@ -497,7 +518,7 @@ def two_sided_oracle_product(sys, eta, f, delta, g):
         hits = []
         for c in np.flatnonzero(admit.any(axis=(0, 1))):
             vs, us = np.nonzero(admit[:, :, c])
-            levi = parabolic_levi(index, weyl_right(k, prefix[vs, us], cands[c]), k)
+            levi = parabolic_levi(F, weyl_right(k, prefix[vs, us], cands[c]), k)
             hits += [(start + u, v, cands[c], lp)
                      for u, v, lp in zip(us.tolist(), vs.tolist(), levi) if lp is not None]
         # (u, v) order: two hits of one pair sit side by side, and cells
@@ -511,6 +532,6 @@ def two_sided_oracle_product(sys, eta, f, delta, g):
     for (eps, lu, lv, lp), count in tally.items():
         if (lu, lv) not in left:
             left[lu, lv] = sys.sigma(*lu) @ f @ sys.sigma(*lv) @ g
-        term = (left[lu, lv] @ sys.sigma(*lp)) % l
+        term = (left[lu, lv] @ sys.sigma(*of_code[list(lp)])) % l
         out[eps] = (out.get(eps, 0) + count * term) % l
     return {eps: h for eps, h in out.items() if h.any()}

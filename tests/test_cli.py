@@ -424,6 +424,7 @@ BAD_INPUTS = [
     ("mul", "[w]", "[w]", "-q", "5", "-l", "5"),  # tau = 0 mod l
     ("mul", "[w]", "[w]", "-q", "3", "-l", "4"),  # l not prime
     ("mul", "[w]", "[w]", "-q", "3", "-l", "1"),
+    ("mul", "[w]", "[w]", "-q", "3", "-l", "0"),  # l = 0 checked before q^(k^2) mod l
     ("mul", "[w]", "[w]", "-q", "6", "-l", "5"),  # q not a prime power
     ("mul", "[w]", "[w]", "-q", "1", "-l", "5"),
     ("verify", "--suite", "cases", "-l", "9"),

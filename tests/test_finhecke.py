@@ -5,12 +5,19 @@ import os
 import subprocess
 import sys as _sys_mod
 import time
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import coset_count, int_fin_mul, parabolic, tstar_group_algebra_power
+from reference import (
+    ambient_in_parabolic,
+    coset_count,
+    int_fin_mul,
+    parabolic,
+    tstar_group_algebra_power,
+)
 from test_acceptance import FIN_CONFIGS
 
 import heckekit
@@ -30,8 +37,8 @@ from heckekit.finhecke import (
     phi_value,
     random_fin_element,
 )
-from heckekit.gfp import fq_inv_matrix, fq_matmul
-from heckekit.modrep import build_coefficient_system, intertwiners, pair_index
+from heckekit.gfp import GF, fq_code, fq_inv_matrix, fq_matmul, fq_rank
+from heckekit.modrep import build_coefficient_system, general_linear, intertwiners, pair_index
 
 
 def _sys(k=1, q=4, l=5, rho="trivial", mode="plain"):
@@ -93,6 +100,41 @@ def test_representatives_split_with_p2_one(k, q):
         _, p, d = amb.bruhat[lab]
         want = None if 0 < d < k else (d, amb.levi_indices(p), one)
         assert amb.split(rep) == want
+
+
+@pytest.mark.parametrize("k,q", AMBIENT_KQ)
+def test_gl_code_table(k, q):
+    # fq_code numbers the q^(k^2) blocks in lexicographic order of their
+    # entries, and of_code takes each to its Levi index: the labels' codes
+    # to 0..n-1 in label order, and exactly the singular blocks to -1
+    F, G = GF(q), general_linear(k, GF(q))
+    blocks = np.reshape(list(product(range(q), repeat=k * k)), (-1, k, k))
+    assert np.array_equal(fq_code(F, blocks), np.arange(q ** (k * k)))
+    assert np.array_equal(G.of_code[fq_code(F, np.reshape(G.labels, (-1, k, k)))],
+                          np.arange(G.n))
+    assert len(G.of_code) == q ** (k * k) and np.count_nonzero(G.of_code >= 0) == G.n
+    singular = [fq_rank(F, B) < k for B in blocks]
+    assert singular == (G.of_code == -1).tolist() and any(singular)
+
+
+@pytest.mark.parametrize("k,q", AMBIENT_KQ)
+def test_in_parabolic_matches_rank_reference(k, q):
+    # every matrix of P, then each with a lower-left entry added and with
+    # either diagonal block made singular (its first row zeroed); (2, 3)'s
+    # 186,624 matrices take about 40 s on a 2-vCPU Xeon, so there a seeded
+    # 2,000 of them
+    amb, mats = AmbientGL(k, q), parabolic(k, q)
+    if len(mats) > 5000:
+        pick = np.random.default_rng(23).choice(len(mats), 2000, replace=False)
+        mats = [mats[i] for i in pick]
+    for p in mats:
+        low, top, bot = p.copy(), p.copy(), p.copy()
+        low[k, 0] = 1
+        top[0, :k] = 0
+        bot[k, k:] = 0
+        assert amb.in_parabolic(p) and ambient_in_parabolic(amb, p)
+        for g in (low, top, bot):
+            assert not amb.in_parabolic(g) and not ambient_in_parabolic(amb, g)
 
 
 def test_ambient_2_3_builds_quickly():

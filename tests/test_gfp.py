@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import matinv_mod, nullspace_mod, nullspace_rref, pdivmod, pfactor, pmonic, pmul
+from reference import (
+    block_mul,
+    matinv_mod,
+    nullspace_mod,
+    nullspace_rref,
+    pdivmod,
+    pfactor,
+    pmonic,
+    pmul,
+)
 
 from heckekit import gfp, numth
 from heckekit.errors import NoRelationWithinBound, RelationNotUnique, TooLarge
@@ -28,7 +37,8 @@ from heckekit.gfp import (
     rref_mod,
     solve_mod,
 )
-from heckekit.numth import _factor_prime_power
+from heckekit.numth import _factor_prime_power, is_prime
+from heckekit.residue import E
 
 
 def pgcd(a, b, l):
@@ -167,6 +177,29 @@ def test_fq_matmul_and_inverse():
         assert np.array_equal(fq_matmul(F, A, Ainv), eye)
         assert np.array_equal(fq_matmul(F, Ainv, A), eye)
     assert found > 10
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_fq_matmul_stacks_match_block_mul(q):
+    # the stacks the residue solve multiplies: k x k digit blocks by k x k
+    # blocks, and by the (N, k, 2k, E) kept rows of a Laurent stack, reshaped
+    # to (N, k, 2k E); for prime q also integer matmul mod q
+    F, rng = GF(q), np.random.default_rng(q)
+    for k in (1, 2):
+        A = rng.integers(0, q, size=(9, k, k))
+        for B in (rng.integers(0, q, size=(9, k, k)), rng.integers(0, q, size=(9, k, 2 * k, E))):
+            want = block_mul(F, A, B)
+            flat = B.reshape(9, k, -1)
+            assert np.array_equal(fq_matmul(F, A, flat).reshape(want.shape), want)
+            if is_prime(q):
+                assert np.array_equal(fq_matmul(F, A, flat), (A @ flat) % q)
+    # 2-D operands and a stack broadcast against one matrix, as numpy.matmul
+    A, B = rng.integers(0, q, size=(4, 3, 3)), rng.integers(0, q, size=(3, 5))
+    got = fq_matmul(F, A, B)
+    assert got.shape == (4, 3, 5)
+    for a, c in zip(A, got):
+        assert np.array_equal(fq_matmul(F, a, B), c)
+        assert np.array_equal(c, block_mul(F, a[None], B[None])[0])
 
 
 def test_fq_rref_frozen():

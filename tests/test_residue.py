@@ -216,10 +216,15 @@ def dict_coset_reps(k, q, eta):
 
 
 def dict_levi_sigma(sys_, M):
+    """sigma of the Levi factor of M: each residue diagonal block by its
+    code (_gl_codes), through GL_k(q)'s of_code to an index whose label is
+    that block."""
     k, idx = sys_.k, []
     for b in (0, 1):
         B = residue_block(M, k, b, b)
-        idx.append(sys_.M.index[int(B[0, 0]) if k == 1 else tuple(map(tuple, B.tolist()))])
+        i = sys_.M.of_code[_gl_codes(k, sys_.q)[tuple(B.ravel().tolist())]]
+        assert np.array_equal(np.reshape(sys_.M.labels[i], (k, k)), B)
+        idx.append(i)
     return sys_.sigma(*idx)
 
 
@@ -794,15 +799,13 @@ def test_dense_arithmetic_matches_dict_reference(stack, cands):
 
 
 @lru_cache(maxsize=None)
-def _gl_index(k, q):
-    """Every invertible k x k matrix over F_q, labelled as GL_k(q) labels
-    its elements (the code for k = 1, rows of codes for k = 2), to its
-    position in an enumeration of its own."""
+def _gl_codes(k, q):
+    """Every invertible k x k matrix over F_q, as its entries row by row,
+    to its position among all q^(k^2) such tuples in lexicographic order:
+    its code, counted here rather than computed by gfp.fq_code."""
     F = GF(q)
-    mats = (np.reshape(c, (k, k)) for c in iproduct(range(q), repeat=k * k))
-    units = [m for m in mats if fq_rank(F, m) == k]
-    labels = [int(m[0, 0]) if k == 1 else tuple(map(tuple, m.tolist())) for m in units]
-    return {lab: i for i, lab in enumerate(labels)}
+    mats = [np.reshape(c, (k, k)) for c in iproduct(range(q), repeat=k * k)]
+    return {tuple(m.ravel().tolist()): i for i, m in enumerate(mats) if fq_rank(F, m) == k}
 
 
 @settings(max_examples=200, deadline=None)
@@ -813,7 +816,7 @@ def test_batched_membership_matches_in_parabolic(stack):
     # with unit diagonal residues, in P; and that again with a pi^-1 term or
     # a lower-left residue, each of which keeps a matrix out of P
     F, k, mats = stack
-    index = _gl_index(k, F.q)
+    codes = _gl_codes(k, F.q)
     drawn = np.stack([to_dense(A) for A in mats])
     integral = drawn.copy()
     integral[..., :_CAP] = 0
@@ -826,15 +829,14 @@ def test_batched_membership_matches_in_parabolic(stack):
     shallow[:, -1, 0, _CAP] = 1
     assert all(in_parabolic(F, M, k) for M in inside)
     for P in (drawn, integral, deep, inside, polar, shallow):
-        got = parabolic_levi(index, P, k)
+        got = parabolic_levi(F, P, k)
         assert len(got) == len(P)
         for M, levi in zip(P, got):
             if not in_parabolic(F, M, k):
                 assert levi is None
                 continue
             blocks = [M[b : b + k, b : b + k, _CAP] for b in (0, k)]
-            assert levi == tuple(index[int(B[0, 0]) if k == 1 else tuple(map(tuple, B.tolist()))]
-                                 for B in blocks)
+            assert levi == tuple(codes[tuple(B.ravel().tolist())] for B in blocks)
 
 
 def _oracle_systems():
