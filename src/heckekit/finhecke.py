@@ -6,8 +6,9 @@ the full-swap coset (value fw, a swap-intertwiner).  Two routes to the
 product are implemented:
 
   * fin_mul: the closed two-term formulas in f1, fw, tau, T*, on gfp's
-    exact float64 product (two gemms, one reduction of the sums);
-    TooLarge unless dim (l-1)^2 < 2^53, as on the matrix backend;
+    exact product (two gemms, one reduction of the sums), in float32
+    while dim (l-1)^2 < 2^24 and in float64 above; TooLarge unless
+    dim (l-1)^2 < 2^53, as on the matrix backend;
   * fin_convolve: genuine convolution of V-valued bi-equivariant functions
     over G/P.  The group geometry depends only on (k, q), so AmbientGL
     builds it once: a convolution plan (for each target cell and coset,
@@ -19,7 +20,9 @@ product are implemented:
     float64 products, gathers them onto all cells' rows, and takes one
     BLAS product per cell, reduced mod l only when an entry bound could
     reach 2^53 and once at the end; TooLarge when even residues are not
-    exact (never rounded).  The arithmetic is the oracle's own, not gfp's.
+    exact (never rounded).  The arithmetic is the oracle's own, not gfp's,
+    and float64 throughout, so where fin_mul runs in float32 the two
+    routes also check each other across precisions.
     The partial-swap cells in between must come out zero, and the oracle
     checks that rather than assuming it.
 
@@ -36,6 +39,7 @@ import numpy as np
 from .errors import BruhatMismatch, CellLeak, NotBiEquivariant, SystemMismatch, TooLarge
 from .gfp import (
     GF,
+    _exact_dtype,
     _matmul_residues,
     _residues,
     first_monic_dependence,
@@ -104,26 +108,38 @@ def fin_w(sys, power=0):
 
 def fin_mul(a, b):
     """f1 g1 + tau fw gw on the identity cell, f1 gw + fw g1 + T* fw gw on
-    the swap cell, on gfp's exact float64 product: one gemm of [f1; fw] by
+    the swap cell, on gfp's exact product: one gemm of [f1; fw] by
     [g1 | gw] gives the four block products, a second T* (fw gw), and the
-    sums, integers below l (l-1) < 2^53, are reduced once, in int64, by
-    FinElement.  TooLarge unless dim (l-1)^2 < 2^53."""
+    sums, integers below l (l-1), are reduced once, in int64, by
+    FinElement.  Both gemms have inner dimension dim, so they run in
+    float32 while dim (l-1)^2 < 2^24, and then l (l-1) < 2^24 too (l-1 is
+    at most 4095), so the sums are exact float32 integers; else in
+    float64.  TooLarge unless dim (l-1)^2 < 2^53."""
     _same(a, b)
     s = a.sys
     l, d = s.l, s.dim
-    P = _matmul_residues(np.concatenate((a.f1, a.fw), dtype=np.float64),
-                         np.concatenate((b.f1, b.fw), axis=1, dtype=np.float64), l)
+    dtype = _exact_dtype(d, l)
+    P = _matmul_residues(np.concatenate((a.f1, a.fw), dtype=dtype),
+                         np.concatenate((b.f1, b.fw), axis=1, dtype=dtype), l)
     ww = P[d:, d:]
     f1 = P[:d, :d] + (s.tau % l) * ww
-    fw = P[:d, d:] + P[d:, :d] + _matmul_residues(_residues(s.tstar, l), ww, l)
+    fw = P[:d, d:] + P[d:, :d] + _matmul_residues(_residues(s.tstar, l, dtype), ww, l)
     return FinElement(s, f1.astype(np.int64), fw.astype(np.int64))
 
 
 def random_fin_element(sys, rng):
-    # FinElement reduces the two sums mod l
-    f1 = np.tensordot(rng.integers(0, sys.l, size=len(sys.I1)), sys.I1, 1)
-    fw = np.tensordot(rng.integers(0, sys.l, size=len(sys.Iw)), sys.Iw, 1)
-    return FinElement(sys, f1, fw)
+    """A random combination of the I_1 stack on the identity cell and of
+    the I_w stack on the swap cell, with coefficients in [0, l)."""
+    l = sys.l
+    # an int64 sum of `run` products of residues stays below 2^63
+    run = (2**63 - 1) // (l - 1) ** 2
+
+    def draw(stack):
+        c = rng.integers(0, l, size=len(stack))
+        return sum(np.einsum("i,ijk->jk", c[i:i + run], stack[i:i + run]) % l
+                   for i in range(0, len(stack), run))
+
+    return FinElement(sys, draw(sys.I1), draw(sys.Iw))
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +403,12 @@ def fin_convolve_cells(a, b):
     l, n = sys.l, sys.dim
     amb = AmbientGL(sys.k, sys.q)
     _exact_below(n * max(1, *map(len, amb.plan)), l)
-    A = sys.V.A
+    A = sys.V.A_float64
     fa = np.array((a.f1, a.fw), dtype=np.float64)
     fb = np.array((b.f1, b.fw), dtype=np.float64)
-    left, lmax = _mulmod(A[amb.u_pa].astype(np.float64), l - 1, fa[amb.u_cella], l - 1, l)
-    left, lmax = _mulmod(left[amb.u_left], lmax, A[amb.u_mid].astype(np.float64), l - 1, l)
-    right, rmax = _mulmod(fb[amb.u_cellb], l - 1, A[amb.u_p2b].astype(np.float64), l - 1, l)
+    left, lmax = _mulmod(A[amb.u_pa], l - 1, fa[amb.u_cella], l - 1, l)
+    left, lmax = _mulmod(left[amb.u_left], lmax, A[amb.u_mid], l - 1, l)
+    right, rmax = _mulmod(fb[amb.u_cellb], l - 1, A[amb.u_p2b], l - 1, l)
     left, right = left[amb.inv_left], right[amb.inv_right]
     out = np.empty((amb.k + 1, n, n))
     for d, (lo, hi) in enumerate(zip(amb.offsets, amb.offsets[1:])):

@@ -3,11 +3,15 @@
 Two layers live here.  Tiny fields F_q (q = p^a) are realized through dense
 lookup tables on integer codes and drive the residue-field geometry, where
 matrices stay 4x4 or smaller.  Linear algebra mod a prime l is numpy-backed
-and drives the representation-theoretic solves.  Their nullspaces, up to a
+and drives the representation-theoretic solves.  Its nullspaces, up to a
 thousand unknowns, go through one routine on sparse (row, column, value)
 triplets: rows of one or two entries are settled by a weighted union-find,
 and only the rare rows of three or more are row-reduced, on one unknown per
-component.  Everything is exact; nothing here ever rounds.
+component.  Its products run on float BLAS: in float32 while every partial
+sum, at most n*(l-1)^2 for inner dimension n, is below 2^24, in float64
+while it is below 2^53, and TooLarge past that (_matmul_residues proves the
+product and its reduction exact).  Everything is exact; nothing here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -219,33 +223,39 @@ def fq_inv_matrix(F, A):
 # numpy linear algebra mod a prime l
 
 
-# integers of absolute value up to 2^53 are exact in IEEE double
-_EXACT = 2 ** 53
+def _exact_dtype(n, l):
+    """float32 when every partial sum of a product of residues mod l with
+    inner dimension n, an integer of at most n*(l-1)^2, is below 2^24, the
+    integers float32 holds exactly; float64 otherwise (exact below 2^53)."""
+    return np.float32 if n * (l - 1) ** 2 < 2**24 else np.float64
 
 
-def _residues(A, l):
-    """A reduced into [0, l), as float64; the % is skipped when it is a no-op."""
+def _residues(A, l, dtype):
+    """A reduced into [0, l), as dtype; the % is skipped when it is a no-op."""
     A = np.asarray(A)
     if A.size and (A.min() < 0 or A.max() >= l):
         A = A % l
-    return A.astype(np.float64)
+    return A.astype(dtype)
 
 
 def _matmul_residues(X, Y, l):
-    """(X @ Y) mod l on float64 residues in [0, l), as float64 residues.
+    """(X @ Y) mod l on float residues in [0, l), as residues of their dtype.
 
     Every partial sum is an integer of at most n*(l-1)^2 for inner
-    dimension n.  Below 2^53 those are exact in double whatever the
-    summation order, FMA or thread split of the BLAS; at or above it this
-    raises TooLarge, never rounds.  For such an integer y, fl(y/l) misses
-    y/l by less than 1/l, which is the least distance from y/l to the next
-    integer when l does not divide y, so floor(fl(y/l)) is the true
-    quotient and y - l*quotient is exact.  The product is reduced in place,
-    through one scratch array.
+    dimension n.  Below 2^53 (float64) or 2^24 (float32), one more than the
+    significand's bits, those are exact whatever the summation order, FMA
+    or thread split of the BLAS; at or above it this raises TooLarge, never
+    rounds.  For such an integer y, fl(y/l) misses y/l by at most y/l
+    times 2^-53 (2^-24), so by less than 1/l, which is the least distance
+    from y/l to the next integer when l does not divide y; so
+    floor(fl(y/l)) is the true quotient and y - l*quotient is exact.  The
+    product is reduced in place, through one scratch array.  Callers pick
+    float32 through _exact_dtype, where SGEMM is exact.
     """
     n = X.shape[-1]
-    if n * (l - 1) ** 2 >= _EXACT:
-        raise TooLarge("inner dimension %d mod l=%d is not exact in float64" % (n, l))
+    dtype = np.result_type(X, Y)
+    if n * (l - 1) ** 2 >= 2 ** (np.finfo(dtype).nmant + 1):
+        raise TooLarge("inner dimension %d mod l=%d is not exact in %s" % (n, l, dtype))
     Z = X @ Y
     Q = np.divide(Z, l)
     np.floor(Q, out=Q)
@@ -255,14 +265,17 @@ def _matmul_residues(X, Y, l):
 
 
 def matmul_mod(A, B, l):
-    """(A @ B) mod l as int64, through float64 BLAS; 2-D or stacked.
+    """(A @ B) mod l as int64, through float BLAS; 2-D or stacked.
 
     Both operands are reduced into [0, l) first, then multiplied by
-    _matmul_residues, the one exact float64 product: TooLarge unless
-    n*(l-1)^2 < 2^53 for inner dimension n.  Callers that chain products
-    keep the float64 residues of _matmul_residues and convert once.
+    _matmul_residues, the one exact product: in float32 while
+    n*(l-1)^2 < 2^24 for inner dimension n, else in float64, and TooLarge
+    unless n*(l-1)^2 < 2^53.  Callers that chain products keep the
+    residues of _matmul_residues and convert once.
     """
-    return _matmul_residues(_residues(A, l), _residues(B, l), l).astype(np.int64)
+    A = np.asarray(A)
+    dtype = _exact_dtype(A.shape[-1], l)
+    return _matmul_residues(_residues(A, l, dtype), _residues(B, l, dtype), l).astype(np.int64)
 
 
 def rref_mod(A, l):
@@ -371,7 +384,9 @@ def nullspace_triplets(rows, cols, vals, ncols, l):
     red = np.zeros((ids.size, reps.size), dtype=np.int64)
     np.add.at(red, (at[on], pos[root[c[on]]]), vals[many][on] * weight[c[on]])
     R, pivots = rref_mod(red, l)
-    free = np.setdiff1d(np.arange(reps.size), pivots)
+    free = np.ones(reps.size, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     Y = np.zeros((free.size, reps.size), dtype=np.int64)
     Y[np.arange(free.size), free] = 1
     Y[:, pivots] = (-R[: len(pivots), free].T) % l

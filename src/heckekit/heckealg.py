@@ -20,15 +20,18 @@ of the coefficients and get memoised per engine.
 
 `mul` gathers, for every pair of terms, the structure constants
 (eps, s, j), then hands the whole product to one backend call,
-`combine`.  The matrix backend does it in three stages of float64
+`combine`.  The matrix backend does it in three stages of float
 gemms: all pairwise coefficient products as one, one T*^j per distinct
 shift j, and one scalar-by-matrix product summing into the outputs eps.
 The inputs are reduced into [0, l) once; each gemm goes through gfp's
-exact product, which raises TooLarge unless every partial sum, at most
-n*(l-1)^2 for inner dimension n, is below 2^53, and reduces its result
-in place.  The stages hand float64 residues to each other, in the FFLAS
-manner (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008), and the outputs
-become int64 once.
+exact product, which reduces its result in place.  Every partial sum of
+a gemm of inner dimension n is an integer of at most n*(l-1)^2, so one
+precision serves the whole call, picked from its largest inner
+dimension, max(dim, columns): float32 when that bound is below 2^24,
+float64 otherwise, the choice of Dumas, Giorgi and Pernet's FFLAS (ACM
+TOMS 35, 2008).  Each gemm still raises TooLarge on its own inner
+dimension unless its bound is below 2^53.  The stages hand residues to
+each other in that precision, and the outputs become int64 once.
 
 Only the matrix backend loads numpy and gfp, inside its own methods; the
 free backend and the engine need neither, so `heckekit mul` starts
@@ -77,11 +80,14 @@ class MatrixCoefficients:
         columns (i, k, j) that some term uses are gathered per shift j and
         multiplied by T*^j as one gemm each; a (eps x column) scalar matrix
         then sums them into the outputs with one more.  The three stages
-        pass float64 residues to each other; the outputs become int64 once.
+        pass residues to each other in float32 when max(dim, columns) *
+        (l-1)^2 < 2^24, where every partial sum is an exact float32 integer,
+        else in float64, where each gemm raises TooLarge unless its own
+        bound is below 2^53; the outputs become int64 once.
         """
         import numpy as np
 
-        from .gfp import _matmul_residues, _residues
+        from .gfp import _exact_dtype, _matmul_residues, _residues
 
         d, l = self.system.dim, self.l
         cols, shifts, outs, entries = {}, {}, {}, []
@@ -95,21 +101,22 @@ class MatrixCoefficients:
         if not entries:
             return {}
         na, nb = len(ca), len(cb)
-        A = _residues(np.reshape(ca, (na * d, d)), l)
-        P = _matmul_residues(A, _residues(np.concatenate(cb, axis=1), l), l)
+        dtype = _exact_dtype(max(d, len(cols)), l)
+        A = _residues(np.reshape(ca, (na * d, d)), l, dtype)
+        P = _matmul_residues(A, _residues(np.concatenate(cb, axis=1), l, dtype), l)
         P = P.reshape(na, d, nb, d)
-        X = np.empty((len(cols), d, d))
+        X = np.empty((len(cols), d, d), dtype)
         for j, rows in shifts.items():
             i, k, col = np.array(rows).T
             S = P[i, :, k, :]
             if j:
                 m = len(col)
-                T = _residues(self.system.tstar_power(j), l)
+                T = _residues(self.system.tstar_power(j), l, dtype)
                 S = _matmul_residues(T, S.transpose(1, 0, 2).reshape(d, m * d), l)
                 S = S.reshape(d, m, d).transpose(1, 0, 2)
             X[col] = S
         e, col, s = np.array(entries).T
-        C = np.zeros((len(outs), len(cols)))
+        C = np.zeros((len(outs), len(cols)), dtype)
         C[e, col] = s  # symbol_product lists each (eps, j) once per pair, s in [1, l)
         Y = _matmul_residues(C, X.reshape(len(cols), d * d), l)
         keep = Y.any(axis=1)

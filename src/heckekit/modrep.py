@@ -22,6 +22,7 @@ search; the size of V = P # P (+) dual is checked before it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 from math import gcd, prod
 
@@ -107,10 +108,11 @@ class FiniteGroupTable:
             reach[i] = True
             while True:
                 idx = np.nonzero(reach)[0]
-                new = np.unique(self.MUL[np.ix_(idx, idx)])
-                if reach[new].all():
+                new = np.zeros(self.n, dtype=bool)
+                new[self.MUL[np.ix_(idx, idx)]] = True
+                if (new <= reach).all():
                     break
-                reach[new] = True
+                reach |= new
         return gens
 
 
@@ -218,6 +220,13 @@ class RepModule:
                                    % (self.A.shape, G.n))
         if validate:
             self.validate()
+
+    @cached_property
+    def A_float64(self):
+        """A as float64, read-only, for callers that multiply in float64."""
+        A = self.A.astype(np.float64)
+        A.setflags(write=False)
+        return A
 
     def validate(self):
         """Raise NotAHomomorphism unless the identity acts as 1 and
@@ -476,7 +485,7 @@ def projective_cover(rep):
     for j in range(1, m):
         H[j] = G.MUL[H[j - 1], gens[0]]
     xh = G.MUL[L[:, None], H]  # x h, one row per x in L
-    if np.unique(xh).size != G.n:
+    if (np.bincount(xh.ravel(), minlength=G.n) != 1).any():
         raise NotAGroup("L H does not cover the group of order %d exactly once" % G.n)
     x_of, h_of = np.empty((2, G.n), dtype=np.int64)  # g = L[x_of[g]] H[h_of[g]]
     x_of[xh], h_of[xh] = np.indices(xh.shape)
@@ -505,8 +514,8 @@ class CoefficientSystem:
     V: RepModule
     tau: int
     tstar: np.ndarray
-    I1: list
-    Iw: list
+    I1: np.ndarray
+    Iw: np.ndarray
     name: str = ""
     _tsp: list = field(default_factory=list, repr=False)
 
@@ -531,7 +540,7 @@ class CoefficientSystem:
     def coords(self, X, parity):
         """Coordinates of X in the I_1 (even) or I_w (odd) basis; exact."""
         bas = self.basis(parity)
-        A = np.stack([b.reshape(-1) for b in bas], axis=1)
+        A = bas.reshape(len(bas), -1).T
         X = np.asarray(X, dtype=np.int64).reshape(-1)
         if X.size != len(A):
             raise NotBiEquivariant("%d entries for a %d x %d coefficient"
@@ -606,10 +615,13 @@ def build_coefficient_system(k, q, l, rho="trivial", mode="pp"):
     else:
         raise ValueError("mode must be 'plain' or 'pp'")
     gens = MM.generators
-    I1 = intertwiners(V.A, V.A, l, generators=gens)
-    Iw = intertwiners(V.A[swap], V.A, l, generators=gens)
-    if not I1 or not Iw:
+    # read-only (n, dim, dim) stacks: the bases are shared by every caller
+    I1 = np.array(intertwiners(V.A, V.A, l, generators=gens), dtype=np.int64)
+    Iw = np.array(intertwiners(V.A[swap], V.A, l, generators=gens), dtype=np.int64)
+    if not len(I1) or not len(Iw):
         raise EmptyIntertwiners("%d self- and %d swap-intertwiners on V" % (len(I1), len(Iw)))
+    I1.setflags(write=False)
+    Iw.setflags(write=False)
     tstar = np.zeros((V.dim, V.dim), dtype=np.int64)
     for g in range(M.n):
         m2 = int(M.NEG[M.INV[g]])

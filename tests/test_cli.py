@@ -491,18 +491,23 @@ def test_mul_answers_at_once_for_large_primes(q, l, want, optimize):
     assert time.monotonic() - start < 10
 
 
-# runs the CLI as `python -m heckekit.cli` does, then prints on a last line
-# whether numpy was imported on the way, and exits with the CLI's code
-NUMPY_PROBE = ("-c", """
+def module_probe(name):
+    """Runs the CLI as `python -m heckekit.cli` does, then prints on a last
+    line whether module `name` was imported on the way, and exits with the
+    CLI's code."""
+    return ("-c", """
 import runpy, sys
 code = 0
 try:
     runpy.run_module("heckekit.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print("numpy loaded:", "numpy" in sys.modules)
+print("%s loaded:", %r in sys.modules)
 sys.exit(code)
-""")
+""" % (name, name))
+
+
+NUMPY_PROBE = module_probe("numpy")
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
@@ -516,6 +521,20 @@ def test_cold_mul_imports_no_numpy(optimize):
                        optimize=optimize, entry=NUMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy loaded: True"
+
+
+# a k = 1 cover induced from an l'-complement, and a k = 2 system
+FPOLY_SYSTEMS = [("-k", "1", "-q", "4", "-l", "3"),
+                 ("-k", "2", "-q", "2", "-l", "3", "--rep", "sign")]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+@pytest.mark.parametrize("opts", FPOLY_SYSTEMS, ids=[" ".join(o) for o in FPOLY_SYSTEMS])
+def test_cold_fpoly_imports_no_numpy_ma(opts, optimize):
+    # numpy's plain np.unique and np.setdiff1d import numpy.ma on first use
+    proc = run_process("fpoly", *opts, optimize=optimize, entry=module_probe("numpy.ma"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy.ma loaded: False"
 
 
 # a q that is not a prime power, a q past the primality test, an l not prime

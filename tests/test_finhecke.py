@@ -6,6 +6,7 @@ import subprocess
 import sys as _sys_mod
 import time
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -357,6 +358,17 @@ def test_random_fin_element_matches_loop():
         assert fast.integers(1 << 30) == slow.integers(1 << 30)
 
 
+def test_random_fin_element_exact_where_int64_sums_overflow():
+    # 64 products near (l-1)^2 ~ 2^63 each: one int64 sum of them wraps
+    big = copy.copy(_sys(1, 5, 2, "trivial", "pp"))
+    big.l = l = math.isqrt(2**63 - 1)
+    rng = np.random.default_rng(3)
+    big.I1, big.Iw = (l - 1 - rng.integers(0, 3, size=(2, 64, big.dim, big.dim)))
+    fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        assert random_fin_element(big, fast) == _random_fin_element_loop(big, slow)
+
+
 def _int64_convolve_cells(a, b):
     """Reference: the plan's cells in int64, one einsum per cell sum;
     phi_a(y) is sigma(p) f_a, as y = p w_d has p2 = 1."""
@@ -690,6 +702,26 @@ def test_fin_mul_exact_up_to_the_float64_bound(cfg, mode):
     big.l = l + 1
     with pytest.raises(TooLarge):
         fin_mul(a, b)
+
+
+@pytest.mark.parametrize("l,dtype", [(4096, np.float32), (4097, np.float64)])
+def test_fin_mul_exact_at_the_float32_bound(l, dtype):
+    # at dim 1, (l-1)^2 < 2^24 up to l = 4096, where tau (fw gw) + f1 g1
+    # reaches l (l-1) = 2^24 - 4096, the nearest fin_mul's sums come to 2^24
+    big = copy.copy(_sys(1, 4, 5, "trivial", "plain"))
+    big.l, big.tau, big.tstar = l, l - 1, np.array([[l - 1]])
+    dtypes = []
+    exact = finhecke._matmul_residues
+
+    def record(X, Y, l):
+        dtypes.append(X.dtype)
+        return exact(X, Y, l)
+
+    with mock.patch.object(finhecke, "_matmul_residues", record):
+        for f1, fw, g1, gw in product((0, 1, l - 2, l - 1), repeat=4):
+            assert _equals_int_formula(FinElement(big, [[f1]], [[fw]]),
+                                       FinElement(big, [[g1]], [[gw]]))
+    assert set(dtypes) == {np.dtype(dtype)}
 
 
 def test_fin_mul_refuses_where_int64_overflowed():

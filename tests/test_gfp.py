@@ -408,7 +408,7 @@ def test_nullspace_matches_rref_reference(system, seed):
 
 
 # ---------------------------------------------------------------------------
-# exact products mod l on float64 BLAS
+# exact products mod l on float32 or float64 BLAS
 
 
 @given(
@@ -451,6 +451,29 @@ def test_matmul_mod_raises_at_the_bound():
         matmul_mod([[1, 1]], [[1], [1]], 2**26 + 1)  # 2 * 2^52 = 2^53
     with pytest.raises(TooLarge):
         matmul_mod(np.ones((3, 1, 2)), np.ones((3, 2, 1)), 94906265)
+
+
+# n * (l-1)^2 < 2^24: the largest such l multiplies in float32, the next in
+# float64; operands at l - 1 put every partial sum at the bound
+PRECISION_EDGES = [(n, math.isqrt((2**24 - 1) // n) + 1) for n in (1, 2, 18, 32, 1000)]
+
+
+@pytest.mark.parametrize("n,l", PRECISION_EDGES, ids=["n%d" % e[0] for e in PRECISION_EDGES])
+def test_products_exact_on_either_side_of_the_float32_bound(n, l):
+    assert n * (l - 1) ** 2 < 2**24 <= n * l**2
+    rng = np.random.default_rng(n)
+    for m, dtype in ((l, np.float32), (l + 1, np.float64)):
+        assert gfp._exact_dtype(n, m) is dtype
+        A = m - 1 - rng.integers(0, 3, size=(2, 3, n))
+        B = m - 1 - rng.integers(0, 3, size=(2, n, 4))
+        want = (A.astype(object) @ B.astype(object)) % m
+        got = matmul_mod(A, B, m)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        Z = gfp._matmul_residues(gfp._residues(A, m, dtype), gfp._residues(B, m, dtype), m)
+        assert Z.dtype == dtype and np.array_equal(Z, want)
+    # float32 residues past their bound are refused, never rounded
+    with pytest.raises(TooLarge, match="float32"):
+        gfp._matmul_residues(np.ones((1, n), np.float32), np.ones((n, 1), np.float32), l + 1)
 
 
 def test_matmul_mod_raises_under_optimize():

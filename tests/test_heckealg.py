@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys as _sys
@@ -598,6 +599,53 @@ def combine_at_stage(stage, n, dims):
         return be.combine(ca, cb, pairs)
     finally:
         gfp._matmul_residues = exact
+
+
+class TstarStub:
+    """A system of dimension 2 mod l whose T* has every entry l - 1."""
+
+    def __init__(self, l):
+        self.dim, self.l, self.tau = 2, l, 1
+        self.T = np.full((2, 2), l - 1, dtype=object)
+
+    def tstar_power(self, j):
+        P = np.eye(2, dtype=object)
+        for _ in range(j):
+            P = self.T @ P % self.l
+        return P.astype(np.int64)
+
+
+# 15 (l-1)^2 < 2^24 <= 16 (l-1)^2: combine's largest inner dimension is its
+# column count, so 15 columns multiply in float32 and 16 in float64
+STRADDLE_L = math.isqrt((2**24 - 1) // 15) + 1
+
+
+@pytest.mark.parametrize("n,dtype", [(15, np.float32), (16, np.float64)])
+def test_combine_exact_on_either_side_of_the_float32_bound(n, dtype):
+    l = STRADDLE_L
+    assert 15 * (l - 1) ** 2 < 2**24 <= 16 * (l - 1) ** 2
+    be = MatrixCoefficients(TstarStub(l))
+    rng = np.random.default_rng(n)
+    ca = [l - 1 - rng.integers(0, 2, size=(2, 2))]
+    cb = [l - 1 - rng.integers(0, 2, size=(2, 2)) for _ in range(n)]
+    # n columns (0, k, 1), every scalar l - 1, all onto one output
+    pairs = [(0, k, ((W_ID, l - 1, 1),)) for k in range(n)]
+    T, A = be.system.T, ca[0].astype(object)
+    want = sum((l - 1) * T @ A @ B.astype(object) for B in cb) % l
+    dtypes = []
+    exact = gfp._matmul_residues
+
+    def product(X, Y, l):
+        dtypes.append(X.dtype)
+        return exact(X, Y, l)
+
+    gfp._matmul_residues = product
+    try:
+        got = be.combine(ca, cb, pairs)
+    finally:
+        gfp._matmul_residues = exact
+    assert dtypes == [dtype] * 3
+    assert list(got) == [W_ID] and np.array_equal(got[W_ID], want)
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
