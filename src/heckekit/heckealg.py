@@ -19,18 +19,24 @@ Shifts only add up along the way, so the scalars (s, j) are independent
 of the coefficients and get memoised per engine.
 
 `mul` gathers, for every pair of terms, the structure constants
-(eps, s, j), then hands the whole product to one backend call,
-`combine`.  The matrix backend does it in three stages of float
-gemms: all pairwise coefficient products as one, one T*^j per distinct
-shift j, and one scalar-by-matrix product summing into the outputs eps.
-The inputs are reduced into [0, l) once; each gemm goes through gfp's
+(eps, s, j), reading the memo itself and calling symbol_product only on a
+miss, then hands the whole product to one backend call, `combine`.  The
+matrix backend does it in one pass of float products: all pairwise
+coefficient products as one stacked product, one gather of every column
+(i, k, j) that some term uses, T*^j on the gathered stack for each
+distinct shift j > 0, written back in place, and one scalar-by-matrix
+product summing the columns into the outputs eps.  The free backend
+forms each pair's word product once and adds s times it, shifted by j,
+straight into the outputs.
+
+The inputs are reduced into [0, l) once; each product goes through gfp's
 exact product, which reduces its result in place.  Every partial sum of
-a gemm of inner dimension n is an integer of at most n*(l-1)^2, so one
+a product of inner dimension n is an integer of at most n*(l-1)^2, so one
 precision serves the whole call, picked from its largest inner
 dimension, max(dim, columns): float32 when that bound is below 2^24,
 float64 otherwise, the choice of Dumas, Giorgi and Pernet's FFLAS (ACM
-TOMS 35, 2008).  Each gemm still raises TooLarge on its own inner
-dimension unless its bound is below 2^53.  The stages hand residues to
+TOMS 35, 2008).  Each product still raises TooLarge on its own inner
+dimension unless its bound is below 2^53.  The products hand residues to
 each other in that precision, and the outputs become int64 once.
 
 Only the matrix backend loads numpy and gfp, inside its own methods; the
@@ -76,52 +82,50 @@ class MatrixCoefficients:
     def combine(self, ca, cb, pairs):
         """Sum of s * T*^j * ca[i] * cb[k] over pairs (i, k, ((eps, s, j), ...)).
 
-        Every product ca[i].cb[k] is one gemm (na.d x d) @ (d x nb.d); the
-        columns (i, k, j) that some term uses are gathered per shift j and
-        multiplied by T*^j as one gemm each; a (eps x column) scalar matrix
-        then sums them into the outputs with one more.  The three stages
-        pass residues to each other in float32 when max(dim, columns) *
-        (l-1)^2 < 2^24, where every partial sum is an exact float32 integer,
-        else in float64, where each gemm raises TooLarge unless its own
-        bound is below 2^53; the outputs become int64 once.
+        Every product ca[i].cb[k] comes from one stacked product, the d x d
+        blocks (na, 1) against (1, nb); the columns (i, k, j) that some term
+        uses are gathered from it at once, and each distinct shift j > 0
+        multiplies its columns by T*^j as one stacked product, written back
+        in place; a (eps x column) scalar matrix then sums the columns into
+        the outputs with one gemm.  The three kinds of product pass residues
+        to each other in float32 when max(dim, columns) * (l-1)^2 < 2^24,
+        where every partial sum is an exact float32 integer, else in
+        float64, where each product raises TooLarge unless its own bound is
+        below 2^53; the outputs become one int64 array of shape
+        (outputs, d, d).
         """
         import numpy as np
 
         from .gfp import _exact_dtype, _matmul_residues, _residues
 
         d, l = self.system.dim, self.l
-        cols, shifts, outs, entries = {}, {}, {}, []
+        na, nb = len(ca), len(cb)
+        cols, outs, entries = {}, {}, []
         for i, k, terms in pairs:
             for eps, s, j in terms:
-                col = cols.get((i, k, j))
-                if col is None:
-                    col = cols[i, k, j] = len(cols)
-                    shifts.setdefault(j, []).append((i, k, col))
+                col = cols.setdefault((i, k, j), len(cols))
                 entries.append((outs.setdefault(eps, len(outs)), col, s))
         if not entries:
             return {}
-        na, nb = len(ca), len(cb)
-        dtype = _exact_dtype(max(d, len(cols)), l)
-        A = _residues(np.reshape(ca, (na * d, d)), l, dtype)
-        P = _matmul_residues(A, _residues(np.concatenate(cb, axis=1), l, dtype), l)
-        P = P.reshape(na, d, nb, d)
-        X = np.empty((len(cols), d, d), dtype)
-        for j, rows in shifts.items():
-            i, k, col = np.array(rows).T
-            S = P[i, :, k, :]
+        shifts = {}
+        for (_, _, j), col in cols.items():
             if j:
-                m = len(col)
-                T = _residues(self.system.tstar_power(j), l, dtype)
-                S = _matmul_residues(T, S.transpose(1, 0, 2).reshape(d, m * d), l)
-                S = S.reshape(d, m, d).transpose(1, 0, 2)
-            X[col] = S
-        e, col, s = np.array(entries).T
+                shifts.setdefault(j, []).append(col)
+        dtype = _exact_dtype(max(d, len(cols)), l)
+        R = _residues(np.concatenate([*ca, *cb]), l, dtype)  # ca stacked, then cb
+        A, B = R[: na * d].reshape(na, 1, d, d), R[na * d :].reshape(1, nb, d, d)
+        P = _matmul_residues(A, B, l)  # (na, nb, d, d): P[i, k] = ca[i].cb[k]
+        X = P[[i for i, _, _ in cols], [k for _, k, _ in cols]]
+        for j, sel in shifts.items():
+            T = _residues(self.system.tstar_power(j), l, dtype)
+            X[sel] = _matmul_residues(T, X[sel], l)
         C = np.zeros((len(outs), len(cols)), dtype)
+        e, col, s = zip(*entries)
         C[e, col] = s  # symbol_product lists each (eps, j) once per pair, s in [1, l)
         Y = _matmul_residues(C, X.reshape(len(cols), d * d), l)
-        keep = Y.any(axis=1)
-        Y = Y.astype(np.int64)
-        return {eps: Y[r].reshape(d, d) for eps, r in outs.items() if keep[r]}
+        keep = Y.any(axis=1).tolist()
+        Y = Y.astype(np.int64).reshape(len(outs), d, d)
+        return {eps: Y[r] for eps, r in outs.items() if keep[r]}
 
     def add(self, a, b):
         return (a + b) % self.l
@@ -175,14 +179,19 @@ class FreeCoefficients:
         return {(wrd, jj + j): s % self.l for (wrd, jj), s in c.items() if s % self.l}
 
     def combine(self, ca, cb, pairs):
-        """Sum of s * T*^j * ca[i] * cb[k], one term at a time."""
-        out = {}
+        """Sum of s * T*^j * ca[i] * cb[k]: each pair's word product once,
+        then s times it, its shifts moved by j, added into the outputs in
+        place; zeros are dropped once, at the end."""
+        l, out = self.l, {}
         for i, k, terms in pairs:
             c = self.compose(ca[i], cb[k])
             for eps, s, j in terms:
-                term = self.scale(self.tstar(c, j), s)
-                out[eps] = self.add(out[eps], term) if eps in out else term
-        return {k: v for k, v in out.items() if not self.is_zero(v)}
+                acc = out.setdefault(eps, {})
+                for (wrd, jj), v in c.items():
+                    key = (wrd, jj + j)
+                    acc[key] = (acc.get(key, 0) + s * v) % l
+        out = {eps: {key: v for key, v in acc.items() if v} for eps, acc in out.items()}
+        return {eps: acc for eps, acc in out.items() if acc}
 
     def add(self, a, b):
         out = dict(a)
@@ -279,8 +288,9 @@ class HeckeEngine:
         return not self.sub(a, b)
 
     def mul(self, a, b):
+        memo = self._memo  # read here; symbol_product is called only on a miss
         pairs = [
-            (i, k, self.symbol_product(eta, delta))
+            (i, k, memo.get((eta, delta)) or self.symbol_product(eta, delta))
             for i, eta in enumerate(a)
             for k, delta in enumerate(b)
         ]

@@ -364,9 +364,14 @@ def oracle_product(sys, eta, f, delta, g):
     """{eps: h_eps} with [eta]_f * [delta]_g = sum [eps]_{h_eps}; brute force.
 
     More than _MAX_PAIRS u-cosets times cells raise TooLarge before any is
-    built or the cache is read.  The hits come from class_hits at the
-    central class representatives, shifted back to eta and delta."""
+    built or the cache is read, and so does a system where the int64
+    products f g and (f g) acc could wrap: each sums dim products of
+    residues, so dim*(l-1)^2 must be below 2^63.  The hits come from
+    class_hits at the central class representatives, shifted back to eta
+    and delta."""
     k, l = sys.k, sys.l
+    if sys.dim * (l - 1) ** 2 >= 2**63:
+        raise TooLarge("dim %d mod l=%d is not exact in int64" % (sys.dim, l))
     pair_count(k, sys.q, eta, delta)
     (eta0, a), (delta0, b) = central_class(eta), central_class(delta)
     fg = (np.asarray(f, dtype=np.int64) % l) @ (np.asarray(g, dtype=np.int64) % l) % l

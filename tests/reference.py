@@ -446,6 +446,19 @@ def int64_combine(be, ca, cb, pairs):
     return {eps: Y[r].reshape(d, d) for eps, r in outs.items() if keep[r]}
 
 
+def term_combine(be, ca, cb, pairs):
+    """FreeCoefficients.combine one term at a time, as it was: each term
+    s * T*^j * ca[i] * cb[k] is built through the backend's compose, tstar
+    and scale, and added into its output with the backend's add."""
+    out = {}
+    for i, k, terms in pairs:
+        c = be.compose(ca[i], cb[k])
+        for eps, s, j in terms:
+            term = be.scale(be.tstar(c, j), s)
+            out[eps] = be.add(out[eps], term) if eps in out else term
+    return {k: v for k, v in out.items() if not be.is_zero(v)}
+
+
 def int_fin_mul(a, b):
     """finhecke.fin_mul's closed formulas as they were on int64, here on
     Python ints: (f1 g1 + tau fw gw, f1 gw + fw g1 + T* fw gw) mod l."""

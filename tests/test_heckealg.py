@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import ends_on_w, grade, int64_combine, shape_class
+from reference import ends_on_w, grade, int64_combine, shape_class, term_combine
 from test_acceptance import FIN_CONFIGS
 
 from heckekit import gfp, heckealg
@@ -553,6 +553,48 @@ def test_float_combine_matches_int64_combine(cfg, seed, na, nb, shape):
         assert np.array_equal(got[eps], c)
 
 
+# ---------------------------------------------------------------------------
+# the one-pass free combine against the term-at-a-time one it replaced
+
+FREE_WORDS = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)  # a even, b odd
+
+
+@st.composite
+def free_combine_inputs(draw):
+    """(l, ca, cb, pairs): coefficients that may be empty or hold zero
+    scalars, pairs that may be absent or have no terms, shifts 0..3, and
+    three outputs eps shared across the pairs."""
+    l = draw(st.sampled_from([2, 3, 5, 7]))
+    coeff = st.dictionaries(st.tuples(FREE_WORDS, st.integers(0, 3)), st.integers(0, l - 1),
+                            max_size=3)
+    ca = draw(st.lists(coeff, min_size=1, max_size=3))
+    cb = draw(st.lists(coeff, min_size=1, max_size=3))
+    term = st.tuples(st.sampled_from([W_ID, W_W, W_T]), st.integers(1, l - 1), st.integers(0, 3))
+    pair = st.tuples(st.integers(0, len(ca) - 1), st.integers(0, len(cb) - 1),
+                     st.lists(term, max_size=3).map(tuple))
+    return l, ca, cb, draw(st.lists(pair, max_size=5))
+
+
+# s and l - s on one output key: ca[0] and a copy of it, times cb[0], shifted by 2
+CANCEL = (5, [{(("a", "b"), 1): 3}, {(("a", "b"), 1): 3}], [{(("b",), 0): 2}],
+          [(0, 0, ((W_W, 4, 2),)), (1, 0, ((W_W, 1, 2),))])
+
+
+@given(free_combine_inputs())
+@example(CANCEL)
+@example((3, [{}], [{((), 0): 1}], [(0, 0, ((W_ID, 1, 0),))]))
+@example((3, [{((), 0): 1}], [{((), 0): 1}], []))
+@settings(max_examples=200, deadline=None)
+def test_free_combine_matches_term_combine(inputs):
+    l, ca, cb, pairs = inputs
+    be = FreeCoefficients({"a": 0, "b": 1}, l, 1)
+    got = be.combine(ca, cb, pairs)
+    assert got == term_combine(be, ca, cb, pairs)
+    assert all(c and all(c.values()) for c in got.values())
+    if inputs == CANCEL:
+        assert got == {}
+
+
 # l - 1 = 2^24: a product of residues with inner dimension n is exact in
 # float64 while n * 2^48 < 2^53, so 31 is the last exact inner dimension
 # and 32 the first past the bound
@@ -569,22 +611,22 @@ class StubSystem:
         return np.eye(self.dim, dtype=np.int64)
 
 
-def combine_at_stage(stage, n, dims):
+def combine_at_stage(stage, n, dims, shifts=(1,)):
     """combine on a stub system whose stage `stage` (1: the pair products,
-    2: T*^1, 3: the scalar sum; the stage-th product formed) has inner
-    dimension n.  The products before that stage skip the exactness check,
-    so a TooLarge comes from the stage itself; `dims` collects the inner
-    dimension of every product formed."""
-    if stage == 3:
-        # n columns (0, k, 1) at dimension 1
+    then T*^j for each j of `shifts`, then the scalar sum; the stage-th
+    product formed) has inner dimension n.  The products before that stage
+    skip the exactness check, so a TooLarge comes from the stage itself;
+    `dims` collects the inner dimension of every product formed."""
+    if stage == len(shifts) + 2:
+        # n columns (0, k, j), the shifts taken in turn, at dimension 1
         be = MatrixCoefficients(StubSystem(1))
         one = np.ones((1, 1), dtype=np.int64)
         ca, cb = [one], [one] * n
-        pairs = [(0, k, ((W_ID, 1, 1),)) for k in range(n)]
+        pairs = [(0, k, ((W_ID, 1, shifts[k % len(shifts)]),)) for k in range(n)]
     else:
         be = MatrixCoefficients(StubSystem(n))
         ca = cb = [np.full((n, n), BIG_L - 1, dtype=np.int64)]
-        pairs = [(0, 0, ((W_ID, 1, 1),))]
+        pairs = [(0, 0, tuple((W_ID, 1, j) for j in shifts))]
     exact = gfp._matmul_residues
 
     def product(X, Y, l):
@@ -657,6 +699,48 @@ def test_combine_stage_raises_at_the_first_inexact_dimension(stage):
     dims = []
     with pytest.raises(TooLarge, match="inner dimension 32"):
         combine_at_stage(stage, 32, dims)
+    assert len(dims) == stage
+
+
+@pytest.mark.parametrize("n,dtype", [(15, np.float32), (16, np.float64)])
+def test_combine_two_shifts_exact_on_either_side_of_the_float32_bound(n, dtype):
+    # the n columns alternate between the shifts 1 and 2, so the call forms
+    # four products: the pairs, T*^1 and T*^2 on their columns, the sum
+    l = STRADDLE_L
+    be = MatrixCoefficients(TstarStub(l))
+    rng = np.random.default_rng(n)
+    ca = [l - 1 - rng.integers(0, 2, size=(2, 2))]
+    cb = [l - 1 - rng.integers(0, 2, size=(2, 2)) for _ in range(n)]
+    pairs = [(0, k, ((W_ID, l - 1, 1 + k % 2),)) for k in range(n)]
+    A = ca[0].astype(object)
+    want = sum((l - 1) * be.system.tstar_power(1 + k % 2).astype(object) @ A
+               @ B.astype(object) for k, B in enumerate(cb)) % l
+    dtypes = []
+    exact = gfp._matmul_residues
+
+    def product(X, Y, l):
+        dtypes.append(X.dtype)
+        return exact(X, Y, l)
+
+    gfp._matmul_residues = product
+    try:
+        got = be.combine(ca, cb, pairs)
+    finally:
+        gfp._matmul_residues = exact
+    assert dtypes == [dtype] * 4
+    assert list(got) == [W_ID] and np.array_equal(got[W_ID], want)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_combine_two_shifts_raise_at_each_stage(stage):
+    # the second T*^j product (stage 3) checks its own inner dimension too
+    dims = []
+    out = combine_at_stage(stage, 31, dims, shifts=(1, 2))
+    assert dims == ([1, 1, 1, 31] if stage == 4 else [31, 31, 31, 2])
+    assert list(out) == [W_ID]
+    dims = []
+    with pytest.raises(TooLarge, match="inner dimension 32"):
+        combine_at_stage(stage, 32, dims, shifts=(1, 2))
     assert len(dims) == stage
 
 

@@ -369,6 +369,59 @@ def test_pair_bound_refuses_before_any_coset(monkeypatch):
     assert built == [] and class_hits.cache_info().misses == 0
 
 
+# The oracle's f g and (f g) acc are int64 products of residues with inner
+# dimension dim: exact while dim (l-1)^2 < 2^63, which 2^31 - 1 meets at
+# dim 2 and the next prime, 2147483659, does not.  The script checks 12
+# products at the first against the same formula on Python ints, and that
+# the second refuses each before the class cache is read.
+INT64_EDGE = """
+import numpy as np
+from heckekit.errors import TooLarge
+from heckekit.modrep import build_coefficient_system
+from heckekit.residue import central_class, class_hits, oracle_product
+from heckekit.weyl import W
+rng = np.random.default_rng(0)
+etas = [W(0, 0, True), W(0, 1, True), W(0, 0, False), W(1, 0, True)]
+deltas = [W(0, 0, False), W(0, 1, False), W(0, -1, True)]
+for l in (2**31 - 1, 2147483659):
+    s = build_coefficient_system(1, 4, l, rho="trivial", mode="pp")
+    exact = refused = 0
+    class_hits.cache_clear()
+    for eta in etas:
+        for delta in deltas:
+            f, g = (sum(int(rng.integers(0, l)) * b for b in s.basis(int(e.flip)))
+                    for e in (eta, delta))
+            try:
+                got = oracle_product(s, eta, f, delta, g)
+            except TooLarge:
+                refused += 1
+                continue
+            (e0, a), (d0, b) = central_class(eta), central_class(delta)
+            fg = np.asarray(f, dtype=object) @ np.asarray(g, dtype=object) % l
+            want = {}
+            for eps, levis in class_hits(1, 4, e0, d0):
+                acc = sum(n * s.sigma(s.M.of_code[c1], s.M.of_code[c2]).astype(object)
+                          for (c1, c2), n in levis) % l
+                if (fg @ acc % l).any():
+                    want[W(eps.x + a + b, eps.y + a + b, eps.flip)] = fg @ acc % l
+            exact += list(got) == list(want) and all(
+                np.array_equal(got[e].astype(object), want[e]) for e in want)
+    info = class_hits.cache_info()
+    print(s.dim, exact, refused, info.hits + info.misses > 0, __debug__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_oracle_exact_up_to_the_int64_bound(flags):
+    src = os.path.dirname(os.path.dirname(heckekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", INT64_EDGE], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    debug = str(not flags)
+    assert proc.stdout.split("\n")[:2] == ["2 12 0 True " + debug, "2 0 12 False " + debug]
+
+
 def test_oracle_window_refuses_before_any_product(monkeypatch):
     # the counts need only k, q and the bound, so not even the system is built
     class_hits.cache_clear()
