@@ -7,27 +7,30 @@ structure-constant work.  A basis
 symbol [eta]^j_c stands for the function supported on the coset of eta
 with value (central element)^j * c there.
 
-The engine computes structure constants once per (eta, delta) pair.
-Write delta = t^alpha . s_1 ... s_a as its reduced word; t^alpha has
-length zero, so the product starts as [eta.t^alpha] and takes the
-letters one at a time by the quadratic relation
+The engine computes structure constants once per (eta, delta) pair, in
+closed form.  The Weyl part is infinite dihedral: reduced words
+alternate w, w', and by the quadratic relation [x] * [s] = tau * [x.s] +
+[x]^1 when x.s is shorter than x, [x.s] otherwise, a product shortens
+only while delta's word undoes the end of eta's (Iwahori and Matsumoto,
+Publ. Math. IHES 25, 1965).  With delta = t^alpha . s_1 ... s_n reduced,
+x = eta.t^alpha and m = (l(x) + n - l(eta.delta)) / 2 cancelled letters,
 
-  * x.s longer than x      ->  [x] * [s] = [x.s];
-  * x.s shorter than x     ->  [x] * [s] = tau * [x.s]  +  [x]^1.
+  [eta] * [delta] = tau^m [eta.delta]
+                    + sum_{i=1..m} tau^(i-1) [x.s_1 ... s_(i-1).s_(i+1) ... s_n]^1:
 
-Shifts only add up along the way, so the scalars (s, j) are independent
-of the coefficients and get memoised per engine.
+m + 1 terms of distinct lengths, shifts 0 and 1 only.  The scalars
+(s, j) do not depend on the coefficients and get memoised per engine.
 
 `mul` gathers, for every pair of terms, the structure constants
 (eps, s, j), reading the memo itself and calling symbol_product only on a
-miss, then hands the whole product to one backend call, `combine`.  The
-matrix backend does it in one pass of float products: all pairwise
-coefficient products as one stacked product, one gather of every column
-(i, k, j) that some term uses, T*^j on the gathered stack for each
-distinct shift j > 0, written back in place, and one scalar-by-matrix
-product summing the columns into the outputs eps.  The free backend
-forms each pair's word product once and adds s times it, shifted by j,
-straight into the outputs.
+miss, then hands the whole product to one backend call, `combine`, with
+shifts 0 and 1 only.  The matrix backend does it in one pass of float
+products: all pairwise coefficient products as one stacked product, one
+gather of every column (i, k, j) that some term uses, T*^j on the
+gathered stack for each distinct shift j > 0, written back in place, and
+one scalar-by-matrix product summing the columns into the outputs eps.
+The free backend forms each pair's word product once and adds s times
+it, shifted by j, straight into the outputs.
 
 The inputs are reduced into [0, l) once; each product goes through gfp's
 exact product, which reduces its result in place.  Every partial sum of
@@ -50,7 +53,7 @@ from math import gcd
 
 from .errors import BadCharacteristic, ParityViolation
 from .numth import is_prime
-from .weyl import W, W_ID, W_W, t_power, word_of
+from .weyl import LETTER, W_ID, W_W, length, t_power, word_of
 
 
 class MatrixCoefficients:
@@ -93,6 +96,10 @@ class MatrixCoefficients:
         float64, where each product raises TooLarge unless its own bound is
         below 2^53; the outputs become one int64 array of shape
         (outputs, d, d).
+
+        `mul` passes j in {0, 1} only, each (eps, j) once per pair; j >= 2
+        and several shifts j > 0 in one call come only from direct calls,
+        such as the stage and two-shift tests of combine.
         """
         import numpy as np
 
@@ -121,7 +128,7 @@ class MatrixCoefficients:
             X[sel] = _matmul_residues(T, X[sel], l)
         C = np.zeros((len(outs), len(cols)), dtype)
         e, col, s = zip(*entries)
-        C[e, col] = s  # symbol_product lists each (eps, j) once per pair, s in [1, l)
+        C[e, col] = s  # each (eps, j) once per pair, s in [1, l): no sum needed
         Y = _matmul_residues(C, X.reshape(len(cols), d * d), l)
         keep = Y.any(axis=1).tolist()
         Y = Y.astype(np.int64).reshape(len(outs), d, d)
@@ -181,7 +188,10 @@ class FreeCoefficients:
     def combine(self, ca, cb, pairs):
         """Sum of s * T*^j * ca[i] * cb[k]: each pair's word product once,
         then s times it, its shifts moved by j, added into the outputs in
-        place; zeros are dropped once, at the end."""
+        place; zeros are dropped once, at the end.
+
+        `mul` passes j in {0, 1} only, each (eps, j) once per pair; larger
+        shifts come only from direct calls, such as the tests of combine."""
         l, out = self.l, {}
         for i, k, terms in pairs:
             c = self.compose(ca[i], cb[k])
@@ -227,39 +237,23 @@ class HeckeEngine:
     def symbol_product(self, eta, delta):
         """[eta]_f * [delta]_g = sum of s * [eps]^j_{fg}; returns ((eps, s, j), ...).
 
-        One pass over the letters of delta; terms are (x, y, flip, j)
-        tuples keyed to their scalar, and W objects are built only for the
-        result.  Lengths are |y - x - flip| (see weyl.length).
+        The closed form above, sorted by (j, eps), in O(m) group products:
+        term i is p.s_i.p^-1 . eta.delta with p = x.s_1 ... s_(i-1).  tau is
+        a unit mod l, so no scalar vanishes.
         """
         out = self._memo.get((eta, delta))
         if out is not None:
             return out
         l, tau = self.be.l, self.be.tau
         alpha, letters = word_of(delta)
-        start = eta * t_power(alpha)
-        acc = {(start.x, start.y, start.flip, 0): 1}
-        for letter in letters:
-            nxt = {}
-            for (x, y, flip, j), s in acc.items():
-                if letter == "w":
-                    xs = (x, y, not flip)
-                elif flip:
-                    xs = (x + 1, y - 1, False)
-                else:
-                    xs = (x - 1, y + 1, True)
-                k = xs + (j,)
-                if abs(xs[1] - xs[0] - xs[2]) > abs(y - x - flip):
-                    nxt[k] = (nxt.get(k, 0) + s) % l
-                else:
-                    nxt[k] = (nxt.get(k, 0) + s * tau) % l
-                    k = (x, y, flip, j + 1)
-                    nxt[k] = (nxt.get(k, 0) + s) % l
-            acc = nxt
-        out = tuple(
-            (W(x, y, flip), s, j)
-            for (x, y, flip, j), s in sorted(acc.items(), key=lambda kv: (kv[0][3], kv[0][:3]))
-            if s
-        )
+        p, prod = eta * t_power(alpha), eta * delta
+        m = (length(p) + len(letters) - length(prod)) // 2
+        shifted = []
+        for i, letter in enumerate(letters[:m]):
+            ps = p * LETTER[letter]
+            shifted.append((ps * p.inv() * prod, pow(tau, i, l), 1))
+            p = ps
+        out = ((prod, pow(tau, m, l), 0), *sorted(shifted))
         self._memo[eta, delta] = out
         return out
 

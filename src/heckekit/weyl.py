@@ -83,9 +83,12 @@ def _diag_word(x, y):
     return x + y, letters
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def word_of(e):
-    """Canonical reduced word (alpha, letters) with e = t^alpha . letters."""
+    """Canonical reduced word (alpha, letters) with e = t^alpha . letters.
+
+    The cache keeps the 1,024 most recent words: render meets every
+    printed term once, and a long product prints many long ones."""
     alpha, letters = _diag_word(e.x, e.y)
     if e.flip:
         if letters and letters[-1] == "w":

@@ -37,7 +37,7 @@ from heckekit.residue import (
     weyl_left,
     weyl_right,
 )
-from heckekit.weyl import word_of
+from heckekit.weyl import W, t_power, word_of
 
 
 def grade(e):
@@ -409,6 +409,42 @@ def splitting_cover(rep):
         assert np.array_equal((e @ reg.A[g]) % l, (reg.A[g] @ e) % l)
     acts = _action_on_subspace(reg.A, pieces[pick], l)
     return RepModule(G, acts, l, name="P(%s)" % rep.name), e, len(hits)
+
+
+def letter_symbol_product(eta, delta, l, tau):
+    """HeckeEngine.symbol_product as it was before its closed form: one
+    pass over the letters of delta by the quadratic relation, every letter
+    walking every live term, O(n.m) for n letters and m cancelled.
+
+    Terms are (x, y, flip, j) tuples keyed to their scalar, and W objects
+    are built only for the result.  Lengths are |y - x - flip| (see
+    weyl.length).
+    """
+    alpha, letters = word_of(delta)
+    start = eta * t_power(alpha)
+    acc = {(start.x, start.y, start.flip, 0): 1}
+    for letter in letters:
+        nxt = {}
+        for (x, y, flip, j), s in acc.items():
+            if letter == "w":
+                xs = (x, y, not flip)
+            elif flip:
+                xs = (x + 1, y - 1, False)
+            else:
+                xs = (x - 1, y + 1, True)
+            k = xs + (j,)
+            if abs(xs[1] - xs[0] - xs[2]) > abs(y - x - flip):
+                nxt[k] = (nxt.get(k, 0) + s) % l
+            else:
+                nxt[k] = (nxt.get(k, 0) + s * tau) % l
+                k = (x, y, flip, j + 1)
+                nxt[k] = (nxt.get(k, 0) + s) % l
+        acc = nxt
+    return tuple(
+        (W(x, y, flip), s, j)
+        for (x, y, flip, j), s in sorted(acc.items(), key=lambda kv: (kv[0][3], kv[0][:3]))
+        if s
+    )
 
 
 def int64_combine(be, ca, cb, pairs):

@@ -3,12 +3,20 @@ import math
 import os
 import subprocess
 import sys as _sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import ends_on_w, grade, int64_combine, shape_class, term_combine
+from reference import (
+    ends_on_w,
+    grade,
+    int64_combine,
+    letter_symbol_product,
+    shape_class,
+    term_combine,
+)
 from test_acceptance import FIN_CONFIGS
 
 from heckekit import gfp, heckealg
@@ -30,6 +38,9 @@ from heckekit.weyl import (
     elements_in_window,
     from_word,
     length,
+    render,
+    t_power,
+    word_of,
 )
 
 
@@ -312,7 +323,9 @@ def test_free_associativity_sample():
         assert eng.eq(left, right)
 
 
-# Recorded on the recursive engine this letter loop replaced; both agree.
+# Recorded on the recursive engine that the letter loop (now
+# reference.letter_symbol_product) replaced; the letter loop and the closed
+# form that replaced it in turn both reproduce them.
 SYMBOL_PRODUCT_DIGESTS = {
     (5, 4): "64a66bc7c5fed385e084a69ef2bd03b5a06f50220c729e3e2ee5a8751a354059",
     (7, 3): "398a8aedb01ce4d5f0bbb8fedd0b596ec6e7519b2c7dd5ed6167fb236b803237",
@@ -371,6 +384,58 @@ def test_symbol_product_matches_iwahori_model(lq, first, n, m, cancel, a, b):
     eta, delta = from_word(a, x), from_word(b, y)
     eng = HeckeEngine(FreeCoefficients({"f": 1}, l, qbar))
     assert specialised(eng, eta, delta, qbar) == iwahori_mul(eta, delta, qbar, l)
+
+
+def cancelling_pair(n, a, c):
+    """(eta, delta): eta = t^a times an alternating word of n letters, and
+    delta = eta^-1 . t^c, so that all n letters cancel and eta.delta = t^c."""
+    eta = from_word(a, alternating("w", n))
+    return eta, eta.inv() * t_power(c)
+
+
+# (a, c): the t-exponents of eta, a, and of delta, c - a, nonzero, odd and even
+CANCEL_SHIFTS = ((2, 5), (-1, 2), (3, 1))
+
+
+@pytest.mark.parametrize("l,tau", [(5, 4), (7, 3)])
+def test_symbol_product_matches_letter_loop(l, tau):
+    eng = HeckeEngine(FreeCoefficients({"f": 1}, l, tau))
+    window = elements_in_window(5)
+    pairs = [(eta, delta) for eta in window for delta in window]
+    for n in (0, 1, 2, 299, 300):
+        for a, c in CANCEL_SHIFTS:
+            eta, delta = cancelling_pair(n, a, c)
+            assert word_of(delta)[0] != 0 and len(word_of(delta)[1]) == n
+            pairs.append((eta, delta))
+    for eta, delta in pairs:
+        assert eng.symbol_product(eta, delta) == letter_symbol_product(eta, delta, l, tau)
+
+
+def test_long_cancelling_pair_in_bounded_time():
+    # the letter loop walks every live term per letter, so it is quadratic:
+    # 17.6 s on this pair on a 2-vCPU Xeon VM, against 0.03 s
+    l, tau, n = 7, 3, 8000
+    eng = HeckeEngine(FreeCoefficients({"f": 1}, l, tau))
+    eta, delta = cancelling_pair(n, 2, 5)
+    start = time.perf_counter()
+    terms = eng.symbol_product(eta, delta)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert len(terms) == n + 1
+    assert terms[0] == (t_power(5), pow(tau, n, l), 0)
+    powers = {pow(tau, i, l) for i in range(l)}
+    assert all(j in (0, 1) and s in powers for _, s, j in terms)
+    assert len({length(eps) for eps, _, _ in terms}) == n + 1
+
+
+def test_rendering_a_long_product_keeps_word_of_bounded():
+    # every printed term passes through word_of once; 2,001 distinct terms
+    # of up to 4,000 letters must not all stay cached
+    eng = HeckeEngine(FreeCoefficients({"f": 1}, 7, 3))
+    eta, delta = cancelling_pair(2000, 2, 5)
+    printed = [render(eps) for eps, _, _ in eng.symbol_product(eta, delta)]
+    assert len(set(printed)) == 2001
+    assert word_of.cache_info().currsize <= 1024
 
 
 # ---------------------------------------------------------------------------
