@@ -31,13 +31,17 @@ below it (see _solve).  p2 is then built, and a valuation mask plus the
 determinants of its residue diagonal blocks judge membership in P.  Every
 transversal representative is unipotent, so rho(u) = rho(v) = 1, and the
 hits depend on the group geometry only: per cell, the count of each Levi
-factor of p2, as the codes of its two blocks (gfp.fq_code).  z = W(1, 1)
-is central and P^(eta z) = P^(eta), so the hits of (eta z^a, delta z^b)
-are those of the class representatives W(0, y - x, flip), every cell
-shifted by z^(a + b); they are computed once per (k, q, class of eta,
-class of delta), into a bounded cache.  A call then forms one product per
-cell, (f g) sum count rho(p2) mod l, one lookup in GL_k(q)'s of_code
-taking each code to its Levi index.
+factor of p2, as the codes of its two blocks (gfp.fq_code).  t = W(0, 1,
+flip), the matrix [[0, I], [pi I, 0]], normalises P, and t^2 = z = W(1, 1)
+is central.  Conjugation by t carries the transversal of P/P^(eta) onto
+that of P/P^(t eta) digit for digit, and P^(delta t) = P^(delta), so the
+hits of (t^m eta, delta t^n) are those of (eta, delta) with every cell
+eps carried to t^m eps t^n, and for odd n p2 to t^-1 p2 t, which swaps its
+two Levi blocks.  The hits are solved once per (k, q) and pair of the
+representatives W(0, d), |d| <= 2, unflipped: one solve for each t-orbit
+of 4 of the 100 pairs of central classes, into a bounded cache.  A call
+then forms one product per cell, (f g) sum count rho(p2) mod l, one lookup
+in GL_k(q)'s of_code taking each code to its Levi index.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 
 from .errors import CellConflict, GapTooLarge, TooLarge, WindowExhausted
 from .gfp import GF, fq_code, fq_matmul, fq_rank
-from .weyl import W
+from .weyl import W, t_power
 
 _CAP = 16
 E = 2 * _CAP + 1
@@ -213,8 +217,8 @@ def _deepened(eta):
 
 def pair_count(k, q, eta, delta):
     """u-cosets times cells that oracle_product solves for [eta] * [delta]
-    when their central classes are not cached: q^(k^2 gap eta) cosets
-    u, against every cell of the support; TooLarge above _MAX_PAIRS."""
+    when their t-orbit is not cached: q^(k^2 gap eta) cosets u, against
+    every cell of the support; TooLarge above _MAX_PAIRS."""
     _deepened(delta)  # GapTooLarge past gap 2
     cells = 2 * (abs(eta.y - eta.x) + abs(delta.y - delta.x) + 3)  # len(support_window)
     count = q ** (k * k * _deepened(eta)[1]) * cells
@@ -282,6 +286,16 @@ def central_class(e):
     return W(0, e.y - e.x, e.flip), e.x
 
 
+def t_class(e, left):
+    """(W(0, d), m), unflipped, with e = t^m . W(0, d) if left, else
+    e = W(0, d) . t^m; t = W(0, 1, flip), t^2 = z."""
+    if not e.flip:
+        return W(0, e.y - e.x, False), 2 * e.x
+    if left:
+        return W(0, e.x - e.y + 1, False), 2 * e.y - 1
+    return W(0, e.y - e.x - 1, False), 2 * e.x + 1
+
+
 def _solve(F, k, delta, X):
     """For the stack X of shape (N, 2k, 2k, E): the rows where some v of
     P/P^(delta) can put p2 = delta^-1 v^-1 X in P, that one v's index in
@@ -324,13 +338,14 @@ def _solve(F, k, delta, X):
     return rows, v, weyl_left(k, delta.inv(), p2)
 
 
-# a (k, q) has 100 pairs of central classes of gap <= 2
+# a (k, q) has 100 pairs of central classes of gap <= 2, in 25 t-orbits
+# of 4, and the oracle solves each orbit once
 @lru_cache(maxsize=256)
 def class_hits(k, q, eta, delta):
-    """The hits of [eta] * [delta], for eta and delta class representatives
-    (see central_class): per cell eps of the support, in the order a loop
-    over (u, v) first meets it, the pairs (codes of p2's residue diagonal
-    blocks, count).
+    """The hits of [eta] * [delta]: per cell eps of the support, in the order
+    a loop over (u, v) first meets it, the pairs (codes of p2's residue
+    diagonal blocks, count).  The oracle asks only at t-class
+    representatives (see t_class), and hits_at carries them to any pair.
 
     Group geometry only, so systems with the same (k, q) share it.  For
     each u and cell, _solve gives the one candidate v; a (u, v) that lands
@@ -360,6 +375,17 @@ def class_hits(k, q, eta, delta):
     return tuple((eps, tuple(counts.items())) for eps, counts in cells.items())
 
 
+def hits_at(k, q, eta, delta):
+    """class_hits of [eta] * [delta] at any eta and delta, read from the
+    cache at their t-class representatives: eta = t^m eta0 and
+    delta = delta0 t^n give the cells t^m eps t^n, and for odd n the two
+    Levi codes swapped, t^-1 [[A, B], [pi C, D]] t being [[D, C], [pi B, A]]."""
+    (eta0, m), (delta0, n) = t_class(eta, True), t_class(delta, False)
+    tm, tn = t_power(m), t_power(n)
+    return tuple((tm * eps * tn, tuple((c[::-1], count) for c, count in levis) if n % 2 else levis)
+                 for eps, levis in class_hits(k, q, eta0, delta0))
+
+
 def oracle_product(sys, eta, f, delta, g):
     """{eps: h_eps} with [eta]_f * [delta]_g = sum [eps]_{h_eps}; brute force.
 
@@ -367,21 +393,19 @@ def oracle_product(sys, eta, f, delta, g):
     built or the cache is read, and so does a system where the int64
     products f g and (f g) acc could wrap: each sums dim products of
     residues, so dim*(l-1)^2 must be below 2^63.  The hits come from
-    class_hits at the central class representatives, shifted back to eta
-    and delta."""
+    hits_at."""
     k, l = sys.k, sys.l
     if sys.dim * (l - 1) ** 2 >= 2**63:
         raise TooLarge("dim %d mod l=%d is not exact in int64" % (sys.dim, l))
     pair_count(k, sys.q, eta, delta)
-    (eta0, a), (delta0, b) = central_class(eta), central_class(delta)
     fg = (np.asarray(f, dtype=np.int64) % l) @ (np.asarray(g, dtype=np.int64) % l) % l
     of_code = sys.M.of_code
     out = {}
-    for eps, levis in class_hits(k, sys.q, eta0, delta0):
+    for eps, levis in hits_at(k, sys.q, eta, delta):
         acc = 0
         for (c1, c2), count in levis:
             acc = (acc + count * sys.sigma(of_code[c1], of_code[c2])) % l
         h = (fg @ acc) % l
         if h.any():
-            out[W(eps.x + a + b, eps.y + a + b, eps.flip)] = h
+            out[eps] = h
     return out

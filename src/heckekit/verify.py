@@ -162,20 +162,20 @@ def check_cases(k, q, l, rho="trivial", mode="plain"):
 
 
 # u-cosets x cells one oracle window may cost in all: each distinct pair of
-# central classes solves its u-cosets against its cells once, and every
-# product then sums once per cell.  Wall times of `verify --suite oracle` on
-# a 2-vCPU Xeon VM: (1, 4) at bound 2 is 24,086 and takes 1.0 s in pp mode;
-# (2, 2) at bound 2 is 150,134, 2 s; bound 8, the largest bound the
-# two-sided enumeration ran before its exponents left the window, is at most
-# 285,894 at q <= 5 and takes 5-7 s; (1, 71) at bound 2, 2,585,094, is
-# refused
+# central classes is priced as solving its u-cosets against its cells once,
+# and every product then sums once per cell.  The oracle solves a t-orbit of
+# 4 class pairs once, so this is an upper bound.  Wall times of `verify
+# --suite oracle` on a 2-vCPU Xeon VM: (1, 4) at bound 2 is 24,086, 0.6-1.0 s
+# in pp mode; (2, 2) at bound 2 is 150,134, 1.0 s; bound 8 is at most 285,894
+# at q <= 5, 3.7-4.6 s at q = 5; (1, 71) at bound 2, 2,585,094, is refused
 _MAX_WINDOW_PAIRS = 300000
 _MIN_CELLS = 6  # the support of a product of two gap-0 classes
 
 
 def window_cost(k, q, window):
     """The u-cosets x cells that oracle_product spends on every product of
-    window, with each pair of central classes solved once; TooLarge from
+    window, at most: each pair of central classes priced as one solve, where
+    the oracle solves each t-orbit of 4 such pairs once; TooLarge from
     pair_count where one class pair is past _MAX_PAIRS."""
     classes = Counter(central_class(e)[0] for e in window)
     return sum(pair_count(k, q, a, b) + m * n * len(support_window(a, b))

@@ -30,8 +30,11 @@ from heckekit.modrep import RepModule, general_linear, intertwiners
 from heckekit.residue import (
     _CAP,
     E,
+    central_class,
+    class_hits,
     coset_reps,
     lmat_mul,
+    pair_count,
     parabolic_levi,
     support_window,
     weyl_left,
@@ -584,3 +587,26 @@ def two_sided_oracle_product(sys, eta, f, delta, g):
         term = (left[lu, lv] @ sys.sigma(*of_code[list(lp)])) % l
         out[eps] = (out.get(eps, 0) + count * term) % l
     return {eps: h for eps, h in out.items() if h.any()}
+
+
+def central_class_oracle_product(sys, eta, f, delta, g):
+    """residue.oracle_product as it was before it used t: the hits of each
+    pair of central classes from class_hits at W(0, y - x, flip), every cell
+    shifted back by z^(a + b), z = W(1, 1) central; 100 class pairs per
+    (k, q), where the oracle keys 25 t-orbits of 4."""
+    k, l = sys.k, sys.l
+    if sys.dim * (l - 1) ** 2 >= 2**63:
+        raise TooLarge("dim %d mod l=%d is not exact in int64" % (sys.dim, l))
+    pair_count(k, sys.q, eta, delta)
+    (eta0, a), (delta0, b) = central_class(eta), central_class(delta)
+    fg = (np.asarray(f, dtype=np.int64) % l) @ (np.asarray(g, dtype=np.int64) % l) % l
+    of_code = sys.M.of_code
+    out = {}
+    for eps, levis in class_hits(k, sys.q, eta0, delta0):
+        acc = 0
+        for (c1, c2), count in levis:
+            acc = (acc + count * sys.sigma(of_code[c1], of_code[c2])) % l
+        h = (fg @ acc) % l
+        if h.any():
+            out[W(eps.x + a + b, eps.y + a + b, eps.flip)] = h
+    return out

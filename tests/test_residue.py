@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import heckekit
 from heckekit import residue
 from heckekit import verify
-from heckekit.errors import CellConflict, GapTooLarge, TooLarge, WindowExhausted
+from heckekit.errors import CellConflict, GapTooLarge, HeckeError, TooLarge, WindowExhausted
 from heckekit.gfp import GF, fq_rank
 from heckekit.modrep import build_coefficient_system
 from heckekit.finhecke import FinElement, fin_mul
@@ -24,6 +24,7 @@ from heckekit.residue import (
     central_class,
     class_hits,
     coset_reps,
+    hits_at,
     in_parabolic,
     lmat_mul,
     oracle_product,
@@ -36,7 +37,7 @@ from heckekit.residue import (
     weyl_right,
 )
 from heckekit.weyl import W, W_ID, W_T, W_TINV, W_W, W_WP, diag, elements_in_window
-from reference import prefilter, two_sided_oracle_product
+from reference import central_class_oracle_product, prefilter, two_sided_oracle_product
 
 # ---------------------------------------------------------------------------
 # The reference: Laurent matrices as lists of dicts exponent -> code, the
@@ -988,6 +989,74 @@ def test_class_geometry_is_shared_across_systems():
     want = two_sided_oracle_product(second, eta2, f, delta2, g)
     assert list(got) == list(want)
     assert all(np.array_equal(got[eps], want[eps]) for eps in want)
+
+
+# the ten central class representatives W(0, d, flip) of gap <= 2, and the
+# 100 pairs of them that a (k, q) has
+CLASSES = [e for d in range(-3, 4) for e in (W(0, d, False), W(0, d, True)) if _gap(e) <= 2]
+T_GEOMETRIES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2)]
+
+
+@pytest.mark.parametrize("k,q", T_GEOMETRIES, ids=["k%d.q%d" % kq for kq in T_GEOMETRIES])
+def test_t_translates_match_direct_geometry(k, q):
+    # t = W(0, 1, flip) normalises P: for every class pair (eta, delta), the
+    # hits solved directly at (t eta, delta), (eta, delta t) and
+    # (t eta, delta t) are those that hits_at carries over from the t-class
+    # representatives, as tuples, so with cell and Levi-pair order
+    assert len(CLASSES) == 10
+    for eta in CLASSES:
+        for delta in CLASSES:
+            for e, d in ((W_T * eta, delta), (eta, delta * W_T), (W_T * eta, delta * W_T)):
+                assert class_hits(k, q, e, d) == hits_at(k, q, e, d), (e, d)
+
+
+@pytest.mark.parametrize("k,q", [(1, 4), (2, 2)])
+def test_one_solve_per_t_orbit(k, q):
+    # the 100 class pairs of a (k, q) fall into 25 t-orbits of 4, each
+    # solved once
+    sys_ = build_coefficient_system(k, q, 3, rho="trivial" if k == 1 else "sign", mode="pp")
+    rng = np.random.default_rng(5)
+    class_hits.cache_clear()
+    for eta in CLASSES:
+        for delta in CLASSES:
+            oracle_product(sys_, eta, _random_coeff(rng, sys_, eta), delta,
+                           _random_coeff(rng, sys_, delta))
+    info = class_hits.cache_info()
+    assert (info.misses, info.hits) == (25, 75)
+
+
+@pytest.mark.parametrize("args,bound", [
+    ((1, 3, 2, "trivial", "pp"), 3),
+    ((1, 4, 3, "trivial", "pp"), 3),
+    ((1, 5, 3, "trivial", "pp"), 3),
+    ((2, 2, 3, "sign", "pp"), 2),
+], ids=["k1.q3", "k1.q4", "k1.q5", "k2.q2"])
+def test_oracle_matches_central_class_reference(args, bound):
+    # every pair of the full window, gap > 2 included: the same keys in the
+    # same order and equal arrays, or the same refusal
+    sys_ = build_coefficient_system(*args[:3], rho=args[3], mode=args[4])
+    rng = np.random.default_rng(30)
+    window = elements_in_window(bound)
+
+    def answer(fn):
+        try:
+            return fn()
+        except HeckeError as err:
+            return type(err)
+
+    answered = 0
+    for eta in window:
+        for delta in window:
+            f, g = _random_coeff(rng, sys_, eta), _random_coeff(rng, sys_, delta)
+            want = answer(lambda: central_class_oracle_product(sys_, eta, f, delta, g))
+            got = answer(lambda: oracle_product(sys_, eta, f, delta, g))
+            if isinstance(want, type):
+                assert got is want, (eta, delta)
+                continue
+            assert list(got) == list(want), (eta, delta)
+            assert all(np.array_equal(got[eps], want[eps]) for eps in want), (eta, delta)
+            answered += 1
+    assert answered == len(verify.oracle_window(bound)) ** 2
 
 
 def _one_v(solve):
