@@ -24,23 +24,21 @@ m + 1 terms of distinct lengths, shifts 0 and 1 only.  The scalars
 `mul` gathers, for every pair of terms, the structure constants
 (eps, s, j), reading the memo itself and calling symbol_product only on a
 miss, then hands the whole product to one backend call, `combine`, with
-shifts 0 and 1 only.  The matrix backend does it in one pass of float
-products: all pairwise coefficient products as one stacked product, one
-gather of every column (i, k, j) that some term uses, T*^j on the
-gathered stack for each distinct shift j > 0, written back in place, and
-one scalar-by-matrix product summing the columns into the outputs eps.
-The free backend forms each pair's word product once and adds s times
-it, shifted by j, straight into the outputs.
+shifts 0 and 1 only.  The matrix backend does it in three float products,
+all pairwise coefficient products as one stacked product, the scalar sums
+of every shift as one gemm and T*^j on the sum of each shift j > 0, then
+adds the shifts and reduces mod l once.  The free backend forms each
+pair's word product once and adds s times it, shifted by j, straight into
+the outputs.
 
-The inputs are reduced into [0, l) once; each product goes through gfp's
-exact product, which reduces its result in place.  Every partial sum of
-a product of inner dimension n is an integer of at most n*(l-1)^2, so one
-precision serves the whole call, picked from its largest inner
-dimension, max(dim, columns): float32 when that bound is below 2^24,
-float64 otherwise, the choice of Dumas, Giorgi and Pernet's FFLAS (ACM
-TOMS 35, 2008).  Each product still raises TooLarge on its own inner
-dimension unless its bound is below 2^53.  The products hand residues to
-each other in that precision, and the outputs become int64 once.
+The inputs are reduced into [0, l) once.  Every product of the call is an
+integer of known bound, so an intermediate is reduced only where the next
+stage could leave the integers its precision holds exactly, the delayed
+reduction of Dumas, Giorgi and Pernet's FFLAS (ACM TOMS 35, 2008).  The
+precision serves the whole call and is picked, with the refusal, before
+any product, from its largest inner dimension n = max(dim, columns):
+float32 when n*(l-1)^2 is below 2^24, float64 otherwise, and TooLarge
+unless it is below 2^53.  The outputs become int64 once.
 
 Only the matrix backend loads numpy and gfp, inside its own methods; the
 free backend and the engine need neither, so `heckekit mul` starts
@@ -85,17 +83,15 @@ class MatrixCoefficients:
     def combine(self, ca, cb, pairs):
         """Sum of s * T*^j * ca[i] * cb[k] over pairs (i, k, ((eps, s, j), ...)).
 
-        Every product ca[i].cb[k] comes from one stacked product, the d x d
-        blocks (na, 1) against (1, nb); the columns (i, k, j) that some term
-        uses are gathered from it at once, and each distinct shift j > 0
-        multiplies its columns by T*^j as one stacked product, written back
-        in place; a (eps x column) scalar matrix then sums the columns into
-        the outputs with one gemm.  The three kinds of product pass residues
-        to each other in float32 when max(dim, columns) * (l-1)^2 < 2^24,
-        where every partial sum is an exact float32 integer, else in
-        float64, where each product raises TooLarge unless its own bound is
-        below 2^53; the outputs become one int64 array of shape
-        (outputs, d, d).
+        P = every ca[i].cb[k], the d x d blocks (na, 1) against (1, nb); the
+        scalar sums C.P for all shifts j at once, C holding s at (j, eps,
+        pair); T*^j on each sum of a shift j > 0; the shifts added and
+        reduced mod l, as one int64 array of shape (outputs, d, d).  Entries
+        are integers of at most d(l-1)^2 after P, times columns(l-1) after
+        the sums (columns being the distinct (i, k, j)), times d(l-1) after
+        T*^j, times the number of shifts after the add; a stage's input is
+        reduced first, its bound becoming l-1, only where its output's
+        bound would reach the exact limit of the call's precision.
 
         `mul` passes j in {0, 1} only, each (eps, j) once per pair; j >= 2
         and several shifts j > 0 in one call come only from direct calls,
@@ -103,36 +99,46 @@ class MatrixCoefficients:
         """
         import numpy as np
 
-        from .gfp import _exact_dtype, _matmul_residues, _residues
+        from .gfp import _exact_bound, _exact_dtype, _reduce, _residues
 
-        d, l = self.system.dim, self.l
+        d, l, r = self.system.dim, self.l, self.l - 1
         na, nb = len(ca), len(cb)
-        cols, outs, entries = {}, {}, []
+        cols, shifts, outs, entries = set(), {}, {}, []
         for i, k, terms in pairs:
             for eps, s, j in terms:
-                col = cols.setdefault((i, k, j), len(cols))
-                entries.append((outs.setdefault(eps, len(outs)), col, s))
+                cols.add((i, k, j))
+                entries.append((shifts.setdefault(j, len(shifts)),
+                                outs.setdefault(eps, len(outs)), i * nb + k, s))
         if not entries:
             return {}
-        shifts = {}
-        for (_, _, j), col in cols.items():
-            if j:
-                shifts.setdefault(j, []).append(col)
         dtype = _exact_dtype(max(d, len(cols)), l)
+        limit = _exact_bound(d, l, dtype)
+        _exact_bound(len(cols), l, dtype)
         R = _residues(np.concatenate([*ca, *cb]), l, dtype)  # ca stacked, then cb
         A, B = R[: na * d].reshape(na, 1, d, d), R[na * d :].reshape(1, nb, d, d)
-        P = _matmul_residues(A, B, l)  # (na, nb, d, d): P[i, k] = ca[i].cb[k]
-        X = P[[i for i, _, _ in cols], [k for _, k, _ in cols]]
-        for j, sel in shifts.items():
-            T = _residues(self.system.tstar_power(j), l, dtype)
-            X[sel] = _matmul_residues(T, X[sel], l)
-        C = np.zeros((len(outs), len(cols)), dtype)
-        e, col, s = zip(*entries)
-        C[e, col] = s  # each (eps, j) once per pair, s in [1, l): no sum needed
-        Y = _matmul_residues(C, X.reshape(len(cols), d * d), l)
-        keep = Y.any(axis=1).tolist()
-        Y = Y.astype(np.int64).reshape(len(outs), d, d)
-        return {eps: Y[r] for eps, r in outs.items() if keep[r]}
+        P, top = (A @ B).reshape(na * nb, d * d), d * r * r  # P[i nb + k] = ca[i].cb[k]
+        if top * len(cols) * r >= limit:
+            P, top = _reduce(P, l), r
+        top *= len(cols) * r
+        C = np.zeros((len(shifts), len(outs), na * nb), dtype)
+        sh, e, p, s = zip(*entries)
+        C[sh, e, p] = s  # each (eps, j) once per pair, s in [1, l): no sum needed
+        S = (C.reshape(-1, na * nb) @ P).reshape(len(shifts), len(outs), d, d)
+        if any(shifts):
+            if top * d * r >= limit:
+                S, top = _reduce(S, l), r
+            for x, j in enumerate(shifts):
+                if j:
+                    S[x] = _residues(self.system.tstar_power(j), l, dtype) @ S[x]
+            top *= d * r
+        if len(shifts) * top >= limit:
+            _reduce(S, l)
+        Y = S[0]
+        for Z in S[1:]:
+            Y += Z
+        keep = _reduce(Y, l).any(axis=(1, 2)).tolist()
+        Y = Y.astype(np.int64)
+        return {eps: Y[row] for eps, row in outs.items() if keep[row]}
 
     def add(self, a, b):
         return (a + b) % self.l

@@ -39,9 +39,11 @@ hits of (t^m eta, delta t^n) are those of (eta, delta) with every cell
 eps carried to t^m eps t^n, and for odd n p2 to t^-1 p2 t, which swaps its
 two Levi blocks.  The hits are solved once per (k, q) and pair of the
 representatives W(0, d), |d| <= 2, unflipped: one solve for each t-orbit
-of 4 of the 100 pairs of central classes, into a bounded cache.  A call
-then forms one product per cell, (f g) sum count rho(p2) mod l, one lookup
-in GL_k(q)'s of_code taking each code to its Levi index.
+of 4 of the 100 pairs of central classes, into a bounded cache.  Per
+system, each cell's sum S = sum count rho(p2) mod l, of_code taking each
+code to its Levi index, is formed once per representative pair and parity
+of n, into a second; a call is then one int64 product (f g) S over every
+cell at once.
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ def class_hits(k, q, eta, delta):
     """The hits of [eta] * [delta]: per cell eps of the support, in the order
     a loop over (u, v) first meets it, the pairs (codes of p2's residue
     diagonal blocks, count).  The oracle asks only at t-class
-    representatives (see t_class), and hits_at carries them to any pair.
+    representatives (see t_class), through class_sums.
 
     Group geometry only, so systems with the same (k, q) share it.  For
     each u and cell, _solve gives the one candidate v; a (u, v) that lands
@@ -375,37 +377,44 @@ def class_hits(k, q, eta, delta):
     return tuple((eps, tuple(counts.items())) for eps, counts in cells.items())
 
 
-def hits_at(k, q, eta, delta):
-    """class_hits of [eta] * [delta] at any eta and delta, read from the
-    cache at their t-class representatives: eta = t^m eta0 and
-    delta = delta0 t^n give the cells t^m eps t^n, and for odd n the two
-    Levi codes swapped, t^-1 [[A, B], [pi C, D]] t being [[D, C], [pi B, A]]."""
-    (eta0, m), (delta0, n) = t_class(eta, True), t_class(delta, False)
-    tm, tn = t_power(m), t_power(n)
-    return tuple((tm * eps * tn, tuple((c[::-1], count) for c, count in levis) if n % 2 else levis)
-                 for eps, levis in class_hits(k, q, eta0, delta0))
+# 25 representative pairs per (k, q), each at both parities of n: 50 per system
+@lru_cache(maxsize=256)
+def class_sums(sys, eta, delta, odd):
+    """(cells, S): the cells eps of class_hits(eta, delta), in its order,
+    whose S_eps = sum count sigma(p2) mod l is nonzero, and those sums as a
+    read-only int64 stack (cells, dim, dim).  For odd n, p2 is t^-1 p2 t,
+    t^-1 [[A, B], [pi C, D]] t = [[D, C], [pi B, A]]: its Levi codes swap."""
+    l, of_code = sys.l, sys.M.of_code
+    cells, sums = [], []
+    for eps, levis in class_hits(sys.k, sys.q, eta, delta):
+        acc = 0
+        for codes, count in levis:
+            c1, c2 = codes[::-1] if odd else codes
+            acc = (acc + count * sys.sigma(of_code[c1], of_code[c2])) % l
+        if acc.any():
+            cells.append(eps)
+            sums.append(acc)
+    S = np.array(sums, dtype=np.int64).reshape(len(sums), sys.dim, sys.dim)
+    S.flags.writeable = False
+    return tuple(cells), S
 
 
 def oracle_product(sys, eta, f, delta, g):
     """{eps: h_eps} with [eta]_f * [delta]_g = sum [eps]_{h_eps}; brute force.
 
     More than _MAX_PAIRS u-cosets times cells raise TooLarge before any is
-    built or the cache is read, and so does a system where the int64
-    products f g and (f g) acc could wrap: each sums dim products of
-    residues, so dim*(l-1)^2 must be below 2^63.  The hits come from
-    hits_at."""
+    built or a cache is read, and so does a system where the int64
+    products f g and (f g) S could wrap: each sums dim products of
+    residues, so dim*(l-1)^2 must be below 2^63.  With eta = t^m eta0 and
+    delta = delta0 t^n, every cell is one product (f g) S_eps of
+    class_sums at (eta0, delta0) and the parity of n, carried to
+    t^m eps t^n."""
     k, l = sys.k, sys.l
     if sys.dim * (l - 1) ** 2 >= 2**63:
         raise TooLarge("dim %d mod l=%d is not exact in int64" % (sys.dim, l))
     pair_count(k, sys.q, eta, delta)
+    (eta0, m), (delta0, n) = t_class(eta, True), t_class(delta, False)
+    cells, S = class_sums(sys, eta0, delta0, n % 2 == 1)
     fg = (np.asarray(f, dtype=np.int64) % l) @ (np.asarray(g, dtype=np.int64) % l) % l
-    of_code = sys.M.of_code
-    out = {}
-    for eps, levis in hits_at(k, sys.q, eta, delta):
-        acc = 0
-        for (c1, c2), count in levis:
-            acc = (acc + count * sys.sigma(of_code[c1], of_code[c2])) % l
-        h = (fg @ acc) % l
-        if h.any():
-            out[eps] = h
-    return out
+    tm, tn = t_power(m), t_power(n)
+    return {tm * eps * tn: h for eps, h in zip(cells, fg @ S % l) if h.any()}

@@ -37,6 +37,7 @@ from heckekit.residue import (
     pair_count,
     parabolic_levi,
     support_window,
+    t_class,
     weyl_left,
     weyl_right,
 )
@@ -587,6 +588,18 @@ def two_sided_oracle_product(sys, eta, f, delta, g):
         term = (left[lu, lv] @ sys.sigma(*of_code[list(lp)])) % l
         out[eps] = (out.get(eps, 0) + count * term) % l
     return {eps: h for eps, h in out.items() if h.any()}
+
+
+def hits_at(k, q, eta, delta):
+    """class_hits of [eta] * [delta] at any eta and delta, read from the
+    cache at their t-class representatives, as residue.oracle_product did
+    before class_sums: eta = t^m eta0 and delta = delta0 t^n give the cells
+    t^m eps t^n, and for odd n the two Levi codes swapped,
+    t^-1 [[A, B], [pi C, D]] t being [[D, C], [pi B, A]]."""
+    (eta0, m), (delta0, n) = t_class(eta, True), t_class(delta, False)
+    tm, tn = t_power(m), t_power(n)
+    return tuple((tm * eps * tn, tuple((c[::-1], count) for c, count in levis) if n % 2 else levis)
+                 for eps, levis in class_hits(k, q, eta0, delta0))
 
 
 def central_class_oracle_product(sys, eta, f, delta, g):

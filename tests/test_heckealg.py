@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -676,12 +677,34 @@ class StubSystem:
         return np.eye(self.dim, dtype=np.int64)
 
 
-def combine_at_stage(stage, n, dims, shifts=(1,)):
-    """combine on a stub system whose stage `stage` (1: the pair products,
-    then T*^j for each j of `shifts`, then the scalar sum; the stage-th
-    product formed) has inner dimension n.  The products before that stage
-    skip the exactness check, so a TooLarge comes from the stage itself;
-    `dims` collects the inner dimension of every product formed."""
+@contextlib.contextmanager
+def gfp_calls(calls):
+    """Record in `calls` the gfp helpers that combine calls: ("residues",
+    dtype) for each operand it reduces into [0, l), the inputs first and
+    then each T*^j, and "reduce" for each reduction mod l."""
+    residues, reduce = gfp._residues, gfp._reduce
+
+    def spy_residues(A, l, dtype):
+        calls.append(("residues", dtype))
+        return residues(A, l, dtype)
+
+    def spy_reduce(Z, l):
+        calls.append("reduce")
+        return reduce(Z, l)
+
+    gfp._residues, gfp._reduce = spy_residues, spy_reduce
+    try:
+        yield
+    finally:
+        gfp._residues, gfp._reduce = residues, reduce
+
+
+def combine_at_stage(stage, n, calls, shifts=(1,)):
+    """(combine, its answer on Python ints) on a stub system whose stage
+    `stage` has inner dimension n: 1 is the pair products, then T*^j for
+    each j of `shifts`, both of inner dimension dim, and the last the
+    scalar sum, of inner dimension the column count.  `calls` records the
+    gfp helpers combine calls (gfp_calls)."""
     if stage == len(shifts) + 2:
         # n columns (0, k, j), the shifts taken in turn, at dimension 1
         be = MatrixCoefficients(StubSystem(1))
@@ -692,20 +715,10 @@ def combine_at_stage(stage, n, dims, shifts=(1,)):
         be = MatrixCoefficients(StubSystem(n))
         ca = cb = [np.full((n, n), BIG_L - 1, dtype=np.int64)]
         pairs = [(0, 0, tuple((W_ID, 1, j) for j in shifts))]
-    exact = gfp._matmul_residues
-
-    def product(X, Y, l):
-        dims.append(X.shape[-1])
-        if len(dims) < stage:
-            Z = X @ Y
-            return Z - l * np.floor(Z / l)
-        return exact(X, Y, l)
-
-    gfp._matmul_residues = product
-    try:
-        return be.combine(ca, cb, pairs)
-    finally:
-        gfp._matmul_residues = exact
+    want = sum(s * ca[i].astype(object) @ cb[k].astype(object)  # T* is the identity
+               for i, k, terms in pairs for _, s, _ in terms) % BIG_L
+    with gfp_calls(calls):
+        return be.combine(ca, cb, pairs), want
 
 
 class TstarStub:
@@ -722,6 +735,21 @@ class TstarStub:
         return P.astype(np.int64)
 
 
+def tstar_inputs(l, shifts, seed):
+    """(combine on TstarStub(l), its answer on Python ints) for one ca and
+    a cb per entry of `shifts`, entries l - 1 or l - 2: column k is
+    (0, k, shifts[k]), scalar l - 1, all onto one output."""
+    be = MatrixCoefficients(TstarStub(l))
+    rng = np.random.default_rng(seed)
+    ca = [l - 1 - rng.integers(0, 2, size=(2, 2))]
+    cb = [l - 1 - rng.integers(0, 2, size=(2, 2)) for _ in shifts]
+    pairs = [(0, k, ((W_ID, l - 1, j),)) for k, j in enumerate(shifts)]
+    A = ca[0].astype(object)
+    want = sum((l - 1) * be.system.tstar_power(j).astype(object) @ A @ B.astype(object)
+               for j, B in zip(shifts, cb)) % l
+    return be, ca, cb, pairs, want
+
+
 # 15 (l-1)^2 < 2^24 <= 16 (l-1)^2: combine's largest inner dimension is its
 # column count, so 15 columns multiply in float32 and 16 in float64
 STRADDLE_L = math.isqrt((2**24 - 1) // 15) + 1
@@ -731,82 +759,59 @@ STRADDLE_L = math.isqrt((2**24 - 1) // 15) + 1
 def test_combine_exact_on_either_side_of_the_float32_bound(n, dtype):
     l = STRADDLE_L
     assert 15 * (l - 1) ** 2 < 2**24 <= 16 * (l - 1) ** 2
-    be = MatrixCoefficients(TstarStub(l))
-    rng = np.random.default_rng(n)
-    ca = [l - 1 - rng.integers(0, 2, size=(2, 2))]
-    cb = [l - 1 - rng.integers(0, 2, size=(2, 2)) for _ in range(n)]
     # n columns (0, k, 1), every scalar l - 1, all onto one output
-    pairs = [(0, k, ((W_ID, l - 1, 1),)) for k in range(n)]
-    T, A = be.system.T, ca[0].astype(object)
-    want = sum((l - 1) * T @ A @ B.astype(object) for B in cb) % l
-    dtypes = []
-    exact = gfp._matmul_residues
-
-    def product(X, Y, l):
-        dtypes.append(X.dtype)
-        return exact(X, Y, l)
-
-    gfp._matmul_residues = product
-    try:
+    be, ca, cb, pairs, want = tstar_inputs(l, [1] * n, n)
+    calls = []
+    with gfp_calls(calls):
         got = be.combine(ca, cb, pairs)
-    finally:
-        gfp._matmul_residues = exact
-    assert dtypes == [dtype] * 3
+    # the inputs and T* are the operands, both in the call's one precision
+    assert [c for c in calls if c != "reduce"] == [("residues", dtype)] * 2
     assert list(got) == [W_ID] and np.array_equal(got[W_ID], want)
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_combine_stage_raises_at_the_first_inexact_dimension(stage):
-    dims = []
-    out = combine_at_stage(stage, 31, dims)
-    assert dims == ([1, 1, 31] if stage == 3 else [31, 31, 1])
-    assert list(out) == [W_ID]
-    dims = []
+    # at l - 1 = 2^24 no unreduced entry stays exact through a second
+    # product, so every stage's input is reduced; at 32 the call is refused
+    # before its inputs are reduced, so before any product is formed
+    calls = []
+    out, want = combine_at_stage(stage, 31, calls)
+    f64 = ("residues", np.float64)
+    assert calls == [f64, "reduce", "reduce", f64, "reduce"]
+    assert list(out) == [W_ID] and np.array_equal(out[W_ID], want)
+    calls = []
     with pytest.raises(TooLarge, match="inner dimension 32"):
-        combine_at_stage(stage, 32, dims)
-    assert len(dims) == stage
+        combine_at_stage(stage, 32, calls)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n,dtype", [(15, np.float32), (16, np.float64)])
 def test_combine_two_shifts_exact_on_either_side_of_the_float32_bound(n, dtype):
-    # the n columns alternate between the shifts 1 and 2, so the call forms
-    # four products: the pairs, T*^1 and T*^2 on their columns, the sum
-    l = STRADDLE_L
-    be = MatrixCoefficients(TstarStub(l))
-    rng = np.random.default_rng(n)
-    ca = [l - 1 - rng.integers(0, 2, size=(2, 2))]
-    cb = [l - 1 - rng.integers(0, 2, size=(2, 2)) for _ in range(n)]
-    pairs = [(0, k, ((W_ID, l - 1, 1 + k % 2),)) for k in range(n)]
-    A = ca[0].astype(object)
-    want = sum((l - 1) * be.system.tstar_power(1 + k % 2).astype(object) @ A
-               @ B.astype(object) for k, B in enumerate(cb)) % l
-    dtypes = []
-    exact = gfp._matmul_residues
-
-    def product(X, Y, l):
-        dtypes.append(X.dtype)
-        return exact(X, Y, l)
-
-    gfp._matmul_residues = product
-    try:
+    # the n columns alternate between the shifts 1 and 2, so the call has
+    # three operands: the inputs, T*^1 and T*^2
+    be, ca, cb, pairs, want = tstar_inputs(STRADDLE_L, [1 + k % 2 for k in range(n)], n)
+    calls = []
+    with gfp_calls(calls):
         got = be.combine(ca, cb, pairs)
-    finally:
-        gfp._matmul_residues = exact
-    assert dtypes == [dtype] * 4
+    assert [c for c in calls if c != "reduce"] == [("residues", dtype)] * 3
     assert list(got) == [W_ID] and np.array_equal(got[W_ID], want)
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
 def test_combine_two_shifts_raise_at_each_stage(stage):
-    # the second T*^j product (stage 3) checks its own inner dimension too
-    dims = []
-    out = combine_at_stage(stage, 31, dims, shifts=(1, 2))
-    assert dims == ([1, 1, 1, 31] if stage == 4 else [31, 31, 31, 2])
-    assert list(out) == [W_ID]
-    dims = []
+    # the sums are reduced once before T*^1 and T*^2; after them, the two
+    # shifts add up to 2 x 31 x 2^48 >= 2^53 at dimension 31, so they are
+    # reduced before the add too, but to 2 x 2^48 at dimension 1
+    calls = []
+    out, want = combine_at_stage(stage, 31, calls, shifts=(1, 2))
+    f64 = ("residues", np.float64)
+    add = ["reduce"] if stage < 4 else []
+    assert calls == [f64, "reduce", "reduce", f64, f64, *add, "reduce"]
+    assert list(out) == [W_ID] and np.array_equal(out[W_ID], want)
+    calls = []
     with pytest.raises(TooLarge, match="inner dimension 32"):
-        combine_at_stage(stage, 32, dims, shifts=(1, 2))
-    assert len(dims) == stage
+        combine_at_stage(stage, 32, calls, shifts=(1, 2))
+    assert calls == []
 
 
 def test_combine_stages_raise_under_optimize():
@@ -817,18 +822,58 @@ from heckekit.errors import TooLarge
 from test_heckealg import combine_at_stage
 for stage in (1, 2, 3):
     combine_at_stage(stage, 31, [])
-    dims = []
+    calls = []
     try:
-        combine_at_stage(stage, 32, dims)
+        combine_at_stage(stage, 32, calls)
     except TooLarge:
-        print(stage, len(dims), __debug__)
+        print(stage, len(calls), __debug__)
 """ % os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(heckealg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([_sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "False", "2", "2", "False", "3", "3", "False"]
+    assert proc.stdout.split() == ["1", "0", "False", "2", "0", "False", "3", "0", "False"]
+
+
+# Each reduction that combine may skip, on either side of its bound: the
+# entry bound d(l-1)^2 . c(l-1) after the scalar sum of c columns, that
+# times d(l-1) after T*^j, and that times 2 after adding shifts 0 and 1,
+# at d = 2.  Below the exact limit only the last reduction is taken, at
+# or above it one more.
+def _skip_bound(stage, l, c):
+    r = l - 1
+    return {"sum": 2 * r**3 * c, "tstar": 4 * r**4 * c, "add": 8 * r**4 * c}[stage]
+
+
+SKIPS = [
+    ("sum", 101, 8, np.float32), ("sum", 101, 9, np.float32),
+    ("tstar", 31, 5, np.float32), ("tstar", 31, 6, np.float32),
+    ("add", 31, 2, np.float32), ("add", 31, 3, np.float32),
+    ("sum", 65543, 15, np.float64), ("sum", 65543, 16, np.float64),
+    ("tstar", 4099, 7, np.float64), ("tstar", 4099, 8, np.float64),
+    ("add", 4099, 3, np.float64), ("add", 4099, 4, np.float64),
+]
+
+
+@pytest.mark.parametrize("stage,l,c,dtype", SKIPS)
+def test_combine_skips_a_reduction_only_below_its_bound(stage, l, c, dtype):
+    limit = 2 ** (np.finfo(dtype).nmant + 1)
+    bound = _skip_bound(stage, l, c)
+    # the neighbouring count lies on the other side of the limit
+    other = _skip_bound(stage, l, c + 1 if bound < limit else c - 1)
+    assert (bound < limit) != (other < limit)
+    shifts = {"sum": [0] * c, "tstar": [1] * c, "add": [k % 2 for k in range(c)]}[stage]
+    be, ca, cb, pairs, want = tstar_inputs(l, shifts, c)
+    calls = []
+    with gfp_calls(calls):
+        got = be.combine(ca, cb, pairs)
+    assert calls[0] == ("residues", dtype)
+    assert calls.count("reduce") == (1 if bound < limit else 2)
+    ref = int64_combine(be, ca, cb, pairs)
+    assert list(got) == list(ref) == [W_ID]
+    assert got[W_ID].dtype == np.int64
+    assert np.array_equal(got[W_ID], ref[W_ID]) and np.array_equal(got[W_ID], want)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])

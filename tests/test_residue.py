@@ -16,15 +16,15 @@ from heckekit import residue
 from heckekit import verify
 from heckekit.errors import CellConflict, GapTooLarge, HeckeError, TooLarge, WindowExhausted
 from heckekit.gfp import GF, fq_rank
-from heckekit.modrep import build_coefficient_system
+from heckekit.modrep import build_coefficient_system, general_linear
 from heckekit.finhecke import FinElement, fin_mul
 from heckekit.residue import (
     _CAP,
     E,
     central_class,
     class_hits,
+    class_sums,
     coset_reps,
-    hits_at,
     in_parabolic,
     lmat_mul,
     oracle_product,
@@ -32,12 +32,13 @@ from heckekit.residue import (
     pair_count,
     parabolic_levi,
     support_window,
+    t_class,
     transversal,
     weyl_left,
     weyl_right,
 )
-from heckekit.weyl import W, W_ID, W_T, W_TINV, W_W, W_WP, diag, elements_in_window
-from reference import central_class_oracle_product, prefilter, two_sided_oracle_product
+from heckekit.weyl import W, W_ID, W_T, W_TINV, W_W, W_WP, diag, elements_in_window, t_power
+from reference import central_class_oracle_product, hits_at, prefilter, two_sided_oracle_product
 
 # ---------------------------------------------------------------------------
 # The reference: Laurent matrices as lists of dicts exponent -> code, the
@@ -355,19 +356,22 @@ def test_pair_bound_refuses_before_any_coset(monkeypatch):
     sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
     one = np.array([[1]], dtype=np.int64)
     class_hits.cache_clear()
+    class_sums.cache_clear()
     oracle_product(sys_, W_W, one, W_W, one)
-    assert class_hits.cache_info().currsize == 1
+    assert class_hits.cache_info().currsize == 1 and class_sums.cache_info().currsize == 1
     built = []
     monkeypatch.setattr(residue, "_unipotents", lambda *args: built.append(args))
     monkeypatch.setattr(residue, "_MAX_PAIRS", 23)  # W_W * W_W is 4 u-cosets x 6 cells at q = 4
     for eta in (W_W, W_W * diag(1, 1)):
         with pytest.raises(TooLarge, match="24 u-cosets x cells"):
             oracle_product(sys_, eta, one, W_W, one)
-    assert class_hits.cache_info().hits == 0
+    assert class_hits.cache_info().hits == 0 and class_sums.cache_info().hits == 0
     class_hits.cache_clear()
+    class_sums.cache_clear()
     with pytest.raises(TooLarge):
         oracle_product(sys_, W_W, one, W_W, one)
     assert built == [] and class_hits.cache_info().misses == 0
+    assert class_sums.cache_info().misses == 0
 
 
 # The oracle's f g and (f g) acc are int64 products of residues with inner
@@ -978,6 +982,7 @@ def test_class_geometry_is_shared_across_systems():
     rng = np.random.default_rng(7)
     eta, delta = diag(0, 2), W_T
     class_hits.cache_clear()
+    class_sums.cache_clear()
     oracle_product(first, eta, _random_coeff(rng, first, eta), delta,
                    _random_coeff(rng, first, delta))
     assert class_hits.cache_info().misses == 1 and class_hits.cache_info().hits == 0
@@ -1010,19 +1015,71 @@ def test_t_translates_match_direct_geometry(k, q):
                 assert class_hits(k, q, e, d) == hits_at(k, q, e, d), (e, d)
 
 
+class AsymmetricSystem:
+    """What class_sums reads of a system: k, q, l, dim, M.of_code and
+    sigma, here a table of random matrices indexed by the two Levi factors,
+    not a representation, so that sigma(m1, m2) != sigma(m2, m1); every
+    system the program builds is symmetric in its two factors.  Each call
+    of sigma is recorded in `calls`."""
+
+    def __init__(self, k, q, l=7, dim=2):
+        self.k, self.q, self.l, self.dim = k, q, l, dim
+        self.M = general_linear(k, GF(q))
+        self.table = np.random.default_rng(k * q).integers(0, l, (self.M.n, self.M.n, dim, dim))
+        self.calls = []
+
+    def sigma(self, m1, m2):
+        self.calls.append((m1, m2))
+        return self.table[m1, m2]
+
+
+@pytest.mark.parametrize("k,q", [(1, 4), (2, 2)])
+def test_class_sums_swap_the_levi_codes_for_odd_n(k, q):
+    # for all 100 class pairs, class_sums at the t-class representatives
+    # and the parity of n, its cells carried to t^m eps t^n, against the
+    # sums formed from class_hits solved directly at the pair itself.  In
+    # every cell the Levi pairs (c1, c2) and (c2, c1) come with equal
+    # counts, so no sum can tell whether the codes were swapped; the
+    # sequence of sigma calls, in class_hits' order, can
+    sys_ = AsymmetricSystem(k, q)
+    assert not np.array_equal(sys_.table, sys_.table.swapaxes(0, 1))
+    of_code = sys_.M.of_code
+    for eta in CLASSES:
+        for delta in CLASSES:
+            (eta0, m), (delta0, n) = t_class(eta, True), t_class(delta, False)
+            cells, S = class_sums(sys_, eta0, delta0, n % 2 == 1)
+            direct = class_hits(k, q, eta, delta)
+            sys_.calls = []
+            want = []
+            for eps, levis in direct:
+                acc = sum(count * sys_.sigma(of_code[c1], of_code[c2])
+                          for (c1, c2), count in levis) % sys_.l
+                if acc.any():
+                    want.append((eps, acc))
+            called, sys_.calls = sys_.calls, []
+            class_sums.__wrapped__(sys_, eta0, delta0, n % 2 == 1)  # past the cache
+            assert sys_.calls == called, (eta, delta)
+            assert [t_power(m) * eps * t_power(n) for eps in cells] == [e for e, _ in want]
+            assert S.shape == (len(want), 2, 2) and not S.flags.writeable
+            assert all(np.array_equal(a, b) for a, (_, b) in zip(S, want)), (eta, delta)
+
+
 @pytest.mark.parametrize("k,q", [(1, 4), (2, 2)])
 def test_one_solve_per_t_orbit(k, q):
     # the 100 class pairs of a (k, q) fall into 25 t-orbits of 4, each
-    # solved once
+    # solved once; the sums are formed once per orbit and parity of n
     sys_ = build_coefficient_system(k, q, 3, rho="trivial" if k == 1 else "sign", mode="pp")
     rng = np.random.default_rng(5)
     class_hits.cache_clear()
+    class_sums.cache_clear()
     for eta in CLASSES:
         for delta in CLASSES:
             oracle_product(sys_, eta, _random_coeff(rng, sys_, eta), delta,
                            _random_coeff(rng, sys_, delta))
     info = class_hits.cache_info()
-    assert (info.misses, info.hits) == (25, 75)
+    assert (info.misses, info.hits) == (25, 25)
+    info = class_sums.cache_info()
+    assert (info.misses, info.hits) == (50, 50)
 
 
 @pytest.mark.parametrize("args,bound", [
@@ -1074,10 +1131,11 @@ def test_two_cells_raise_typed_error(monkeypatch):
     sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
     one = np.array([[1]], dtype=np.int64)
     class_hits.cache_clear()
+    class_sums.cache_clear()
     monkeypatch.setattr(residue, "_solve", _one_v(residue._solve))
     with pytest.raises(CellConflict):
         oracle_product(sys_, W_W, one, W_W, one)
-    assert class_hits.cache_info().currsize == 0
+    assert class_hits.cache_info().currsize == 0 and class_sums.cache_info().currsize == 0
     monkeypatch.undo()
     out = oracle_product(sys_, W_W, one, W_W, one)
     assert class_hits.cache_info().misses == 2 and class_hits.cache_info().currsize == 1
