@@ -14,14 +14,13 @@ Exit codes: 0 all good, 1 a verification check failed, 2 bad usage, a
 symbol that does not parse, or a configuration the engine rejects.
 
 `mul` runs on the free backend and needs no numpy; the numpy-backed
-modules (verify, finhecke, modrep) are imported inside the commands that
-use them, so a `mul` call never loads them.
+modules (verify, finhecke, modrep) and json are imported only where they
+are used, so a `mul` call never loads them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -117,6 +116,13 @@ def _images_json(sys_):
     return out
 
 
+def _write_report(path, report):
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+
+
 def cmd_fpoly(args):
     if args.compare:
         a, b = args.compare
@@ -141,8 +147,7 @@ def cmd_fpoly(args):
                 "right": dict(cp2.to_json(), images=_images_json(sys2)),
                 "equal": equal,
             }
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=2)
+            _write_report(args.json, report)
         return 0
     sys_, cp = _fpoly_side(args.k, args.q, args.l, args.rep, args.mode)
     print("F = %s" % cp)
@@ -150,8 +155,7 @@ def cmd_fpoly(args):
           % (cp.k, cp.q, cp.l, cp.rho, cp.mode, cp.tau))
     print("T* minimal polynomial: %s" % vf_poly(cp))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(dict(cp.to_json(), images=_images_json(sys_)), fh, indent=2)
+        _write_report(args.json, dict(cp.to_json(), images=_images_json(sys_)))
     return 0
 
 
@@ -227,8 +231,7 @@ def cmd_verify(args):
         print("[%s] %-24s %s" % (tag, r.name, r.detail))
     if args.json:
         report = {"suite": args.suite, "checks": [r.to_json() for r in rows]}
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
+        _write_report(args.json, report)
     failed = [r for r in rows if not r.ok]
     if failed:
         print("%d of %d checks failed" % (len(failed), len(rows)), file=sys.stderr)

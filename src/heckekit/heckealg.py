@@ -27,9 +27,10 @@ miss, then hands the whole product to one backend call, `combine`, with
 shifts 0 and 1 only.  The matrix backend does it in three float products,
 all pairwise coefficient products as one stacked product, the scalar sums
 of every shift as one gemm and T*^j on the sum of each shift j > 0, then
-adds the shifts and reduces mod l once.  The free backend forms each
-pair's word product once and adds s times it, shifted by j, straight into
-the outputs.
+adds the shifts and reduces mod l once; a pair whose product is exactly 0
+gets no scalar sum, and a call where all are 0 stops after the first
+product.  The free backend forms each pair's word product once and adds s
+times it, shifted by j, straight into the outputs.
 
 The inputs are reduced into [0, l) once.  Every product of the call is an
 integer of known bound, so an intermediate is reduced only where the next
@@ -83,15 +84,17 @@ class MatrixCoefficients:
     def combine(self, ca, cb, pairs):
         """Sum of s * T*^j * ca[i] * cb[k] over pairs (i, k, ((eps, s, j), ...)).
 
-        P = every ca[i].cb[k], the d x d blocks (na, 1) against (1, nb); the
-        scalar sums C.P for all shifts j at once, C holding s at (j, eps,
-        pair); T*^j on each sum of a shift j > 0; the shifts added and
-        reduced mod l, as one int64 array of shape (outputs, d, d).  Entries
-        are integers of at most d(l-1)^2 after P, times columns(l-1) after
-        the sums (columns being the distinct (i, k, j)), times d(l-1) after
-        T*^j, times the number of shifts after the add; a stage's input is
-        reduced first, its bound becoming l-1, only where its output's
-        bound would reach the exact limit of the call's precision.
+        P = every ca[i].cb[k], the d x d blocks (na, 1) against (1, nb), less
+        the entries of pairs whose P is 0 ({} if none is left); the scalar
+        sums C.P for all shifts j at once, C holding s at (j, eps, pair), the
+        outputs indexed by first mention, vanishing pairs included; T*^j on
+        each sum of a shift j > 0; the shifts added and reduced mod l, as one
+        int64 array of shape (outputs, d, d).  Entries are integers of at most
+        d(l-1)^2 after P, times columns(l-1) after the sums (columns being the
+        distinct (i, k, j), vanishing or not), times d(l-1) after T*^j, times
+        the number of shifts after the add; a stage's input is reduced first,
+        its bound becoming l-1, only where its output's bound would reach the
+        exact limit of the call's precision.
 
         `mul` passes j in {0, 1} only, each (eps, j) once per pair; j >= 2
         and several shifts j > 0 in one call come only from direct calls,
@@ -117,6 +120,10 @@ class MatrixCoefficients:
         R = _residues(np.concatenate([*ca, *cb]), l, dtype)  # ca stacked, then cb
         A, B = R[: na * d].reshape(na, 1, d, d), R[na * d :].reshape(1, nb, d, d)
         P, top = (A @ B).reshape(na * nb, d * d), d * r * r  # P[i nb + k] = ca[i].cb[k]
+        live = P.any(axis=1).tolist()  # an exact float 0 is the integer 0
+        entries = [x for x in entries if live[x[2]]]
+        if not entries:
+            return {}
         if top * len(cols) * r >= limit:
             P, top = _reduce(P, l), r
         top *= len(cols) * r

@@ -408,7 +408,7 @@ def oracle_product(sys, eta, f, delta, g):
     residues, so dim*(l-1)^2 must be below 2^63.  With eta = t^m eta0 and
     delta = delta0 t^n, every cell is one product (f g) S_eps of
     class_sums at (eta0, delta0) and the parity of n, carried to
-    t^m eps t^n."""
+    t^m eps t^n; f g = 0 mod l returns {} before it, after every refusal."""
     k, l = sys.k, sys.l
     if sys.dim * (l - 1) ** 2 >= 2**63:
         raise TooLarge("dim %d mod l=%d is not exact in int64" % (sys.dim, l))
@@ -416,5 +416,7 @@ def oracle_product(sys, eta, f, delta, g):
     (eta0, m), (delta0, n) = t_class(eta, True), t_class(delta, False)
     cells, S = class_sums(sys, eta0, delta0, n % 2 == 1)
     fg = (np.asarray(f, dtype=np.int64) % l) @ (np.asarray(g, dtype=np.int64) % l) % l
+    if not fg.any():
+        return {}
     tm, tn = t_power(m), t_power(n)
     return {tm * eps * tn: h for eps, h in zip(cells, fg @ S % l) if h.any()}

@@ -87,8 +87,9 @@ def _diag_word(x, y):
 def word_of(e):
     """Canonical reduced word (alpha, letters) with e = t^alpha . letters.
 
-    The cache keeps the 1,024 most recent words: render meets every
-    printed term once, and a long product prints many long ones."""
+    The cache keeps the 1,024 most recent words, so that it stays bounded
+    however many long factors a product meets; render builds its text from
+    (x, y, flip) and does not fill it."""
     alpha, letters = _diag_word(e.x, e.y)
     if e.flip:
         if letters and letters[-1] == "w":
@@ -117,9 +118,11 @@ def elements_in_window(bound):
 
 
 def render(e):
-    alpha, letters = word_of(e)
-    bits = []
-    if alpha:
-        bits.append("t" if alpha == 1 else "t^%d" % alpha)
-    bits.extend(letters)
-    return ".".join(bits) if bits else "1"
+    """t^alpha . letters as text from (x, y, flip): the |c| letters, c = y -
+    x - flip, alternate and end in w exactly when c >= 0 and flip differ."""
+    alpha, c = e.x + e.y, e.y - e.x - e.flip
+    last, other = ("w", "w'") if (c >= 0) != e.flip else ("w'", "w")
+    pair, n = other + "." + last, abs(c)
+    word = ((last if n % 2 else pair) + ("." + pair) * ((n - 1) // 2)) if n else ""
+    t = "" if not alpha else "t" if alpha == 1 else "t^%d" % alpha
+    return ".".join(filter(None, (t, word))) or "1"

@@ -415,6 +415,16 @@ def splitting_cover(rep):
     return RepModule(G, acts, l, name="P(%s)" % rep.name), e, len(hits)
 
 
+def word_render(e):
+    """weyl.render as it was: the word of word_of joined letter by letter."""
+    alpha, letters = word_of(e)
+    bits = []
+    if alpha:
+        bits.append("t" if alpha == 1 else "t^%d" % alpha)
+    bits.extend(letters)
+    return ".".join(bits) if bits else "1"
+
+
 def letter_symbol_product(eta, delta, l, tau):
     """HeckeEngine.symbol_product as it was before its closed form: one
     pass over the letters of delta by the quadratic relation, every letter
@@ -484,6 +494,20 @@ def int64_combine(be, ca, cb, pairs):
     Y = matmul_mod(C, X.reshape(len(cols), d * d), l)
     keep = Y.any(axis=1)
     return {eps: Y[r].reshape(d, d) for eps, r in outs.items() if keep[r]}
+
+
+def object_combine(be, ca, cb, pairs):
+    """MatrixCoefficients.combine on Python ints: each term s T*^j ca[i]
+    cb[k] in object dtype, added into its output; outputs in order of first
+    mention, those that are 0 mod l dropped, the rest reduced into int64."""
+    out = {}
+    for i, k, terms in pairs:
+        c = np.asarray(ca[i], dtype=object) @ np.asarray(cb[k], dtype=object)
+        for eps, s, j in terms:
+            term = s * be.system.tstar_power(j).astype(object) @ c
+            out[eps] = out[eps] + term if eps in out else term
+    out = {eps: c % be.l for eps, c in out.items()}
+    return {eps: c.astype(np.int64) for eps, c in out.items() if c.any()}
 
 
 def term_combine(be, ca, cb, pairs):

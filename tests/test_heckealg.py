@@ -15,6 +15,7 @@ from reference import (
     grade,
     int64_combine,
     letter_symbol_product,
+    object_combine,
     shape_class,
     term_combine,
 )
@@ -430,8 +431,9 @@ def test_long_cancelling_pair_in_bounded_time():
 
 
 def test_rendering_a_long_product_keeps_word_of_bounded():
-    # every printed term passes through word_of once; 2,001 distinct terms
-    # of up to 4,000 letters must not all stay cached
+    # the product and the printing of 2,001 distinct terms of up to 4,000
+    # letters must not leave them all in word_of's cache (render reads
+    # (x, y, flip) and no longer fills it)
     eng = HeckeEngine(FreeCoefficients({"f": 1}, 7, 3))
     eta, delta = cancelling_pair(2000, 2, 5)
     printed = [render(eps) for eps, _, _ in eng.symbol_product(eta, delta)]
@@ -874,6 +876,100 @@ def test_combine_skips_a_reduction_only_below_its_bound(stage, l, c, dtype):
     assert list(got) == list(ref) == [W_ID]
     assert got[W_ID].dtype == np.int64
     assert np.array_equal(got[W_ID], ref[W_ID]) and np.array_equal(got[W_ID], want)
+
+
+# ---------------------------------------------------------------------------
+# pairs whose product is exactly 0 get no scalar sum
+
+SPARSE = (1, 4, 3, "trivial", "pp")  # dim 18, the oracle window's system
+
+
+def check_combine(be, ca, cb, pairs, calls=None):
+    """be.combine, recording its gfp calls in `calls`, checked against
+    int64_combine and object_combine: the same keys in the same order and
+    equal int64 arrays."""
+    with gfp_calls([] if calls is None else calls):
+        got = be.combine(ca, cb, pairs)
+    for ref in (int64_combine(be, ca, cb, pairs), object_combine(be, ca, cb, pairs)):
+        assert list(got) == list(ref)
+        for eps, c in ref.items():
+            assert got[eps].dtype == np.int64 and np.array_equal(got[eps], c)
+    return got
+
+
+def unit(d, r, c):
+    """The d x d matrix unit with its 1 at (r, c)."""
+    E = np.zeros((d, d), dtype=np.int64)
+    E[r, c] = 1
+    return E
+
+
+def test_combine_of_vanishing_pairs_forms_no_scalar_sum():
+    # E_r0 E_1c = 0: the inputs are reduced, and then nothing is formed
+    sys_, eng = matrix_engine(*SPARSE)
+    d = sys_.dim
+    ca, cb = [unit(d, 0, 0), unit(d, 1, 0)], [unit(d, 1, 1), unit(d, 1, 2)]
+    pairs = [(i, k, ((W_ID, 1, 0), (W_W, 2, 1))) for i in range(2) for k in range(2)]
+    calls = []
+    assert check_combine(eng.be, ca, cb, pairs, calls) == {}
+    assert calls == [("residues", np.float32)]
+    # the refusal still comes first, from every column, vanishing or not
+    zero = np.zeros((32, 32), dtype=np.int64)
+    for n, dtype in ((31, np.float64), (32, None)):
+        be, calls = MatrixCoefficients(StubSystem(n)), []
+        ca = cb = [zero[:n, :n]]
+        if dtype is None:
+            with gfp_calls(calls), pytest.raises(TooLarge, match="inner dimension 32"):
+                be.combine(ca, cb, [(0, 0, ((W_ID, 1, 1),))])
+            assert calls == []
+        else:
+            assert check_combine(be, ca, cb, [(0, 0, ((W_ID, 1, 1),))], calls) == {}
+            assert calls == [("residues", dtype)]
+
+
+def test_combine_keeps_the_key_order_of_a_vanishing_pair():
+    # W_W is first named by the vanishing pair E_00 E_11, then by the live
+    # pair E_00 E_01 after W_ID: the outputs stay in order of first mention
+    sys_, eng = matrix_engine(*SPARSE)
+    d = sys_.dim
+    ca, cb = [unit(d, 0, 0)], [unit(d, 1, 1), unit(d, 0, 1)]
+    pairs = [(0, 0, ((W_W, 1, 0),)), (0, 1, ((W_ID, 1, 0), (W_W, 2, 1)))]
+    assert list(check_combine(eng.be, ca, cb, pairs)) == [W_W, W_ID]
+
+
+def test_combine_keeps_pairs_that_vanish_only_mod_l():
+    # all-ones 18 x 18 matrices multiply to 18 times all-ones: not 0, so
+    # the pair is kept and its sums formed, but 0 mod 3, so the answer is {}
+    sys_, eng = matrix_engine(*SPARSE)
+    ones = np.ones((sys_.dim, sys_.dim), dtype=np.int64)
+    calls = []
+    assert check_combine(eng.be, [ones], [ones], [(0, 0, ((W_ID, 1, 0), (W_W, 2, 1)))],
+                         calls) == {}
+    assert calls == [("residues", np.float32)] * 2 + ["reduce"]
+
+
+@pytest.mark.parametrize("n,dtype", [(15, np.float32), (16, np.float64)])
+def test_combine_picks_the_precision_from_vanishing_columns_too(n, dtype):
+    # the straddling columns of the bound test with every other cb[k] = 0:
+    # the precision is still that of all n columns
+    be, ca, cb, pairs, _ = tstar_inputs(STRADDLE_L, [1] * n, n)
+    cb = [B if k % 2 else 0 * B for k, B in enumerate(cb)]
+    calls = []
+    assert list(check_combine(be, ca, cb, pairs, calls)) == [W_ID]
+    assert [c for c in calls if c != "reduce"] == [("residues", dtype)] * 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_combine_of_basis_intertwiners_matches_the_references(seed):
+    # the basis intertwiners are sparse, and half of their products are 0
+    sys_, eng = matrix_engine(*SPARSE)
+    rng = np.random.default_rng(seed)
+    basis = [*sys_.I1, *sys_.Iw]
+    ca, cb = ([basis[i] for i in rng.choice(len(basis), 6)] for _ in range(2))
+    pairs = random_pairs(rng, 6, 6, sys_.l, elements_in_window(2))
+    live = [bool((ca[i] @ cb[k]).any()) for i, k, terms in pairs if terms]
+    assert any(live) and not all(live)
+    check_combine(eng.be, ca, cb, pairs)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])

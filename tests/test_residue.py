@@ -1198,3 +1198,65 @@ with mock.patch.object(residue, "p_eta_pattern", lambda eta: (1, 2)):
         print("GapTooLarge", __debug__)
 """
     assert _run_optimized(script) == ["GapTooLarge", "False"]
+
+
+def _vanishing_basis_pairs(sys_):
+    """{(parity of f, parity of g): [(f, g), ...]} over basis pairs with
+    f g = 0 mod l."""
+    l = sys_.l
+    return {(a, b): [(f, g) for f in sys_.basis(a) for g in sys_.basis(b)
+                     if not (f @ g % l).any()]
+            for a in (0, 1) for b in (0, 1)}
+
+
+def test_vanishing_basis_products_give_nothing():
+    # every pair of the bound-2 window, gap > 2 included, each with the
+    # next basis pair whose f g is 0 mod l: {} as the reference finds, or
+    # the same refusal
+    sys_ = build_coefficient_system(1, 4, 3, rho="trivial", mode="pp")
+    vanishing = _vanishing_basis_pairs(sys_)
+    assert all(vanishing.values())
+    window = elements_in_window(2)
+    answered = 0
+    for n, (eta, delta) in enumerate(iproduct(window, window)):
+        pool = vanishing[int(eta.flip), int(delta.flip)]
+        f, g = pool[n % len(pool)]
+        try:
+            want = central_class_oracle_product(sys_, eta, f, delta, g)
+        except HeckeError as err:
+            with pytest.raises(type(err)):
+                oracle_product(sys_, eta, f, delta, g)
+            continue
+        assert want == {} and oracle_product(sys_, eta, f, delta, g) == {}, (eta, delta)
+        answered += 1
+    assert answered == len(verify.oracle_window(2)) ** 2
+
+
+def test_zero_coefficients_are_refused_first(monkeypatch):
+    # f g = 0 ends the oracle only after its int64 check, pair_count and
+    # the class_sums read, so each refusal comes first
+    sys_ = build_coefficient_system(1, 4, 5, rho="trivial", mode="plain")
+    one, zero = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    for f, g in ((zero, one), (one, zero), (zero, zero)):
+        with pytest.raises(GapTooLarge):
+            oracle_product(sys_, W_W, f, diag(0, 3), g)
+        with monkeypatch.context() as m:
+            m.setattr(residue, "_MAX_PAIRS", 23)  # W_W * W_W: 4 u-cosets x 6 cells
+            with pytest.raises(TooLarge, match="24 u-cosets x cells"):
+                oracle_product(sys_, W_W, f, W_W, g)
+        class_hits.cache_clear()
+        class_sums.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(residue, "_solve", _one_v(residue._solve))
+            with pytest.raises(CellConflict):
+                oracle_product(sys_, W_W, f, W_W, g)
+        assert oracle_product(sys_, W_W, f, W_W, g) == {}
+    # 2147483659 is the first prime past the int64 bound at dim 2
+    edge = build_coefficient_system(1, 4, 2147483659, rho="trivial", mode="pp")
+    zero = np.zeros((2, 2), dtype=np.int64)
+    class_hits.cache_clear()
+    class_sums.cache_clear()
+    for f, g in ((zero, edge.I1[0]), (edge.I1[0], zero), (zero, zero)):
+        with pytest.raises(TooLarge, match="not exact in int64"):
+            oracle_product(edge, W_ID, f, W_ID, g)
+    assert class_hits.cache_info().misses == class_sums.cache_info().misses == 0

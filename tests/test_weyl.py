@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ends_on_w, grade, shape_class
+from reference import ends_on_w, grade, shape_class, word_render
 
 from heckekit.weyl import (
     W,
@@ -120,6 +120,20 @@ def test_render():
     assert render(W_T) == "t"
     assert render(diag(0, 2)) == "t^2.w'.w"
     assert render(W(0, -1, False)) == "t^-1.w'"
+
+
+def test_render_matches_the_word_join():
+    # render spells the word from (x, y, flip); word_render joins word_of's
+    # letters: every element with |x|, |y| <= 64, and words of 4,000 and
+    # 8,000 letters of either sign of y - x, either flip and either ending
+    elems = elements_in_window(64)
+    for n in (4000, 8000):
+        for x in (-3, 0, 1, 5):
+            for flip in (False, True):
+                elems += [W(x, x + n + flip, flip), W(x, x - n + flip, flip)]
+    for e in elems:
+        assert render(e) == word_render(e), e
+    assert len(render(W(1, 8002, True)).split(".")) == 8001
 
 
 # sha256 over elements_in_window(3): (hash, repr) of each element, then
