@@ -21,25 +21,21 @@ x = eta.t^alpha and m = (l(x) + n - l(eta.delta)) / 2 cancelled letters,
 m + 1 terms of distinct lengths, shifts 0 and 1 only.  The scalars
 (s, j) do not depend on the coefficients and get memoised per engine.
 
-`mul` gathers, for every pair of terms, the structure constants
-(eps, s, j), reading the memo itself and calling symbol_product only on a
-miss, then hands the whole product to one backend call, `combine`, with
-shifts 0 and 1 only.  The matrix backend does it in three float products,
-all pairwise coefficient products as one stacked product, the scalar sums
-of every shift as one gemm and T*^j on the sum of each shift j > 0, then
-adds the shifts and reduces mod l once; a pair whose product is exactly 0
-gets no scalar sum, and a call where all are 0 stops after the first
-product.  The free backend forms each pair's word product once and adds s
-times it, shifted by j, straight into the outputs.
+`mul` gathers the structure constants (eps, s, j) of every pair of terms,
+reading the memo itself and calling symbol_product only on a miss, and
+hands the whole product to one backend call, `combine`.  The matrix
+backend stacks all pairwise coefficient products P (stopping if all are
+0) and T*^j.P for each shift j > 0, so that a term is a row, and gathers
+each output's few rows (a pair has m + 1 terms); the free backend adds s
+times each pair's word product, shifted by j, straight into the outputs.
 
 The inputs are reduced into [0, l) once.  Every product of the call is an
 integer of known bound, so an intermediate is reduced only where the next
-stage could leave the integers its precision holds exactly, the delayed
-reduction of Dumas, Giorgi and Pernet's FFLAS (ACM TOMS 35, 2008).  The
-precision serves the whole call and is picked, with the refusal, before
-any product, from its largest inner dimension n = max(dim, columns):
-float32 when n*(l-1)^2 is below 2^24, float64 otherwise, and TooLarge
-unless it is below 2^53.  The outputs become int64 once.
+stage could leave the integers its precision holds exactly (the delayed
+reduction of Dumas, Giorgi and Pernet's FFLAS, ACM TOMS 35, 2008), and the
+outputs once.  One precision serves the call, picked with the refusal
+before any product from its largest inner dimension n = max(dim, columns):
+float32 when n*(l-1)^2 < 2^24, float64 otherwise, TooLarge unless < 2^53.
 
 Only the matrix backend loads numpy and gfp, inside its own methods; the
 free backend and the engine need neither, so `heckekit mul` starts
@@ -48,6 +44,7 @@ without them.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd
 
 from .errors import BadCharacteristic, ParityViolation
@@ -84,21 +81,18 @@ class MatrixCoefficients:
     def combine(self, ca, cb, pairs):
         """Sum of s * T*^j * ca[i] * cb[k] over pairs (i, k, ((eps, s, j), ...)).
 
-        P = every ca[i].cb[k], the d x d blocks (na, 1) against (1, nb), less
-        the entries of pairs whose P is 0 ({} if none is left); the scalar
-        sums C.P for all shifts j at once, C holding s at (j, eps, pair), the
-        outputs indexed by first mention, vanishing pairs included; T*^j on
-        each sum of a shift j > 0; the shifts added and reduced mod l, as one
-        int64 array of shape (outputs, d, d).  Entries are integers of at most
-        d(l-1)^2 after P, times columns(l-1) after the sums (columns being the
-        distinct (i, k, j), vanishing or not), times d(l-1) after T*^j, times
-        the number of shifts after the add; a stage's input is reduced first,
-        its bound becoming l-1, only where its output's bound would reach the
-        exact limit of the call's precision.
+        P = every ca[i].cb[k], the d x d blocks (na, 1) against (1, nb) ({}
+        if every P is 0), is block 0 of a stack and T*^j.P, for each shift
+        j > 0 in order of first mention, the next, so that a term (i, k, j)
+        is a row.  Each output, indexed by first mention, sums its terms'
+        rows rank by rank (rank t: the t-th term of every output that has
+        one), reduced mod l once into one int64 array (outputs, d, d).
+        Entries are integers of at most d(l-1)^2 after P, times d(l-1) after
+        T*^j, times ranks(l-1) after the sums (ranks <= columns, the distinct
+        (i, k, j)); a stage's input is reduced first, its bound becoming l-1,
+        only where its output's bound would reach the precision's exact limit.
 
-        `mul` passes j in {0, 1} only, each (eps, j) once per pair; j >= 2
-        and several shifts j > 0 in one call come only from direct calls,
-        such as the stage and two-shift tests of combine.
+        `mul` passes j in {0, 1} only; other shifts come from direct calls.
         """
         import numpy as np
 
@@ -106,46 +100,48 @@ class MatrixCoefficients:
 
         d, l, r = self.system.dim, self.l, self.l - 1
         na, nb = len(ca), len(cb)
-        cols, shifts, outs, entries = set(), {}, {}, []
+        cols, shifts, outs = set(), {0: 0}, {}  # shift j -> its block; eps -> terms (row, s)
         for i, k, terms in pairs:
             for eps, s, j in terms:
-                cols.add((i, k, j))
-                entries.append((shifts.setdefault(j, len(shifts)),
-                                outs.setdefault(eps, len(outs)), i * nb + k, s))
-        if not entries:
+                row = (shifts.setdefault(j, len(shifts)) * na + i) * nb + k
+                cols.add(row)  # the stack's row of (i, k, j)
+                outs.setdefault(eps, []).append((row, s))
+        if not outs:
             return {}
         dtype = _exact_dtype(max(d, len(cols)), l)
         limit = _exact_bound(d, l, dtype)
         _exact_bound(len(cols), l, dtype)
         R = _residues(np.concatenate([*ca, *cb]), l, dtype)  # ca stacked, then cb
         A, B = R[: na * d].reshape(na, 1, d, d), R[na * d :].reshape(1, nb, d, d)
-        P, top = (A @ B).reshape(na * nb, d * d), d * r * r  # P[i nb + k] = ca[i].cb[k]
-        live = P.any(axis=1).tolist()  # an exact float 0 is the integer 0
-        entries = [x for x in entries if live[x[2]]]
-        if not entries:
+        Q = np.empty((len(shifts), na, nb, d, d), dtype)  # the stack: block of j = T*^j.P
+        P, top = np.matmul(A, B, out=Q[0]), d * r * r  # P[i, k] = ca[i].cb[k]
+        if not P.any():  # an exact float 0 is the integer 0
             return {}
-        if top * len(cols) * r >= limit:
-            P, top = _reduce(P, l), r
-        top *= len(cols) * r
-        C = np.zeros((len(shifts), len(outs), na * nb), dtype)
-        sh, e, p, s = zip(*entries)
-        C[sh, e, p] = s  # each (eps, j) once per pair, s in [1, l): no sum needed
-        S = (C.reshape(-1, na * nb) @ P).reshape(len(shifts), len(outs), d, d)
-        if any(shifts):
+        if len(shifts) > 1:
             if top * d * r >= limit:
-                S, top = _reduce(S, l), r
-            for x, j in enumerate(shifts):
-                if j:
-                    S[x] = _residues(self.system.tstar_power(j), l, dtype) @ S[x]
+                P, top = _reduce(P, l), r
+            for j, x in list(shifts.items())[1:]:
+                np.matmul(_residues(self.system.tstar_power(j), l, dtype), P, out=Q[x])
             top *= d * r
-        if len(shifts) * top >= limit:
-            _reduce(S, l)
-        Y = S[0]
-        for Z in S[1:]:
-            Y += Z
-        keep = _reduce(Y, l).any(axis=(1, 2)).tolist()
-        Y = Y.astype(np.int64)
-        return {eps: Y[row] for eps, row in outs.items() if keep[row]}
+        Q = Q.reshape(-1, d * d)
+        ranks = list(zip_longest(*outs.values()))  # ranks[t][o]: term t of output o
+        if top * r * len(ranks) >= limit:
+            _reduce(Q, l)
+
+        def gathered(terms):  # the rows of terms (row, s), each times its s
+            qs, ss = zip(*terms)
+            G = Q[list(qs)]
+            if ss.count(1) < len(ss):
+                G *= np.array(ss, dtype)[:, None]
+            return G
+
+        Y = gathered(ranks[0])  # rank 0 holds every output, in order
+        for rank in ranks[1:]:
+            rows = [o for o, x in enumerate(rank) if x]
+            Y[rows] += gathered([rank[o] for o in rows])
+        keep = _reduce(Y, l).any(axis=1).tolist()
+        Y = Y.astype(np.int64).reshape(-1, d, d)
+        return {eps: y for eps, y, live in zip(outs, Y, keep) if live}
 
     def add(self, a, b):
         return (a + b) % self.l
@@ -187,33 +183,36 @@ class FreeCoefficients:
                 raise KeyError("unknown generator %r" % (n,))
         return {(tuple(names), j): 1}
 
-    def compose(self, a, b):
+    @staticmethod
+    def _unreduced_product(a, b):
         out = {}
         for (w1, j1), s1 in a.items():
             for (w2, j2), s2 in b.items():
                 key = (w1 + w2, j1 + j2)
-                out[key] = (out.get(key, 0) + s1 * s2) % self.l
-        return {k: v for k, v in out.items() if v}
+                out[key] = out.get(key, 0) + s1 * s2
+        return out
+
+    def compose(self, a, b):
+        return {k: v % self.l for k, v in self._unreduced_product(a, b).items() if v % self.l}
 
     def tstar(self, c, j):
         return {(wrd, jj + j): s % self.l for (wrd, jj), s in c.items() if s % self.l}
 
     def combine(self, ca, cb, pairs):
         """Sum of s * T*^j * ca[i] * cb[k]: each pair's word product once,
-        then s times it, its shifts moved by j, added into the outputs in
-        place; zeros are dropped once, at the end.
+        then s times it, its shifts moved by j, added into the outputs on
+        Python ints; reduced mod l, zeros dropped, once at the end.
 
-        `mul` passes j in {0, 1} only, each (eps, j) once per pair; larger
-        shifts come only from direct calls, such as the tests of combine."""
+        `mul` passes j in {0, 1} only; other shifts come from direct calls."""
         l, out = self.l, {}
         for i, k, terms in pairs:
-            c = self.compose(ca[i], cb[k])
+            c = self._unreduced_product(ca[i], cb[k])
             for eps, s, j in terms:
                 acc = out.setdefault(eps, {})
                 for (wrd, jj), v in c.items():
                     key = (wrd, jj + j)
-                    acc[key] = (acc.get(key, 0) + s * v) % l
-        out = {eps: {key: v for key, v in acc.items() if v} for eps, acc in out.items()}
+                    acc[key] = acc.get(key, 0) + s * v
+        out = {eps: {key: v % l for key, v in acc.items() if v % l} for eps, acc in out.items()}
         return {eps: acc for eps, acc in out.items() if acc}
 
     def add(self, a, b):

@@ -663,6 +663,28 @@ def test_free_combine_matches_term_combine(inputs):
         assert got == {}
 
 
+def test_free_backend_reduces_once_at_the_end():
+    # at l = 3 the raw sums 3 (compose), 6 and 12 (combine) are multiples
+    # of l and dropped, an input scalar of 4 counts as 1, and what is left
+    # is reduced into [0, l)
+    be = FreeCoefficients({"a": 0, "b": 1}, 3, 1)
+    a = {(("a",), 0): 4, ((), 0): 1}
+    b = {((), 0): 1, (("a",), 0): 2}
+    ab = {((), 0): 1, (("a", "a"), 0): 2}  # a.() + ().a = 4 + 2 = 6 is 0
+    assert be.compose(a, b) == ab
+    ca, cb = [a, a, {((), 1): 2}], [b, {(("b",), 0): 2}]
+    pairs = [
+        (0, 0, ((W_ID, 2, 0), (W_W, 1, 1))),
+        (1, 0, ((W_ID, 1, 0), (W_W, 2, 1))),  # W_ID: 3 ab, W_W: 3 ab shifted
+        (2, 1, ((W_T, 2, 0),)), (2, 1, ((W_T, 2, 0),)), (2, 1, ((W_T, 2, 0),)),  # 3 x 2 x 4
+        (2, 0, ((W_T, 1, 1),)),
+    ]
+    want = {W_T: {((), 2): 2, (("a",), 2): 1}}
+    got = be.combine(ca, cb, pairs)
+    assert got == term_combine(be, ca, cb, pairs) == want
+    assert all(0 < v < 3 for c in got.values() for v in c.values())
+
+
 # l - 1 = 2^24: a product of residues with inner dimension n is exact in
 # float64 while n * 2^48 < 2^53, so 31 is the last exact inner dimension
 # and 32 the first past the bound
@@ -704,11 +726,12 @@ def gfp_calls(calls):
 def combine_at_stage(stage, n, calls, shifts=(1,)):
     """(combine, its answer on Python ints) on a stub system whose stage
     `stage` has inner dimension n: 1 is the pair products, then T*^j for
-    each j of `shifts`, both of inner dimension dim, and the last the
-    scalar sum, of inner dimension the column count.  `calls` records the
-    gfp helpers combine calls (gfp_calls)."""
+    each j of `shifts`, both of inner dimension dim, and the last the sum
+    of one output's terms, whose count n is the column count.  `calls`
+    records the gfp helpers combine calls (gfp_calls)."""
     if stage == len(shifts) + 2:
-        # n columns (0, k, j), the shifts taken in turn, at dimension 1
+        # one output with n terms, the columns (0, k, j), the shifts taken
+        # in turn, at dimension 1
         be = MatrixCoefficients(StubSystem(1))
         one = np.ones((1, 1), dtype=np.int64)
         ca, cb = [one], [one] * n
@@ -739,16 +762,18 @@ class TstarStub:
 
 def tstar_inputs(l, shifts, seed):
     """(combine on TstarStub(l), its answer on Python ints) for one ca and
-    a cb per entry of `shifts`, entries l - 1 or l - 2: column k is
-    (0, k, shifts[k]), scalar l - 1, all onto one output."""
+    a cb per entry of `shifts`, entries l - 1 or l - 2: pair (0, k) has a
+    term of scalar l - 1 at each shift of shifts[k], a shift or a tuple of
+    them, all onto one output."""
     be = MatrixCoefficients(TstarStub(l))
     rng = np.random.default_rng(seed)
+    shifts = [js if isinstance(js, tuple) else (js,) for js in shifts]
     ca = [l - 1 - rng.integers(0, 2, size=(2, 2))]
     cb = [l - 1 - rng.integers(0, 2, size=(2, 2)) for _ in shifts]
-    pairs = [(0, k, ((W_ID, l - 1, j),)) for k, j in enumerate(shifts)]
+    pairs = [(0, k, tuple((W_ID, l - 1, j) for j in js)) for k, js in enumerate(shifts)]
     A = ca[0].astype(object)
     want = sum((l - 1) * be.system.tstar_power(j).astype(object) @ A @ B.astype(object)
-               for j, B in zip(shifts, cb)) % l
+               for js, B in zip(shifts, cb) for j in js) % l
     return be, ca, cb, pairs, want
 
 
@@ -774,16 +799,27 @@ def test_combine_exact_on_either_side_of_the_float32_bound(n, dtype):
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_combine_stage_raises_at_the_first_inexact_dimension(stage):
     # at l - 1 = 2^24 no unreduced entry stays exact through a second
-    # product, so every stage's input is reduced; at 32 the call is refused
-    # before its inputs are reduced, so before any product is formed
+    # product, so every stage's input is reduced: the inputs, P before T*,
+    # the stack before the term sums and the sums at the end; at 32 the
+    # call is refused before its inputs are reduced, so before any product
     calls = []
     out, want = combine_at_stage(stage, 31, calls)
     f64 = ("residues", np.float64)
-    assert calls == [f64, "reduce", "reduce", f64, "reduce"]
+    assert calls == [f64, "reduce", f64, "reduce", "reduce"]
     assert list(out) == [W_ID] and np.array_equal(out[W_ID], want)
     calls = []
     with pytest.raises(TooLarge, match="inner dimension 32"):
         combine_at_stage(stage, 32, calls)
+    assert calls == []
+
+
+def test_combine_refusal_names_the_dimension_before_the_columns():
+    # dimension 32 and 40 columns, both past the bound: the dimension is
+    # checked first, and the call is refused before any gfp call
+    be, one = MatrixCoefficients(StubSystem(32)), np.ones((32, 32), dtype=np.int64)
+    calls = []
+    with gfp_calls(calls), pytest.raises(TooLarge, match="inner dimension 32 mod"):
+        be.combine([one], [one] * 40, [(0, k, ((W_ID, 1, 1),)) for k in range(40)])
     assert calls == []
 
 
@@ -801,14 +837,14 @@ def test_combine_two_shifts_exact_on_either_side_of_the_float32_bound(n, dtype):
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
 def test_combine_two_shifts_raise_at_each_stage(stage):
-    # the sums are reduced once before T*^1 and T*^2; after them, the two
-    # shifts add up to 2 x 31 x 2^48 >= 2^53 at dimension 31, so they are
-    # reduced before the add too, but to 2 x 2^48 at dimension 1
+    # P is reduced once before T*^1 and T*^2; one output then sums the
+    # two terms T*^1.P and T*^2.P at dimension 31 (2 x 2^24 x 31 x 2^48 >=
+    # 2^53), or 31 terms at dimension 1 (31 x 2^24 x 2^48), so the stack is
+    # reduced before the sums at every stage
     calls = []
     out, want = combine_at_stage(stage, 31, calls, shifts=(1, 2))
     f64 = ("residues", np.float64)
-    add = ["reduce"] if stage < 4 else []
-    assert calls == [f64, "reduce", "reduce", f64, f64, *add, "reduce"]
+    assert calls == [f64, "reduce", f64, f64, "reduce", "reduce"]
     assert list(out) == [W_ID] and np.array_equal(out[W_ID], want)
     calls = []
     with pytest.raises(TooLarge, match="inner dimension 32"):
@@ -838,11 +874,12 @@ for stage in (1, 2, 3):
     assert proc.stdout.split() == ["1", "0", "False", "2", "0", "False", "3", "0", "False"]
 
 
-# Each reduction that combine may skip, on either side of its bound: the
-# entry bound d(l-1)^2 . c(l-1) after the scalar sum of c columns, that
-# times d(l-1) after T*^j, and that times 2 after adding shifts 0 and 1,
-# at d = 2.  Below the exact limit only the last reduction is taken, at
-# or above it one more.
+# The reduction before the term sums, on either side of its bound, at
+# d = 2: one output sums c terms, each of entries at most d(l-1)^2 (shift
+# 0, "sum") or d(l-1) times that (shift 1, "tstar"), times a scalar of at
+# most l - 1; "add" gives the output 2c terms, shifts 0 and 1 of each pair.
+# Below the exact limit only the last reduction is taken, at or above it
+# one more; P, at most 4(l-1)^3 after T*, is below the limit throughout.
 def _skip_bound(stage, l, c):
     r = l - 1
     return {"sum": 2 * r**3 * c, "tstar": 4 * r**4 * c, "add": 8 * r**4 * c}[stage]
@@ -865,7 +902,7 @@ def test_combine_skips_a_reduction_only_below_its_bound(stage, l, c, dtype):
     # the neighbouring count lies on the other side of the limit
     other = _skip_bound(stage, l, c + 1 if bound < limit else c - 1)
     assert (bound < limit) != (other < limit)
-    shifts = {"sum": [0] * c, "tstar": [1] * c, "add": [k % 2 for k in range(c)]}[stage]
+    shifts = {"sum": [0] * c, "tstar": [1] * c, "add": [(0, 1)] * c}[stage]
     be, ca, cb, pairs, want = tstar_inputs(l, shifts, c)
     calls = []
     with gfp_calls(calls):
@@ -878,8 +915,27 @@ def test_combine_skips_a_reduction_only_below_its_bound(stage, l, c, dtype):
     assert np.array_equal(got[W_ID], ref[W_ID]) and np.array_equal(got[W_ID], want)
 
 
+# P before T*^j, on either side of its bound d(l-1) . d(l-1)^2 = 4(l-1)^3
+# at d = 2, one term at shift 1: below it P is multiplied unreduced, and
+# the stack, past the limit after T*, is reduced before the sum; at or
+# above it P is reduced first, and the stack then needs no reduction
+@pytest.mark.parametrize("l,dtype,reduced", [
+    (162, np.float32, False), (163, np.float32, True),
+    (2**17, np.float64, False), (2**17 + 1, np.float64, True),
+])
+def test_combine_reduces_p_before_tstar_only_at_its_bound(l, dtype, reduced):
+    limit = 2 ** (np.finfo(dtype).nmant + 1)
+    assert (4 * (l - 1) ** 3 >= limit) == reduced
+    be, ca, cb, pairs, want = tstar_inputs(l, [1], l)
+    calls = []
+    got = check_combine(be, ca, cb, pairs, calls)
+    res = ("residues", dtype)
+    assert calls == ([res, "reduce", res, "reduce"] if reduced else [res, res, "reduce", "reduce"])
+    assert np.array_equal(got[W_ID], want)
+
+
 # ---------------------------------------------------------------------------
-# pairs whose product is exactly 0 get no scalar sum
+# pair products that are exactly 0: a call where all are 0 stops after one test
 
 SPARSE = (1, 4, 3, "trivial", "pp")  # dim 18, the oracle window's system
 
@@ -970,6 +1026,73 @@ def test_combine_of_basis_intertwiners_matches_the_references(seed):
     live = [bool((ca[i] @ cb[k]).any()) for i, k, terms in pairs if terms]
     assert any(live) and not all(live)
     check_combine(eng.be, ca, cb, pairs)
+
+
+# ---------------------------------------------------------------------------
+# each output the sum of its own terms, gathered rank by rank
+
+OUTS = elements_in_window(2)[:4]
+
+# pair (i, k) -> terms (output index, s, j), s = -1 standing for l - 1
+GATHERS = {
+    # output 0 gets four terms; rank 1 holds its shift 1 beside output 1's
+    # shift 0, and rank 0 output 0's shift 0 beside output 1's shift 1
+    "four-terms-mixed-shifts": [
+        (0, 0, ((0, 1, 0), (1, -1, 1))), (0, 1, ((0, -1, 1), (1, 1, 0))),
+        (1, 0, ((0, 1, 0), (2, 1, 1))), (1, 1, ((0, -1, 1),))],
+    "only-shift-1": [(0, 0, ((0, 1, 1), (1, -1, 1))), (1, 1, ((0, -1, 1),)), (1, 0, ((1, 1, 1),))],
+    "only-shift-2": [(0, 0, ((0, 1, 2),)), (0, 1, ((0, -1, 2), (1, 1, 2))), (1, 0, ((2, 1, 2),))],
+    "shifts-1-and-2": [(0, 0, ((0, 1, 1), (0, -1, 2))), (1, 1, ((0, 1, 2), (1, -1, 1)))],
+    "shift-1-met-before-0": [
+        (0, 0, ((0, -1, 1),)), (0, 1, ((0, 1, 0), (1, -1, 1))), (1, 0, ((1, 1, 0),))],
+    # every rank holds s = 1 beside s = l - 1
+    "scalars-mixed-in-a-rank": [
+        (0, 0, ((0, 1, 0), (1, -1, 0))), (1, 1, ((0, -1, 1), (1, 1, 1), (2, -1, 0))),
+        (0, 1, ((0, 1, 0), (1, -1, 0), (2, 1, 1)))],
+    # output 0 from all 16 pairs, output 1 from every third
+    "one-output-across-many-pairs": [
+        (i, k, ((0, 1 if (i + k) % 2 else -1, (i * k) % 2),
+                *(((1, 1, (i * k) % 2),) if (4 * i + k) % 3 == 0 else ())))
+        for i in range(4) for k in range(4)],
+}
+
+
+@pytest.mark.parametrize("system", ["sparse", "straddle"])
+@pytest.mark.parametrize("case", list(GATHERS))
+def test_combine_gathers_each_output_from_its_terms(case, system):
+    # on the oracle window's system (l = 3, float32), whose T*^2 is 0 mod
+    # 3, and on a dimension-2 system at STRADDLE_L, where every s = l - 1
+    # scales by about 2^10
+    if system == "sparse":
+        be = matrix_engine(*SPARSE)[1].be
+    else:
+        be = MatrixCoefficients(TstarStub(STRADDLE_L))
+    l, d = be.l, be.system.dim
+    pairs = [(i, k, tuple((OUTS[o], s % l, j) for o, s, j in terms))
+             for i, k, terms in GATHERS[case]]
+    rng = np.random.default_rng(len(case))
+    ca = [rng.integers(-3 * l, 3 * l, size=(d, d)) for _ in range(1 + max(p[0] for p in pairs))]
+    cb = [rng.integers(-3 * l, 3 * l, size=(d, d)) for _ in range(1 + max(p[1] for p in pairs))]
+    got = check_combine(be, ca, cb, pairs)
+    assert bool(got) != (case == "only-shift-2" and system == "sparse")
+
+
+@pytest.mark.parametrize("n,dtype", [(15, np.float32), (16, np.float64)])
+def test_combine_gathers_at_either_precision(n, dtype):
+    # the n columns (0, k, k mod 2) at STRADDLE_L pick the precision; pair
+    # k gives output 0 a term and output 1 + k mod 3 another, at its one
+    # shift, so ranks mix shifts and scalars 1 and l - 1
+    be, l = MatrixCoefficients(TstarStub(STRADDLE_L)), STRADDLE_L
+    rng = np.random.default_rng(n)
+    ca = [rng.integers(0, l, size=(2, 2))]
+    cb = [rng.integers(0, l, size=(2, 2)) for _ in range(n)]
+    pairs = [(0, k, ((OUTS[0], 1 if k % 2 else l - 1, k % 2),
+                     (OUTS[1 + k % 3], l - 1 if k % 2 else 1, k % 2)))
+             for k in range(n)]
+    calls = []
+    got = check_combine(be, ca, cb, pairs, calls)
+    assert list(got) == OUTS
+    assert [c for c in calls if c != "reduce"] == [("residues", dtype)] * 2
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
